@@ -93,9 +93,11 @@ type Config struct {
 	OnlySites []string
 	// Cost overrides the pmem cost model (zero value: default).
 	Cost pmem.CostModel
-	// TrackingNoReadOnlyOpt disables the paper's read-only optimization
-	// in the Tracking list (ablation).
-	TrackingNoReadOnlyOpt bool
+	// TrackingReadOnly selects how the Tracking list persists its
+	// read-only outcomes (ablation). The zero value, rlist.ReadOnlyPublish,
+	// is Algorithm 1 as the paper measures it, so every figure run pins it;
+	// the library default is rlist.ReadOnlyReexecute.
+	TrackingReadOnly rlist.ReadOnlyMode
 	// BatchOps, when positive, installs an ambient write-combining policy
 	// on the pool (pmem.SetBatchPolicy): up to BatchOps operations share
 	// one group psync and duplicate line flushes merge across them. The
@@ -178,7 +180,7 @@ func build(cfg Config) (*instance, error) {
 	})
 	inst := &instance{pool: pool}
 	runner, err := newStructure(inst, cfg.Algo, cfg.Threads+1, 0, words/8,
-		cfg.TrackingNoReadOnlyOpt)
+		cfg.TrackingReadOnly)
 	if err != nil {
 		return nil, err
 	}
@@ -191,16 +193,15 @@ func build(cfg Config) (*instance, error) {
 // per-thread state the structure allocates, rootSlot anchors its durable
 // root — the multi-tenant workload engine places several structures on one
 // pool, one root slot each — and regionWords sizes the duplicated/logged
-// region of the TM-style algorithms (Romulus, RedoOpt).
+// region of the TM-style algorithms (Romulus, RedoOpt). ro is the Tracking
+// list's read-only mode (see Config.TrackingReadOnly).
 func newStructure(inst *instance, algo Algo, maxThreads, rootSlot, regionWords int,
-	noReadOnlyOpt bool) (func(tid int) opRunner, error) {
+	ro rlist.ReadOnlyMode) (func(tid int) opRunner, error) {
 	pool := inst.pool
 	switch algo {
 	case AlgoTracking:
 		l := rlist.New(pool, maxThreads, rootSlot)
-		if noReadOnlyOpt {
-			l.SetReadOnlyOpt(false)
-		}
+		l.SetReadOnlyMode(ro)
 		return func(tid int) opRunner { return l.Handle(inst.newThread(tid)) }, nil
 	case AlgoTrackingBST:
 		tr := rbst.New(pool, maxThreads, rootSlot)

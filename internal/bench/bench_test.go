@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"math"
 	"testing"
 	"time"
+
+	"repro/internal/rlist"
 )
 
 func quickOpts() Options {
@@ -201,30 +204,36 @@ func TestCategoryString(t *testing.T) {
 }
 
 func TestReadOnlyOptAblationConfig(t *testing.T) {
-	res, err := Run(Config{
-		Algo: AlgoTracking, Threads: 1, Duration: 60e6,
-		Workload: ReadIntensive(), TrackingNoReadOnlyOpt: true,
-	})
-	if err != nil {
-		t.Fatal(err)
+	run := func(ro rlist.ReadOnlyMode) (perOp func(sites ...string) float64) {
+		res, err := Run(Config{
+			Algo: AlgoTracking, Threads: 1, Duration: 60e6,
+			Workload: ReadIntensive(), TrackingReadOnly: ro,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Ops == 0 {
+			t.Fatalf("Tracking[ro=%s] completed no ops", ro)
+		}
+		return func(sites ...string) float64 {
+			var n uint64
+			for _, s := range sites {
+				n += res.Stats.PWBsBySite[s]
+			}
+			return float64(n) / float64(res.Ops)
+		}
 	}
-	if res.Ops == 0 {
-		t.Fatal("ablated Tracking completed no ops")
-	}
+	publish, reexec, full := run(rlist.ReadOnlyPublish), run(rlist.ReadOnlyReexecute), run(rlist.ReadOnlyFull)
 	// Without the optimization, read-only ops run Help and so tag nodes:
 	// the info-tag site must fire far more often than with it.
-	with, err := Run(Config{
-		Algo: AlgoTracking, Threads: 1, Duration: 60e6,
-		Workload: ReadIntensive(),
-	})
-	if err != nil {
-		t.Fatal(err)
+	if f, p := full("rlist/pwb-info-tag"), publish("rlist/pwb-info-tag"); f <= p {
+		t.Fatalf("ablation ineffective: tag pwbs/op %.2f (full) vs %.2f (publish)", f, p)
 	}
-	tagRateWithout := float64(res.Stats.PWBsBySite["rlist/pwb-info-tag"]) / float64(res.Ops)
-	tagRateWith := float64(with.Stats.PWBsBySite["rlist/pwb-info-tag"]) / float64(with.Ops)
-	if tagRateWithout <= tagRateWith {
-		t.Fatalf("ablation ineffective: tag pwbs/op %.2f (without) vs %.2f (with)",
-			tagRateWithout, tagRateWith)
+	// Re-executed reads persist nothing: the per-op CP/RD bookkeeping is
+	// paid by the updates alone.
+	bookkeeping := []string{"rlist/pwb-CP", "rlist/pwb-RD", "rlist/pwb-desc+new"}
+	if r, p := reexec(bookkeeping...), publish(bookkeeping...); r >= p/2 {
+		t.Fatalf("re-execution left read bookkeeping: %.2f pwbs/op vs %.2f (publish)", r, p)
 	}
 }
 
@@ -235,5 +244,41 @@ func TestKeyRangeSweepRuns(t *testing.T) {
 	}
 	if len(series) != 6 {
 		t.Fatalf("key-range sweep produced %d series, want 6", len(series))
+	}
+}
+
+// TestCheckFlushAvoidGate pins the gate's two rules: a relative cut of at
+// least faMinReduction at every goroutine count of the report, and the
+// committed executed-pwb count of the one-goroutine measurement — which
+// the unmodified tree must meet exactly, run after run.
+func TestCheckFlushAvoidGate(t *testing.T) {
+	pair := func(g int, fast, fa float64) []SubstratePoint {
+		return []SubstratePoint{
+			{Op: "tracking-hash-update", Mode: "fast", Goroutines: g, PWBsPerOp: fast},
+			{Op: "tracking-hash-update", Mode: "flushavoid", Goroutines: g, PWBsPerOp: fa},
+		}
+	}
+	committed := SubstratePoint{PWBsPerOp: float64(faGatePWBs) / faGateOps}
+	above := SubstratePoint{PWBsPerOp: float64(faGatePWBs+1) / faGateOps}
+	for _, c := range []struct {
+		name string
+		pts  []SubstratePoint
+		solo SubstratePoint
+		ok   bool
+	}{
+		{"committed", append(pair(1, 4.53, 3.41), pair(8, 5.17, 3.91)...), committed, true},
+		{"cut too small", append(pair(1, 4.53, 3.41), pair(8, 4.50, 3.91)...), committed, false},
+		{"one pwb above the committed count", pair(1, 4.53, 3.41), above, false},
+		{"no pair", pair(2, 4.91, 0)[:1], committed, false},
+	} {
+		if err := checkFlushAvoid(SubstrateReport{Points: c.pts}, c.solo); (err == nil) != c.ok {
+			t.Errorf("%s: checkFlushAvoid = %v, want ok=%v", c.name, err, c.ok)
+		}
+	}
+	for run := 0; run < 2; run++ {
+		solo := runTrackingHashPoint(1, faGateOps, true)
+		if got := math.Round(solo.PWBsPerOp * faGateOps); got != faGatePWBs {
+			t.Errorf("run %d: one-goroutine measurement executed %.0f pwbs, committed %d", run, got, faGatePWBs)
+		}
 	}
 }

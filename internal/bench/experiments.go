@@ -5,6 +5,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/rlist"
 	"repro/internal/telemetry"
 )
 
@@ -402,22 +403,22 @@ func AdditionFigure(algo Algo, w Workload, o Options) ([]Series, error) {
 	return append(out, full), nil
 }
 
-// ReadOnlyOptAblation measures the value of the paper's read-only
-// optimization (Algorithm 1, red code): the Tracking list with and without
-// it, on the read-intensive mix where read-only operations dominate.
+// ReadOnlyOptAblation measures the value of persisting less for read-only
+// operations: the Tracking list on the read-intensive mix, where they
+// dominate, at each read-only mode — the paper's optimization (Algorithm 1,
+// red code), re-execution (nothing persisted), and no optimization.
 func ReadOnlyOptAblation(o Options) ([]Series, error) {
 	o = o.fill()
-	with, err := throughputSweep("Tracking[ro-opt]",
-		Config{Algo: AlgoTracking, Workload: ReadIntensive()}, o)
-	if err != nil {
-		return nil, err
+	var out []Series
+	for _, ro := range []rlist.ReadOnlyMode{rlist.ReadOnlyPublish, rlist.ReadOnlyReexecute, rlist.ReadOnlyFull} {
+		s, err := throughputSweep("Tracking[ro="+ro.String()+"]",
+			Config{Algo: AlgoTracking, Workload: ReadIntensive(), TrackingReadOnly: ro}, o)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, s)
 	}
-	without, err := throughputSweep("Tracking[no ro-opt]",
-		Config{Algo: AlgoTracking, Workload: ReadIntensive(), TrackingNoReadOnlyOpt: true}, o)
-	if err != nil {
-		return nil, err
-	}
-	return []Series{with, without}, nil
+	return out, nil
 }
 
 // KeyRangeSweep reproduces the appendix observation that other key ranges

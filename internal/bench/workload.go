@@ -39,6 +39,7 @@ import (
 
 	"repro/internal/kvstore"
 	"repro/internal/pmem"
+	"repro/internal/rlist"
 	"repro/internal/telemetry"
 )
 
@@ -546,7 +547,7 @@ func buildScenario(sc Scenario, threads int, seed int64) (*scenarioRun, error) {
 				run.kv = append(run.kv, kvTenantRun{tenant: ti, store: s})
 			}
 		} else {
-			f, err = newStructure(run.inst, t.Algo, maxThreads, ti, workloadPoolWords/8, false)
+			f, err = newStructure(run.inst, t.Algo, maxThreads, ti, workloadPoolWords/8, rlist.ReadOnlyPublish)
 		}
 		if err != nil {
 			return nil, err

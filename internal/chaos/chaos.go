@@ -104,14 +104,23 @@ func makeStates(threads, opsPerThread int, seed int64, genOp func(rng *rand.Rand
 }
 
 // launchRound resumes every thread's schedule concurrently and waits for
-// all of them to finish their quota or park on a crash.
-func launchRound(states []*workerState, factory ThreadFactory, clock *atomic.Int64) error {
+// all of them to finish their quota or park on a crash. With a non-nil
+// lockstep the threads take turns instead of running freely.
+func launchRound(states []*workerState, factory ThreadFactory, clock *atomic.Int64, step *lockstep) error {
 	var wg sync.WaitGroup
 	errs := make([]error, len(states))
+	if step != nil {
+		step.begin(len(states))
+		defer step.end()
+	}
 	for t := range states {
 		wg.Add(1)
 		go func(t int) {
 			defer wg.Done()
+			if step != nil {
+				step.enter(t)
+				defer step.exit(t)
+			}
 			errs[t] = runWorker(states[t], t+1, factory, clock)
 		}(t)
 	}
@@ -133,6 +142,7 @@ func launchRound(states []*workerState, factory ThreadFactory, clock *atomic.Int
 type Schedule struct {
 	states []*workerState
 	clock  atomic.Int64
+	step   *lockstep // nil: threads run freely
 }
 
 // NewSchedule generates the workload: thread t+1 runs opsPerThread
@@ -147,7 +157,18 @@ func NewSchedule(threads, opsPerThread int, seed int64, genOp func(rng *rand.Ran
 // crash the caller recovers the pool, rebuilds the factory, and calls
 // Resume again; interrupted operations re-enter via Thread.Recover.
 func (s *Schedule) Resume(factory ThreadFactory) error {
-	return launchRound(s.states, factory, &s.clock)
+	return launchRound(s.states, factory, &s.clock, s.step)
+}
+
+// Lockstep makes every later Resume run the threads one at a time, taking
+// turns at each persistence instruction and spin-wait hint, so that a
+// multi-threaded schedule replays exactly like a single-threaded one. It
+// attaches the turn-taking as pool's telemetry sink, forwarding every
+// callback to inner (which may be nil); call it before creating the
+// threads' contexts, and leave the sink in place while the schedule runs.
+func (s *Schedule) Lockstep(pool *pmem.Pool, inner pmem.TelemetrySink) {
+	s.step = newLockstep(inner)
+	pool.SetTelemetrySink(s.step)
 }
 
 // Done reports whether every thread has resolved its full quota.
@@ -201,7 +222,7 @@ func Run(cfg Config) (*Result, error) {
 			cfg.Pool.SetCrashAfter(int64(rng.Intn(2*cfg.MeanAccessesBetweenCrashes) + 1))
 		}
 
-		err := launchRound(states, factory, &clock)
+		err := launchRound(states, factory, &clock, nil)
 		cfg.Pool.SetCrashAfter(0)
 		if err != nil {
 			return nil, err

@@ -22,10 +22,18 @@ package sweep
 // (helping B's operation along the way), so the scenario converges to one
 // deterministic final state regardless of the adversary, which the
 // scenario validates exactly.
+//
+// A fourth act (actReadOnlyAfterBacktrack) then drives the read-path
+// corner of the same conflict in a live operation: an update publishes an
+// attempt, backtracks, and resolves read-only on its retry, so it returns
+// with CP = 1 and RD naming the failed attempt; a crash strikes just before
+// that response is delivered, and the recovery function must re-execute
+// the operation.
 
 import (
 	"fmt"
 
+	"repro/internal/chaos"
 	"repro/internal/pmem"
 	"repro/internal/rbst"
 	"repro/internal/rhash"
@@ -40,6 +48,7 @@ import (
 // the task's adversary, chained to the task's depth.
 type Provoker struct {
 	pool    *pmem.Pool
+	sink    pmem.TelemetrySink // the task's telemetry registry, if any
 	site    string
 	hit     int64
 	depth   int
@@ -126,6 +135,138 @@ func (p *Provoker) Target(act func() error) error {
 	}
 }
 
+// hook is one interleaving point of Provoker.interleave: the k-th
+// write-back of site recorded by the interleaved thread runs act.
+type hook struct {
+	site string
+	k    int64
+	act  func()
+}
+
+// hookSink forwards every telemetry event to the task's registry and runs
+// each hook once, synchronously, when thread tid records the hook's k-th
+// write-back of its site.
+type hookSink struct {
+	inner pmem.TelemetrySink
+	tid   int
+	sites []pmem.Site
+	left  []int64
+	hooks []hook
+}
+
+func (s *hookSink) TelemetryPWB(tid int, site pmem.Site, stall int64) {
+	if s.inner != nil {
+		s.inner.TelemetryPWB(tid, site, stall)
+	}
+	if tid != s.tid {
+		return
+	}
+	for i, hs := range s.sites {
+		if hs == site {
+			if s.left[i]--; s.left[i] == 0 {
+				s.hooks[i].act()
+			}
+		}
+	}
+}
+
+func (s *hookSink) TelemetryPSync(tid int, stallUnits, stallNs int64, pending []pmem.SiteStall) {
+	if s.inner != nil {
+		s.inner.TelemetryPSync(tid, stallUnits, stallNs, pending)
+	}
+}
+
+func (s *hookSink) TelemetryPFence(tid int) {
+	if s.inner != nil {
+		s.inner.TelemetryPFence(tid)
+	}
+}
+
+func (s *hookSink) TelemetryEvent(kind pmem.TelemetryEventKind, tid int, site pmem.Site, arg uint64) {
+	if s.inner != nil {
+		s.inner.TelemetryEvent(kind, tid, site, arg)
+	}
+}
+
+// interleave runs act with hooks armed on thread tid: each hook fires
+// once, synchronously, the moment tid records the hook's k-th write-back
+// of its site — from inside that persist instruction, so the hook's
+// operations land between two instructions of the running operation,
+// deterministically. act must not crash; every hook must fire.
+func (p *Provoker) interleave(tid int, hooks []hook, act func() error) error {
+	if p.err != nil {
+		return p.err
+	}
+	s := &hookSink{inner: p.sink, tid: tid, hooks: hooks}
+	for _, h := range hooks {
+		s.sites = append(s.sites, p.pool.RegisterSite(h.site))
+		s.left = append(s.left, h.k)
+	}
+	p.pool.SetTelemetrySink(s)
+	err := act()
+	p.pool.SetTelemetrySink(p.sink)
+	for i, h := range hooks {
+		if err == nil && s.left[i] > 0 {
+			err = fmt.Errorf("sweep: interleaved thread %d never executed site %s %d times", tid, h.site, h.k)
+		}
+	}
+	p.err = err
+	return err
+}
+
+// crashNow crashes the pool at this instant under the task's adversary and
+// recovers it: the crash that strikes an operation after its last pool
+// access but before its response is delivered.
+func (p *Provoker) crashNow() {
+	if p.err != nil {
+		return
+	}
+	p.pool.TriggerCrash()
+	p.pool.Crash(p.policy())
+	p.pool.Recover()
+	p.crashes++
+}
+
+// actReadOnlyAfterBacktrack is the fourth act of the set scenarios. Thread
+// 1 runs op, an update whose attempt publishes a two-entry AffectSet. At
+// the attempt's RD persist thread 2 runs b1, which changes the attempt's
+// second entry, so op's Help tags the first entry, fails on the second and
+// backtracks; at that backtrack persist thread 2 runs b2, which makes op's
+// outcome read-only. op's retry returns false from its gather phase with
+// CP = 1 and RD naming the failed attempt; the crash strikes just before
+// that response is delivered, and op's recovery function must re-execute
+// it: the failed attempt's recovery Help fails again (its info values
+// never recur), Recover reports re-invoke, and the re-execution answers
+// false.
+func actReadOnlyAfterBacktrack(p *Provoker, prefix string,
+	attach func() (func(tid int) setOps, error), op, b1, b2 chaos.Op) error {
+	handles, err := attach()
+	if err != nil {
+		return err
+	}
+	var res, res1, res2 uint64
+	err = p.interleave(1, []hook{
+		{prefix + "/pwb-RD", 2, func() { res1 = setThread{handles(2)}.Run(b1) }},
+		{prefix + "/pwb-info-backtrack", 1, func() { res2 = setThread{handles(2)}.Run(b2) }},
+	}, func() error {
+		res = setThread{handles(1)}.Run(op)
+		return nil
+	})
+	if err != nil {
+		return err
+	}
+	p.crashNow()
+	if handles, err = attach(); err != nil {
+		return err
+	}
+	rec := setThread{handles(1)}.Recover(op)
+	if res != 0 || res1 != 1 || res2 != 1 || rec != 0 {
+		return fmt.Errorf("sweep: read-only-after-backtrack op=%d b1=%d b2=%d recovered=%d, want 0 1 1 0",
+			res, res1, res2, rec)
+	}
+	return nil
+}
+
 // expectKeys compares a set structure's final content with the scenario's
 // deterministic expectation.
 func expectKeys(got, want []int64) error {
@@ -193,11 +334,24 @@ func provokeListBacktrack(pool *pmem.Pool, p *Provoker) error {
 	if !resA || !resB {
 		return fmt.Errorf("sweep: delete=%v insert=%v, want both true", resA, resB)
 	}
+	// Act four over {10, 25, 30}: Insert(20) affects {node10, node25};
+	// Insert(27) re-tags node25 first, then Insert(20) completes.
+	if err := actReadOnlyAfterBacktrack(p, "rlist", func() (func(int) setOps, error) {
+		l, err := rlist.Attach(pool, 0)
+		return func(tid int) setOps { return l.Handle(pool.NewThread(tid)) }, err
+	}, chaos.Op{Kind: chaos.KindInsert, Key: 20},
+		chaos.Op{Kind: chaos.KindInsert, Key: 27},
+		chaos.Op{Kind: chaos.KindInsert, Key: 20}); err != nil {
+		return err
+	}
+	if l, err = rlist.Attach(pool, 0); err != nil {
+		return err
+	}
 	ctx := pool.NewThread(0)
 	if err := l.CheckInvariants(ctx, true); err != nil {
 		return err
 	}
-	return expectKeys(l.Keys(ctx), []int64{10, 25, 30})
+	return expectKeys(l.Keys(ctx), []int64{10, 20, 25, 27, 30})
 }
 
 // provokeBSTBacktrack scripts the backtrack scenario on rbst. Inserting 10
@@ -253,11 +407,25 @@ func provokeBSTBacktrack(pool *pmem.Pool, p *Provoker) error {
 	if !resA || !resB {
 		return fmt.Errorf("sweep: delete=%v insert=%v, want both true", resA, resB)
 	}
+	// Act four over root -> I1(Inf1) -> I2(20) -> {leaf15, leaf20}:
+	// Delete(15) affects {gp = I1, p = I2}; Insert(17) re-tags I2 first
+	// (it splits leaf15), then Delete(15) completes.
+	if err := actReadOnlyAfterBacktrack(p, "rbst", func() (func(int) setOps, error) {
+		tr, err := rbst.Attach(pool, 0)
+		return func(tid int) setOps { return tr.Handle(pool.NewThread(tid)) }, err
+	}, chaos.Op{Kind: chaos.KindDelete, Key: 15},
+		chaos.Op{Kind: chaos.KindInsert, Key: 17},
+		chaos.Op{Kind: chaos.KindDelete, Key: 15}); err != nil {
+		return err
+	}
+	if tr, err = rbst.Attach(pool, 0); err != nil {
+		return err
+	}
 	ctx := pool.NewThread(0)
 	if err := tr.CheckInvariants(ctx, true); err != nil {
 		return err
 	}
-	return expectKeys(tr.Keys(ctx), []int64{15, 20})
+	return expectKeys(tr.Keys(ctx), []int64{17, 20})
 }
 
 // provokeHashBacktrack scripts the backtrack scenario on rhash. Keys 3, 5,
@@ -313,11 +481,25 @@ func provokeHashBacktrack(pool *pmem.Pool, p *Provoker) error {
 	if !resA || !resB {
 		return fmt.Errorf("sweep: delete=%v insert=%v, want both true", resA, resB)
 	}
+	// Act four, again inside bucket 0 ({3, 6, 8}; 7 and 12 land there
+	// too): Insert(7) affects {node6, node8}; Insert(12) re-tags node8
+	// first, then Insert(7) completes.
+	if err := actReadOnlyAfterBacktrack(p, "rhash", func() (func(int) setOps, error) {
+		m, err := rhash.Attach(pool, 0)
+		return func(tid int) setOps { return m.Handle(pool.NewThread(tid)) }, err
+	}, chaos.Op{Kind: chaos.KindInsert, Key: 7},
+		chaos.Op{Kind: chaos.KindInsert, Key: 12},
+		chaos.Op{Kind: chaos.KindInsert, Key: 7}); err != nil {
+		return err
+	}
+	if m, err = rhash.Attach(pool, 0); err != nil {
+		return err
+	}
 	ctx := pool.NewThread(0)
 	if err := m.CheckInvariants(ctx, true); err != nil {
 		return err
 	}
-	return expectKeys(m.Keys(ctx), []int64{3, 6, 8})
+	return expectKeys(m.Keys(ctx), []int64{3, 6, 7, 8, 12})
 }
 
 // The first-observer sites ("<prefix>/pwb-info-observed") record the

@@ -57,8 +57,9 @@ type Config struct {
 	// the random adversary all derive from it.
 	Seed int64
 	// Threads is the worker-thread count inside each task; 0 means each
-	// structure's MinThreads (single-threaded where possible, which makes
-	// the task fully deterministic).
+	// structure's MinThreads (single-threaded where possible). Several
+	// threads run in lockstep (chaos.Schedule.Lockstep), so a task is
+	// fully deterministic either way.
 	Threads int
 	// OpsPerThread is each worker's operation quota per task (default 40).
 	OpsPerThread int
@@ -347,6 +348,9 @@ func profileStructure(a *Adapter, cfg *Config) (map[string]uint64, error) {
 	threads := cfg.threadsFor(a)
 	pool := cfg.newTaskPool(a, threads)
 	sched := chaos.NewSchedule(threads, cfg.OpsPerThread, cfg.Seed, a.GenOp)
+	if threads > 1 {
+		sched.Lockstep(pool, nil)
+	}
 	factory, err := a.Reattach(pool)
 	if err != nil {
 		return nil, err
@@ -459,7 +463,7 @@ func runProvokeTask(a *Adapter, t sweepTask, cfg *Config) TaskResult {
 	reg := taskRegistry(pool)
 	advRng := rand.New(rand.NewSource(t.taskSeed(cfg.Seed)))
 	p := &Provoker{
-		pool: pool, site: t.site, hit: t.hit, depth: t.depth,
+		pool: pool, sink: reg, site: t.site, hit: t.hit, depth: t.depth,
 		policy: func() pmem.CrashPolicy { return policyFor(t.adversary, advRng) },
 	}
 	err := a.Scripted[t.site](pool, p)
@@ -500,6 +504,12 @@ func runSweepTask(a *Adapter, t sweepTask, cfg *Config) TaskResult {
 	reg = taskRegistry(pool)
 	site := pool.RegisterSite(t.site) // idempotent label lookup
 	sched := chaos.NewSchedule(threads, cfg.OpsPerThread, cfg.Seed, a.GenOp)
+	if t.threads == 0 && threads > 1 {
+		// Replay the profile's interleaving, so the k-th hit the task
+		// arms is the profile's k-th hit. Top-up tasks run freely: they
+		// exist to provoke contention the replayed schedule lacks.
+		sched.Lockstep(pool, reg)
+	}
 
 	// Optional parallel recovery engine: worker thread ids sit just above
 	// the task's application ids (the pool enforces MaxThreads only for
@@ -598,8 +608,9 @@ func saveProgress(path string, seed int64, tasks map[string]TaskResult) error {
 }
 
 // Run runs the crash-site sweep and returns its coverage report. Given
-// the same Config the task list and every single-threaded task result
-// are deterministic; ProgressPath makes an interrupted sweep resumable.
+// the same Config the task list and every task result except the
+// free-running top-up tasks are deterministic; ProgressPath makes an
+// interrupted sweep resumable.
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err

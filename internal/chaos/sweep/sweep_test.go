@@ -160,20 +160,35 @@ func TestSweepKVStore(t *testing.T) {
 	}
 }
 
+// TestSweepDeterministicGivenSeed pins that a sweep repeats exactly from
+// its seed, and that every armed hit fires. Multi-threaded tasks run in
+// lockstep, so that holds for the exchanger, which needs two threads, and
+// for a -threads 2 sweep of the stack as for a single-threaded structure.
 func TestSweepDeterministicGivenSeed(t *testing.T) {
-	cfg := smallSweep("rbst")
-	rep1, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep2, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	j1, _ := json.Marshal(rep1)
-	j2, _ := json.Marshal(rep2)
-	if string(j1) != string(j2) {
-		t.Fatalf("same seed, different reports:\n%s\n%s", j1, j2)
+	exch := smallSweep("rexchanger")
+	exch.Depth = 2
+	stack := smallSweep("rstack")
+	stack.Threads = 2
+	for _, cfg := range []Config{smallSweep("rbst"), exch, stack} {
+		name := cfg.Structures[0]
+		rep1, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep2, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j1, _ := json.Marshal(rep1)
+		j2, _ := json.Marshal(rep2)
+		if string(j1) != string(j2) {
+			t.Fatalf("%s: same seed, different reports:\n%s\n%s", name, j1, j2)
+		}
+		for _, r := range rep1.Results {
+			if r.Fired == 0 || r.Violation != "" || r.Error != "" {
+				t.Errorf("%s: %s fired=%d %s%s", name, r.Key(), r.Fired, r.Violation, r.Error)
+			}
+		}
 	}
 }
 

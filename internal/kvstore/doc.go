@@ -40,18 +40,21 @@
 // Recover (and RecoverParallel, which fans the same per-shard work out
 // on an internal/recovery engine — the durable result is byte-identical
 // by construction, since shards touch disjoint words and the per-shard
-// code is shared) re-attaches the header and tracking engine, then per
-// shard: re-attaches the embedded rhash and the shard allocator,
-// tombstones every live slot whose key is not in the index (a Put that
-// crashed between value-publish and index-insert, or a Delete that
-// crashed between index-delete and tombstone), rejects duplicate or
-// foreign slots, and runs rmm.RecoverGC with the surviving blocks as
-// roots so crash-leaked blocks return to the free-stacks. Per-operation
-// exactly-once results are then available through RecoverPut /
-// RecoverGet / RecoverDelete / RecoverCAS, which replay through the
-// tracking engine after making the value plane consistent with the
-// op's arguments. RecoverCAS is value-witnessed and therefore exact
-// only when old != new; see its comment.
+// code is shared) re-attaches the header and tracking engine, settles
+// every interrupted index operation (tracking.Engine.HelpInFlight: each
+// has then taken effect or never will), then per shard: re-attaches the
+// embedded rhash and the shard allocator, tombstones every live slot
+// whose key is not in the index (a Put that crashed between
+// value-publish and index-insert, or a Delete that crashed between
+// index-delete and tombstone), rejects duplicate or foreign slots, and
+// runs rmm.RecoverGC with the surviving blocks as roots so crash-leaked
+// blocks return to the free-stacks. Per-operation exactly-once results
+// are then available through RecoverPut / RecoverGet / RecoverDelete /
+// RecoverCAS. Other threads may have operated on the key by the time a
+// recovery function runs, so RecoverPut and RecoverDelete touch the value
+// plane only when their index operation never took effect, and then
+// re-execute the whole operation. RecoverCAS is value-witnessed and
+// therefore exact only when old != new; see its comment.
 //
 // The tracking engine is shared by every shard (site prefix "rhash",
 // the same machinery rhash itself uses): a thread runs one recoverable

@@ -417,6 +417,12 @@ func (h *Handle) Put(key int64, val uint64, expireAt uint64) (bool, error) {
 	sh := s.shards[si]
 	s.lock(h.ctx, sh)
 	defer s.unlock(sh)
+	return h.put(si, sh, key, val, expireAt)
+}
+
+// put is Put's body; the caller holds shard si's lock.
+func (h *Handle) put(si int, sh *shard, key int64, val uint64, expireAt uint64) (bool, error) {
+	s := h.s
 	pos, block, free := h.probe(sh, key)
 	if block != pmem.Null {
 		nb, err := h.newBlock(si, key, expireAt, val)
@@ -478,6 +484,12 @@ func (h *Handle) Delete(key int64) (bool, error) {
 	sh := s.shards[si]
 	s.lock(h.ctx, sh)
 	defer s.unlock(sh)
+	return h.delete(si, sh, key)
+}
+
+// delete is Delete's body; the caller holds shard si's lock.
+func (h *Handle) delete(si int, sh *shard, key int64) (bool, error) {
+	s := h.s
 	pos, block, _ := h.probe(sh, key)
 	present := h.idx(si).Delete(key) // commit point
 	if present {

@@ -570,3 +570,29 @@ func TestPutFullShard(t *testing.T) {
 		t.Fatalf("full shard error = %v, want ErrFull", full)
 	}
 }
+
+// TestGetAllocatesNothing pins the default Get path — shard lock, index
+// Find, slot probe — to zero heap allocations once the handle has touched
+// the shard.
+func TestGetAllocatesNothing(t *testing.T) {
+	pool := pmem.New(pmem.Config{Mode: pmem.ModeFast, CapacityWords: 1 << 18, MaxThreads: 4})
+	s, err := kvstore.New(pool, kvstore.Config{Shards: 4, MaxThreads: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handle(pool.NewThread(1))
+	for k := int64(1); k <= 32; k++ {
+		h.Invoke()
+		if _, err := h.Put(k, valueFor(k), kvstore.NoExpiry); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		h.Invoke()
+		h.Get(7)
+		h.Invoke()
+		h.Get(99)
+	}); n != 0 {
+		t.Fatalf("Get allocates %.1f objects per run, want 0", n)
+	}
+}

@@ -68,6 +68,9 @@ func attachStore(pool *pmem.Pool, rootSlot, tid int) (*Store, *pmem.ThreadCtx, e
 	s.shards = make([]*shard, s.nShards)
 	s.registerSites()
 	s.eng = tracking.Attach(pool, engTable, s.maxThreads, "rhash")
+	// Settle every interrupted index operation before any shard is
+	// reconciled against its index (see tracking.Engine.HelpInFlight).
+	s.eng.HelpInFlight(boot)
 	return s, boot, nil
 }
 
@@ -223,42 +226,28 @@ func RecoverParallel(pool *pmem.Pool, rootSlot int, eng *recovery.Engine) (*Stor
 }
 
 // RecoverPut is Put's exactly-once recovery function: call it after a
-// crash with the arguments of the interrupted Put. It first makes the
-// value plane consistent with a completed value-write stage (redoing the
-// block allocation, persist and publish if recovery tombstoned the torn
-// slot, or redoing a torn overwrite swap whose durable value is not val),
-// then replays the index insert through tracking for the operation's
-// result, then re-stamps the TTL idempotently.
+// crash with the arguments of the interrupted Put. Store recovery has
+// already settled the Put's index insert (tracking.Engine.HelpInFlight) and
+// reconciled the slots against the index, so the outcome is one of two. The
+// insert took effect — before the crash or during store recovery — after
+// the value-write stage, whose slot the reconciliation therefore kept: the
+// result replays through tracking and only the TTL stamp may be missing.
+// Or it never will: the Put re-executes now (an overwrite commits again at
+// its slot swap, with the same value). Other threads may have operated on
+// the key since store recovery, so nothing else is redone.
 func (h *Handle) RecoverPut(key int64, val uint64, expireAt uint64) (bool, error) {
 	s := h.s
 	si := s.shardOf(key)
 	sh := s.shards[si]
 	s.lock(h.ctx, sh)
 	defer s.unlock(sh)
-	pos, block, free := h.probe(sh, key)
-	if block == pmem.Null {
-		if free < 0 {
-			return false, fmt.Errorf("%w (shard %d)", ErrFull, si)
-		}
-		nb, err := h.newBlock(si, key, 0, val)
-		if err != nil {
-			return false, err
-		}
-		h.publish(sh, free, nb)
-		block = nb
-	} else if h.ctx.Load(block+bVal*pmem.WordSize) != val {
-		nb, err := h.newBlock(si, key, 0, val)
-		if err != nil {
-			return false, err
-		}
-		h.publish(sh, pos, nb)
-		if err := h.am(si).Free(block); err != nil {
-			return false, err
-		}
-		block = nb
+	absent, ok := h.idx(si).Settled()
+	if !ok {
+		return h.put(si, sh, key, val, expireAt)
 	}
-	absent := h.idx(si).RecoverInsert(key)
-	if h.ctx.Load(block+bTTL*pmem.WordSize) != expireAt {
+	// A block holding val with no stamp yet is this Put's stage-3 window.
+	if _, block, _ := h.probe(sh, key); block != pmem.Null &&
+		h.ctx.Load(block+bVal*pmem.WordSize) == val && h.ctx.Load(block+bTTL*pmem.WordSize) == 0 {
 		h.stampTTL(block, expireAt)
 	}
 	return absent, nil
@@ -283,28 +272,21 @@ func (h *Handle) RecoverGet(key int64) (uint64, bool) {
 	return h.ctx.Load(block + bVal*pmem.WordSize), true
 }
 
-// RecoverDelete is Delete's exactly-once recovery function: the index
-// delete replays (or completes) through tracking; if it reports the key
-// was removed and a live slot for the key survives — the delete
-// linearized now, or crashed between its commit point and the tombstone
-// in a window store recovery already repaired — the slot is tombstoned
-// and the block freed.
+// RecoverDelete is Delete's exactly-once recovery function. Store recovery
+// has already settled the Delete's index delete and reconciled the slots:
+// if the delete took effect, the key's slot was tombstoned then (a live
+// slot for the key now belongs to a later Put) and the result replays
+// through tracking; otherwise the Delete re-executes now.
 func (h *Handle) RecoverDelete(key int64) (bool, error) {
 	s := h.s
 	si := s.shardOf(key)
 	sh := s.shards[si]
 	s.lock(h.ctx, sh)
 	defer s.unlock(sh)
-	present := h.idx(si).RecoverDelete(key)
-	if present {
-		if pos, block, _ := h.probe(sh, key); block != pmem.Null {
-			h.tombstone(sh, pos)
-			if err := h.am(si).Free(block); err != nil {
-				return false, err
-			}
-		}
+	if present, ok := h.idx(si).Settled(); ok {
+		return present, nil
 	}
-	return present, nil
+	return h.delete(si, sh, key)
 }
 
 // RecoverCAS is CAS's value-witnessed recovery function: if the durable

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -191,19 +192,51 @@ func (ctx *ThreadCtx) Store(a Addr, v uint64) {
 		uint(wi-1) >= uint(len(p.words)-1) {
 		wi = p.slowpathCheck(a)
 	}
-	p.storeWord(wi, v)
 	if p.mode == ModeStrict {
-		ctx.markWrite(wi)
+		ver := p.beginWrite(wi)
+		p.storeWord(wi, v)
+		ctx.endWrite(wi, ver, true)
+		return
+	}
+	p.storeWord(wi, v)
+}
+
+// Strict-mode writes bracket the value change in a per-word seqlock:
+// beginWrite claims the word by turning its version odd (one writer at a
+// time), endWrite releases it with the next even version. snapLine never
+// pairs a value with a version from the other side of a write — it retries
+// while the version is odd or moved — so a write-back of a line another
+// thread is writing captures either the old value with the old version or
+// the new value with the new one. (A version published only after the
+// value would let a concurrent snapshot pair the new value with the old
+// version, which commitLine discards as not newer than the durable copy:
+// a flush-before-use of a foreign write would persist nothing.)
+
+// beginWrite claims word wi for a strict-mode write and returns its
+// (odd) in-progress version. The holder of a claim is between two
+// instructions of one accessor, so waiters only yield.
+func (p *Pool) beginWrite(wi int) uint64 {
+	for {
+		v := atomic.LoadUint64(&p.wver[wi])
+		if v&1 == 0 && atomic.CompareAndSwapUint64(&p.wver[wi], v, v+1) {
+			return v + 1
+		}
+		runtime.Gosched()
 	}
 }
 
-// markWrite records strict-mode write metadata: a fresh version, the dirty
-// bit, and the writing thread (evictions must respect its fences).
-func (ctx *ThreadCtx) markWrite(wi int) {
+// endWrite releases the claim beginWrite returned as ver, publishing the
+// fresh even version ver+1, and returns it. When the write changed the
+// word it also records the line's dirty bit and writing thread (evictions
+// must respect its fences).
+func (ctx *ThreadCtx) endWrite(wi int, ver uint64, changed bool) uint64 {
 	p := ctx.pool
-	atomic.AddUint64(&p.wver[wi], 1)
-	atomic.StoreUint32(&p.dirty[wi/LineWords], 1)
-	atomic.StoreInt32(&p.writer[wi/LineWords], int32(ctx.tid+1))
+	ver++
+	p.releaseVersion(wi, ver)
+	if changed {
+		p.markDirty(wi/LineWords, int32(ctx.tid+1))
+	}
+	return ver
 }
 
 // StoreDurable models a system-level failure-atomic persistent store: the
@@ -218,24 +251,14 @@ func (ctx *ThreadCtx) StoreDurable(s Site, a Addr, v uint64) {
 	p := ctx.pool
 	p.checkCrash()
 	wi := p.wordIndex(a)
-	p.storeWord(wi, v)
 	stall := 0
 	switch p.mode {
 	case ModeStrict:
-		atomic.StoreUint32(&p.dirty[wi/LineWords], 1)
-		atomic.StoreInt32(&p.writer[wi/LineWords], int32(ctx.tid+1))
-		ver := atomic.AddUint64(&p.wver[wi], 1)
-		for {
-			dv := atomic.LoadUint64(&p.dver[wi])
-			if ver <= dv {
-				break
-			}
-			if atomic.CompareAndSwapUint64(&p.dver[wi], dv, ver) {
-				atomic.StoreUint64(&p.durable[wi], v)
-				break
-			}
-		}
+		ver := p.beginWrite(wi)
+		p.storeWord(wi, v)
+		p.commitWord(wi, ctx.endWrite(wi, ver, true), v)
 	case ModeFast:
+		p.storeWord(wi, v)
 		stall = ctx.chargePWB(wi / LineWords)
 		if ctx.faOn {
 			// The word was stored and flushed as one action: the line is
@@ -269,11 +292,7 @@ func (ctx *ThreadCtx) CAS(a Addr, old, new uint64) bool {
 		uint(wi-1) >= uint(len(p.words)-1) {
 		wi = p.slowpathCheck(a)
 	}
-	ok := p.casWord(wi, old, new)
-	if ok && p.mode == ModeStrict {
-		ctx.markWrite(wi)
-	}
-	return ok
+	return p.strictCAS(ctx, wi, old, new)
 }
 
 // CASV is CAS that additionally returns the value observed when the CAS
@@ -287,13 +306,22 @@ func (ctx *ThreadCtx) CASV(a Addr, old, new uint64) (prev uint64, ok bool) {
 		if cur != old {
 			return cur, false
 		}
-		if p.casWord(wi, old, new) {
-			if p.mode == ModeStrict {
-				ctx.markWrite(wi)
-			}
+		if p.strictCAS(ctx, wi, old, new) {
 			return old, true
 		}
 	}
+}
+
+// strictCAS is casWord with the strict-mode write bracket (a plain casWord
+// in ModeFast).
+func (p *Pool) strictCAS(ctx *ThreadCtx, wi int, old, new uint64) bool {
+	if p.mode != ModeStrict {
+		return p.casWord(wi, old, new)
+	}
+	ver := p.beginWrite(wi)
+	ok := p.casWord(wi, old, new)
+	ctx.endWrite(wi, ver, ok)
+	return ok
 }
 
 // PWB schedules a persistent write-back of the cache line containing a.
@@ -405,16 +433,28 @@ func (ctx *ThreadCtx) captureLine(line int) {
 }
 
 // snapLine fills a write-back entry with the line's current volatile
-// content and versions.
+// content and versions, each word's (value, version) pair read under its
+// write seqlock (see beginWrite): the versions are read before and after
+// the values, and the read retries while a write is open (odd version) or
+// closed in between.
 func (p *Pool) snapLine(e *wbEntry) {
 	base := e.line * LineWords
-	for i := 0; i < LineWords; i++ {
-		// Read the version first: pairing (v, ver) where ver is the
-		// version of some write no later than the value read keeps
-		// durable versions conservative (a commit never claims a
-		// newer version than the value it writes).
-		e.vers[i] = atomic.LoadUint64(&p.wver[base+i])
-		e.vals[i] = p.loadWord(base + i)
+	for {
+		open := uint64(0)
+		for i := 0; i < LineWords; i++ {
+			e.vers[i] = atomic.LoadUint64(&p.wver[base+i])
+			open |= e.vers[i] & 1
+		}
+		for i := 0; i < LineWords; i++ {
+			e.vals[i] = p.loadWord(base + i)
+		}
+		for i := 0; i < LineWords; i++ {
+			open |= atomic.LoadUint64(&p.wver[base+i]) ^ e.vers[i]
+		}
+		if open == 0 {
+			return
+		}
+		runtime.Gosched() // a writer is between its two version stores
 	}
 }
 
@@ -530,19 +570,48 @@ func (ctx *ThreadCtx) commitPending() {
 func (p *Pool) commitLine(e *wbEntry) {
 	base := e.line * LineWords
 	for i := 0; i < LineWords; i++ {
-		wi := base + i
-		ver := e.vers[i]
-		for {
-			dv := atomic.LoadUint64(&p.dver[wi])
-			if ver <= dv {
-				break
-			}
-			if atomic.CompareAndSwapUint64(&p.dver[wi], dv, ver) {
-				atomic.StoreUint64(&p.durable[wi], e.vals[i])
-				break
-			}
+		if e.vers[i] > atomic.LoadUint64(&p.dver[base+i])&^dverCommitting {
+			p.commitWord(base+i, e.vers[i], e.vals[i])
 		}
 	}
+}
+
+// dverCommitting marks a durable version whose value store is in
+// progress: a commit claims the word by CAS to ver|dverCommitting, stores
+// the value, then publishes ver. Claiming and storing as one step keeps two
+// threads committing different versions of a word from interleaving and
+// leaving the older value durable under the newer version.
+const dverCommitting = 1 << 63
+
+// commitWord makes (v, ver) the durable copy of word wi unless a version
+// at least as new is already durable.
+func (p *Pool) commitWord(wi int, ver, v uint64) {
+	for {
+		dv := atomic.LoadUint64(&p.dver[wi])
+		if dv&dverCommitting != 0 {
+			runtime.Gosched()
+			continue
+		}
+		if ver <= dv {
+			return
+		}
+		if atomic.CompareAndSwapUint64(&p.dver[wi], dv, ver|dverCommitting) {
+			p.releaseDurable(wi, ver, v)
+			return
+		}
+	}
+}
+
+// Pause is the spin-wait hint of a thread busy-waiting for another
+// thread's write (x86 PAUSE): it reports EventPause to the telemetry sink,
+// if any, and yields the processor. A harness that schedules the simulated
+// threads itself (chaos.Schedule.Lockstep) passes the turn there, so the
+// thread being waited for can run.
+func (ctx *ThreadCtx) Pause() {
+	if ctx.sink != nil {
+		ctx.sink.TelemetryEvent(EventPause, ctx.tid, NoSite, 0)
+	}
+	runtime.Gosched()
 }
 
 // PendingWritebacks reports how many write-backs this thread has scheduled

@@ -97,10 +97,13 @@ func (ctx *ThreadCtx) StoreDirty(a Addr, v uint64) {
 		p.storeWord(wi, v|DirtyBit)
 		return
 	}
-	p.storeWord(wi, v)
 	if p.mode == ModeStrict {
-		ctx.markWrite(wi)
+		ver := p.beginWrite(wi)
+		p.storeWord(wi, v)
+		ctx.endWrite(wi, ver, true)
+		return
 	}
+	p.storeWord(wi, v)
 }
 
 // CASDirty is CASV for a dirty-discipline word. The compare is against the
@@ -120,10 +123,7 @@ func (ctx *ThreadCtx) CASDirty(a Addr, old, new uint64) (prev uint64, ok bool) {
 			if cur != old {
 				return cur, false
 			}
-			if p.casWord(wi, old, new) {
-				if p.mode == ModeStrict {
-					ctx.markWrite(wi)
-				}
+			if p.strictCAS(ctx, wi, old, new) {
 				return old, true
 			}
 		}

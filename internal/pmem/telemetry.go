@@ -30,9 +30,10 @@ type TelemetrySink interface {
 	TelemetryPSync(tid int, stallUnits, stallNs int64, pending []SiteStall)
 	// TelemetryPFence reports one executed PFence by thread tid.
 	TelemetryPFence(tid int)
-	// TelemetryEvent reports a crash-lifecycle event. tid is -1 for
-	// pool-level events (TriggerCrash, Crash, Recover, SetCrashAtSite);
-	// arg carries the event-specific detail documented on the kind.
+	// TelemetryEvent reports a crash-lifecycle event or a thread's
+	// spin-wait hint (EventPause). tid is -1 for pool-level events
+	// (TriggerCrash, Crash, Recover, SetCrashAtSite); arg carries the
+	// event-specific detail documented on the kind.
 	TelemetryEvent(kind TelemetryEventKind, tid int, s Site, arg uint64)
 }
 
@@ -47,7 +48,8 @@ type SiteStall struct {
 // TelemetryEventKind identifies one kind of telemetry event. The persist
 // kinds (EventPWB, EventPSync, EventPFence) are vocabulary for sinks that
 // synthesize trace entries from the dedicated callbacks; the pool itself
-// emits only the crash-lifecycle kinds through TelemetryEvent.
+// emits only the crash-lifecycle kinds and EventPause through
+// TelemetryEvent.
 type TelemetryEventKind uint8
 
 // The telemetry event kinds.
@@ -73,6 +75,11 @@ const (
 	// EventSiteArmed marks SetCrashAtSite arming a site trigger; s is the
 	// target site and arg the hit countdown k.
 	EventSiteArmed
+	// EventPause is a thread's spin-wait hint (ThreadCtx.Pause): it is
+	// busy-waiting for another thread's write. It is a scheduling point for
+	// harnesses that interleave simulated threads themselves, not a
+	// persistence or crash event.
+	EventPause
 )
 
 // String names the event kind for trace dumps.
@@ -92,6 +99,8 @@ func (k TelemetryEventKind) String() string {
 		return "recovered"
 	case EventSiteArmed:
 		return "site-armed"
+	case EventPause:
+		return "pause"
 	default:
 		return "unknown"
 	}

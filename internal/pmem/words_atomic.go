@@ -61,3 +61,21 @@ func (p *Pool) storeWord(wi int, v uint64) { atomic.StoreUint64(&p.words[wi], v)
 func (p *Pool) casWord(wi int, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&p.words[wi], old, new)
 }
+
+// releaseVersion publishes word wi's version v, closing a strict-mode write
+// (see beginWrite).
+func (p *Pool) releaseVersion(wi int, v uint64) { atomic.StoreUint64(&p.wver[wi], v) }
+
+// releaseDurable stores v as word wi's durable copy and then publishes its
+// durable version ver, closing a commit (see commitWord).
+func (p *Pool) releaseDurable(wi int, ver, v uint64) {
+	atomic.StoreUint64(&p.durable[wi], v)
+	atomic.StoreUint64(&p.dver[wi], ver)
+}
+
+// markDirty records that line holds a strict-mode write by thread
+// writer (tid+1), for the crash adversary's evictions.
+func (p *Pool) markDirty(line int, writer int32) {
+	atomic.StoreUint32(&p.dirty[line], 1)
+	atomic.StoreInt32(&p.writer[line], writer)
+}

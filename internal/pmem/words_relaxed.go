@@ -106,3 +106,26 @@ func (p *Pool) storeWord(wi int, v uint64) { p.words[wi] = v }
 func (p *Pool) casWord(wi int, old, new uint64) bool {
 	return atomic.CompareAndSwapUint64(&p.words[wi], old, new)
 }
+
+// releaseVersion publishes word wi's version v, closing a strict-mode write
+// (see beginWrite). A plain store suffices: only the claiming writer stores
+// the version, readers load it atomically, and on x86-TSO the store cannot
+// pass the value store before it.
+func (p *Pool) releaseVersion(wi int, v uint64) { p.wver[wi] = v }
+
+// releaseDurable stores v as word wi's durable copy and then publishes its
+// durable version ver, closing a commit (see commitWord). Plain stores
+// suffice for the same reason as releaseVersion: the committer holds the
+// word's claim, and x86-TSO keeps the two stores in order.
+func (p *Pool) releaseDurable(wi int, ver, v uint64) {
+	p.durable[wi] = v
+	p.dver[wi] = ver
+}
+
+// markDirty records that line holds a strict-mode write by thread
+// writer (tid+1), for the crash adversary's evictions, which read both
+// only while every thread is parked.
+func (p *Pool) markDirty(line int, writer int32) {
+	p.dirty[line] = 1
+	p.writer[line] = writer
+}

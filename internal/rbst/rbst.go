@@ -15,14 +15,14 @@
 //   - Delete(k) splices leaf l and its parent p out by swinging the
 //     grandparent's child pointer to l's sibling. gp and p are tagged, in
 //     ancestor order; p leaves the tree and stays tagged forever.
-//   - Find(k) is read-only and uses the paper's read-only optimization.
+//   - Find(k), an Insert of a present key and a Delete of an absent key
+//     are read-only: they return straight from the gather phase, persist
+//     nothing, and their recovery functions re-execute them (see the
+//     tracking package doc for why that is sound).
 //
-// Deviations from the paper's pseudocode, chosen for crash safety and
-// documented in DESIGN.md: unsuccessful updates publish descriptors with an
-// empty WriteSet (otherwise a crash-time Help replay could apply the update
-// of an operation that already reported failure), and Find's single
-// AffectSet entry is the parent p rather than the leaf l, because leaves
-// carry no info field (Figure 7).
+// Find linearizes by re-reading the parent p's info word after reading the
+// leaf: leaves carry no info field (Figure 7), so the parent's is the one
+// that changes when the leaf is replaced.
 package rbst
 
 import (
@@ -211,59 +211,53 @@ func (h *Handle) Insert(key int64) bool {
 	checkKey(key)
 	h.th.Invoke()
 	c := h.ctx
-	newLf := newLeaf(c, key) // Algorithm 5 line 1
-	h.th.BeginOp()
+	// The first attempt that publishes allocates the new leaf (Algorithm 5
+	// line 1) and begins the operation; a present key needs neither.
+	var newLf pmem.Addr
 
 	for {
 		_, p, l, _, pInfo := h.search(key)
-		lKey := int64(c.Load(l + offKey))
-		exists := lKey == key
-
 		if tracking.IsTagged(pInfo) {
 			h.th.Help(tracking.DescOf(pInfo))
 			continue
 		}
-		affect := []tracking.AffectEntry{{InfoField: p + offInfo, Observed: pInfo, Untag: true}}
+		lKey := int64(c.Load(l + offKey))
+		if lKey == key {
+			return false // read-only outcome: RecoverInsert re-executes it
+		}
+		if newLf == pmem.Null {
+			newLf = newLeaf(c, key)
+			h.th.BeginOp()
+		}
 
-		var desc pmem.Addr
-		var regions []tracking.Region
-		if exists {
-			desc = h.th.NewDesc(OpInsert, ResultFalse, affect, nil, nil)
-			h.th.SetEarlyResult(desc, ResultFalse)
+		// Build the replacement subtree: internal node with the larger
+		// key, new leaf and a copy of l as children in key order (lines
+		// 14-15).
+		newSibling := newLeaf(c, lKey)
+		newInternal := c.AllocLocal(internalLen)
+		c.Store(newInternal+offKind, kindInternal)
+		if key < lKey {
+			c.Store(newInternal+offKey, uint64(lKey))
+			c.Store(newInternal+offLeft, uint64(newLf))
+			c.Store(newInternal+offRight, uint64(newSibling))
 		} else {
-			// Build the replacement subtree: internal node with the
-			// larger key, new leaf and a copy of l as children in
-			// key order (lines 14-15).
-			newSibling := newLeaf(c, lKey)
-			newInternal := c.AllocLocal(internalLen)
-			c.Store(newInternal+offKind, kindInternal)
-			if key < lKey {
-				c.Store(newInternal+offKey, uint64(lKey))
-				c.Store(newInternal+offLeft, uint64(newLf))
-				c.Store(newInternal+offRight, uint64(newSibling))
-			} else {
-				c.Store(newInternal+offKey, uint64(key))
-				c.Store(newInternal+offLeft, uint64(newSibling))
-				c.Store(newInternal+offRight, uint64(newLf))
-			}
-			childOff := pmem.Addr(offRight)
-			if l == pmem.Addr(c.Load(p+offLeft)) {
-				childOff = offLeft
-			}
-			writes := []tracking.WriteEntry{{Field: p + childOff, Old: uint64(l), New: uint64(newInternal)}}
-			news := []pmem.Addr{newInternal + offInfo}
-			desc = h.th.NewDesc(OpInsert, ResultTrue, affect, writes, news)
-			c.Store(newInternal+offInfo, tracking.Tagged(desc))
-			regions = []tracking.Region{
-				{Addr: newLf, Words: leafLen},
-				{Addr: newSibling, Words: leafLen},
-				{Addr: newInternal, Words: internalLen},
-			}
+			c.Store(newInternal+offKey, uint64(key))
+			c.Store(newInternal+offLeft, uint64(newSibling))
+			c.Store(newInternal+offRight, uint64(newLf))
 		}
-		h.th.Publish(desc, regions...)
-		if exists {
-			return false
+		childOff := pmem.Addr(offRight)
+		if l == pmem.Addr(c.Load(p+offLeft)) {
+			childOff = offLeft
 		}
+		affect := []tracking.AffectEntry{{InfoField: p + offInfo, Observed: pInfo, Untag: true}}
+		writes := []tracking.WriteEntry{{Field: p + childOff, Old: uint64(l), New: uint64(newInternal)}}
+		news := []pmem.Addr{newInternal + offInfo}
+		desc := h.th.NewDesc(OpInsert, ResultTrue, affect, writes, news)
+		c.Store(newInternal+offInfo, tracking.Tagged(desc))
+		h.th.Publish(desc,
+			tracking.Region{Addr: newLf, Words: leafLen},
+			tracking.Region{Addr: newSibling, Words: leafLen},
+			tracking.Region{Addr: newInternal, Words: internalLen})
 		h.th.Help(desc)
 		if h.th.Result(desc) != tracking.Bottom {
 			return h.th.Result(desc) == ResultTrue
@@ -277,12 +271,10 @@ func (h *Handle) Delete(key int64) bool {
 	checkKey(key)
 	h.th.Invoke()
 	c := h.ctx
-	h.th.BeginOp()
+	begun := false
 
 	for {
 		gp, p, l, gpInfo, pInfo := h.search(key)
-		missing := int64(c.Load(l+offKey)) != key
-
 		if tracking.IsTagged(gpInfo) {
 			h.th.Help(tracking.DescOf(gpInfo))
 			continue
@@ -291,37 +283,34 @@ func (h *Handle) Delete(key int64) bool {
 			h.th.Help(tracking.DescOf(pInfo))
 			continue
 		}
+		if int64(c.Load(l+offKey)) != key {
+			return false // read-only outcome: RecoverDelete re-executes it
+		}
+		if !begun {
+			h.th.BeginOp()
+			begun = true
+		}
 
-		var desc pmem.Addr
-		if missing {
-			affect := []tracking.AffectEntry{{InfoField: p + offInfo, Observed: pInfo, Untag: true}}
-			desc = h.th.NewDesc(OpDelete, ResultFalse, affect, nil, nil)
-			h.th.SetEarlyResult(desc, ResultFalse)
+		// Real keys always have a grandparent thanks to the sentinel
+		// structure.
+		affect := []tracking.AffectEntry{
+			{InfoField: gp + offInfo, Observed: gpInfo, Untag: true},
+			// p is spliced out of the tree; it stays tagged.
+			{InfoField: p + offInfo, Observed: pInfo, Untag: false},
+		}
+		var other uint64
+		if l == pmem.Addr(c.Load(p+offLeft)) {
+			other = c.Load(p + offRight)
 		} else {
-			// Real keys always have a grandparent thanks to the
-			// sentinel structure.
-			affect := []tracking.AffectEntry{
-				{InfoField: gp + offInfo, Observed: gpInfo, Untag: true},
-				// p is spliced out of the tree; it stays tagged.
-				{InfoField: p + offInfo, Observed: pInfo, Untag: false},
-			}
-			var other uint64
-			if l == pmem.Addr(c.Load(p+offLeft)) {
-				other = c.Load(p + offRight)
-			} else {
-				other = c.Load(p + offLeft)
-			}
-			childOff := pmem.Addr(offRight)
-			if p == pmem.Addr(c.Load(gp+offLeft)) {
-				childOff = offLeft
-			}
-			writes := []tracking.WriteEntry{{Field: gp + childOff, Old: uint64(p), New: other}}
-			desc = h.th.NewDesc(OpDelete, ResultTrue, affect, writes, nil)
+			other = c.Load(p + offLeft)
 		}
+		childOff := pmem.Addr(offRight)
+		if p == pmem.Addr(c.Load(gp+offLeft)) {
+			childOff = offLeft
+		}
+		writes := []tracking.WriteEntry{{Field: gp + childOff, Old: uint64(p), New: other}}
+		desc := h.th.NewDesc(OpDelete, ResultTrue, affect, writes, nil)
 		h.th.Publish(desc)
-		if missing {
-			return false
-		}
 		h.th.Help(desc)
 		if h.th.Result(desc) != tracking.Bottom {
 			return h.th.Result(desc) == ResultTrue
@@ -329,24 +318,19 @@ func (h *Handle) Delete(key int64) bool {
 	}
 }
 
-// Find reports whether key is in the set. It is read-only: the AffectSet is
-// the single parent node, no tagging happens, and the descriptor is
-// published only for detectability.
+// Find reports whether key is in the set. It is read-only: no tagging,
+// no descriptor, nothing persisted — RecoverFind re-executes it.
 func (h *Handle) Find(key int64) bool {
 	checkKey(key)
 	h.th.Invoke()
 	c := h.ctx
-	h.th.BeginOp()
 	for {
 		_, p, l, _, pInfo := h.search(key)
 		if tracking.IsTagged(pInfo) {
 			h.th.Help(tracking.DescOf(pInfo))
 			continue
 		}
-		result := ResultFalse
-		if int64(c.Load(l+offKey)) == key {
-			result = ResultTrue
-		}
+		found := int64(c.Load(l+offKey)) == key
 		// Linearize at re-reading p's info: if it changed since the
 		// descent, the observed leaf may be stale — retry. The re-read is
 		// a first-observer read like the descent's, so a dirty-marked but
@@ -354,11 +338,7 @@ func (h *Handle) Find(key int64) bool {
 		if c.LoadAndPersist(h.tree.eng.ObservedSite(), p+offInfo) != pInfo {
 			continue
 		}
-		affect := []tracking.AffectEntry{{InfoField: p + offInfo, Observed: pInfo, Untag: true}}
-		desc := h.th.NewDesc(OpFind, result, affect, nil, nil)
-		h.th.SetEarlyResult(desc, result)
-		h.th.Publish(desc)
-		return result == ResultTrue
+		return found
 	}
 }
 

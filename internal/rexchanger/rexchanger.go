@@ -28,7 +28,6 @@ package rexchanger
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/pmem"
 )
@@ -292,7 +291,7 @@ func (h *Handle) await(d, wn pmem.Addr, budget int) (uint64, bool) {
 	for i := 0; ; i++ {
 		// Busy-waiting yields the processor so a potential partner
 		// gets scheduled (essential on few-core hosts).
-		runtime.Gosched()
+		c.Pause()
 		p := c.Load(d + dPartner)
 		switch p {
 		case partnerNone:
@@ -327,7 +326,12 @@ func (h *Handle) await(d, wn pmem.Addr, budget int) (uint64, bool) {
 }
 
 // resetSlot replaces the WAITING node nd with a fresh EMPTY node if nd is
-// still installed. Any thread may perform this cleanup.
+// still installed. Any thread may perform this cleanup. The EMPTY node is
+// made durable (PSync, not just ordered by a fence) before the CAS
+// publishes it: once the slot points at it, any thread may persist the
+// slot — a waiter flushing after its own install, a racing resetter — and
+// a fence orders only this thread's write-backs, so a crash could
+// otherwise keep the pointer and lose the node.
 func (h *Handle) resetSlot(nd pmem.Addr) {
 	c := h.ctx
 	if pmem.Addr(c.Load(h.ex.slot)) != nd {
@@ -336,7 +340,7 @@ func (h *Handle) resetSlot(nd pmem.Addr) {
 	empty := c.AllocLocal(ndLen)
 	c.Store(empty+ndKind, kindEmpty)
 	c.PWBRange(h.ex.s.publish, empty, ndLen)
-	c.PFence()
+	c.PSync()
 	c.CAS(h.ex.slot, uint64(nd), uint64(empty))
 	c.PWB(h.ex.s.slot, h.ex.slot)
 	c.PSync()

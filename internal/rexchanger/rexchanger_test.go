@@ -241,3 +241,84 @@ type fatalT struct {
 func (f fatalT) Fatalf(format string, args ...interface{}) {
 	panic(fmt.Sprintf("(seed %d) "+format, append([]interface{}{f.seed}, args...)...))
 }
+
+// TestResetSlotPublishesDurableNode is the regression test for a durable
+// slot pointing at a node with no durable content ("slot node has invalid
+// kind" after recovery, hit by TestAdapterChaosManySeeds/rexchanger):
+// resetSlot used to only fence its EMPTY node before the CAS that
+// publishes it, and another thread persisting the slot right after — a
+// waiter flushing after its own install, or a racing resetter — made the
+// pointer durable while the node's write-back was still pending. The hook
+// plays that other thread at the reset's slot flush.
+func TestResetSlotPublishesDurableNode(t *testing.T) {
+	pool, ex := newEx(t, pmem.ModeStrict)
+	c := ex.Handle(pool.NewThread(1)).ctx
+	// A durably installed WAITING node whose waiter already gave up.
+	d := ex.Handle(pool.NewThread(1)).newDesc(7)
+	c.Store(d+dPartner, partnerCancelled)
+	wn := c.AllocLocal(ndLen)
+	c.Store(wn+ndKind, kindWaiting)
+	c.Store(wn+ndValue, 7)
+	c.Store(wn+ndDesc, uint64(d))
+	c.PWBRange(pmem.NoSite, d, dLen)
+	c.PWBRange(pmem.NoSite, wn, ndLen)
+	c.PFence()
+	c.Store(ex.slot, uint64(wn))
+	c.PWB(pmem.NoSite, ex.slot)
+	c.PSync()
+
+	// At the reset's slot flush, another thread persists the slot and the
+	// system crashes before the resetter's closing sync.
+	other := pool.NewThread(3)
+	pool.SetTelemetrySink(&pwbHook{tid: 2, site: ex.s.slot, fn: func() {
+		other.PWB(pmem.NoSite, ex.slot)
+		other.PSync()
+		pool.TriggerCrash()
+	}})
+	func() {
+		defer func() {
+			if r := recover(); r != nil && r != pmem.ErrCrashed {
+				panic(r)
+			}
+		}()
+		ex.Handle(pool.NewThread(2)).resetSlot(wn)
+	}()
+	pool.SetTelemetrySink(nil)
+	if !pool.CrashPending() {
+		t.Fatal("the hook never fired")
+	}
+	pool.Crash(pmem.CrashPolicy{}) // drop every unsynced write-back
+	pool.Recover()
+
+	nd := pmem.Addr(pool.DurableLoad(ex.slot))
+	if k := pool.DurableLoad(nd + ndKind); k != kindEmpty && k != kindWaiting {
+		t.Fatalf("durable slot points at node %#x of kind %d", uint64(nd), k)
+	}
+	ex2, err := Attach(pool, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v, ok := ex2.Handle(pool.NewThread(4)).Exchange(5, 20); ok || v != TimedOut {
+		t.Fatalf("exchange after recovery = (%d, %v), want a timeout", v, ok)
+	}
+}
+
+// pwbHook is a telemetry sink that runs fn once, inside thread tid's first
+// recorded write-back of site: a deterministic interleaving point.
+type pwbHook struct {
+	tid  int
+	site pmem.Site
+	fn   func()
+}
+
+func (h *pwbHook) TelemetryPWB(tid int, s pmem.Site, _ int64) {
+	if tid == h.tid && s == h.site && h.fn != nil {
+		fn := h.fn
+		h.fn = nil
+		fn()
+	}
+}
+
+func (h *pwbHook) TelemetryPSync(int, int64, int64, []pmem.SiteStall)             {}
+func (h *pwbHook) TelemetryPFence(int)                                            {}
+func (h *pwbHook) TelemetryEvent(pmem.TelemetryEventKind, int, pmem.Site, uint64) {}

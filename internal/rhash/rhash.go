@@ -269,6 +269,15 @@ func (h *Handle) RecoverDelete(key int64) bool { return h.bucket(key).RecoverDel
 // RecoverFind is Find's recovery function.
 func (h *Handle) RecoverFind(key int64) bool { return h.bucket(key).RecoverFind(key) }
 
+// Settled settles the thread's interrupted operation without re-executing
+// it and reports its response; ok is false when it must be re-executed
+// (see rlist.Handle.Settled). The thread's recovery data covers every
+// bucket, so no key is needed.
+func (h *Handle) Settled() (result, ok bool) {
+	_, res, ok := h.th.Recover()
+	return res == rlist.ResultTrue, ok
+}
+
 // Keys returns all keys (unordered across buckets; diagnostic).
 func (m *Map) Keys(ctx *pmem.ThreadCtx) []int64 {
 	var out []int64

@@ -14,10 +14,11 @@
 //     CASes of crash recovery idempotent.
 //   - A successful Delete(k) swings pred.next from curr to curr.next; curr
 //     leaves the list and stays tagged by the deleting operation forever.
-//   - Find(k) and unsuccessful updates are read-only: their AffectSet is
-//     the single last node of the search, and per the paper's read-only
-//     optimization they publish their descriptor (for detectability) but
-//     never run Help.
+//   - Find(k) and unsuccessful updates are read-only. By default they
+//     return straight from the gather phase and persist nothing; their
+//     recovery functions re-execute them (see the tracking package doc for
+//     why that is sound). ReadOnlyMode selects the paper's descriptor-
+//     publishing read path instead, for the ablation experiments.
 package rlist
 
 import (
@@ -72,15 +73,47 @@ type List struct {
 	eng    *tracking.Engine
 	head   pmem.Addr
 	header pmem.Addr
-	roOpt  bool // the paper's read-only optimization (red code, Alg. 1)
+	ro     ReadOnlyMode
 }
 
-// SetReadOnlyOpt enables or disables the paper's read-only optimization
-// (Section 3, code in red): when enabled (the default), operations with an
-// empty WriteSet and a single-element AffectSet publish their descriptor
-// and return without running Help; when disabled they go through the full
-// tagging/result/cleanup pipeline. Exposed for the ablation benchmarks.
-func (l *List) SetReadOnlyOpt(on bool) { l.roOpt = on }
+// ReadOnlyMode selects what the list persists for a read-only outcome: a
+// Find, an Insert of a present key, or a Delete of an absent key.
+type ReadOnlyMode uint8
+
+// The read-only modes. ReadOnlyPublish is the zero value because it is
+// Algorithm 1 as the paper measures it; New, NewEmbedded, Attach and
+// AttachEmbedded select ReadOnlyReexecute.
+const (
+	// ReadOnlyPublish is the paper's read-only optimization (Section 3,
+	// code in red): the outcome publishes a descriptor carrying its early
+	// result, for detectability, and returns without running Help.
+	ReadOnlyPublish ReadOnlyMode = iota
+	// ReadOnlyReexecute persists nothing: the outcome returns straight
+	// from the gather phase, and the recovery functions re-execute it.
+	ReadOnlyReexecute
+	// ReadOnlyFull runs read-only outcomes through the full tagging,
+	// result and cleanup pipeline, like updates (no optimization).
+	ReadOnlyFull
+)
+
+// String names the mode as the ablation experiments label it.
+func (m ReadOnlyMode) String() string {
+	switch m {
+	case ReadOnlyPublish:
+		return "publish"
+	case ReadOnlyReexecute:
+		return "reexecute"
+	case ReadOnlyFull:
+		return "full"
+	default:
+		return fmt.Sprintf("ReadOnlyMode(%d)", uint8(m))
+	}
+}
+
+// SetReadOnlyMode selects how read-only outcomes are persisted (see
+// ReadOnlyMode). Set it before handing out handles; it is exposed for the
+// paper-figure and ablation experiments.
+func (l *List) SetReadOnlyMode(m ReadOnlyMode) { l.ro = m }
 
 // New creates an empty list for up to maxThreads threads and records its
 // persistent header in the pool's rootSlot, so Attach can find it after a
@@ -115,7 +148,7 @@ func New(pool *pmem.Pool, maxThreads, rootSlot int) *List {
 	boot.PWB(pmem.NoSite, root)
 	boot.PSync()
 
-	return &List{pool: pool, eng: eng, head: head, header: header, roOpt: true}
+	return &List{pool: pool, eng: eng, head: head, header: header, ro: ReadOnlyReexecute}
 }
 
 // NewEmbedded creates a list that shares an existing Tracking engine (and
@@ -136,13 +169,13 @@ func NewEmbedded(eng *tracking.Engine, boot *pmem.ThreadCtx) *List {
 	boot.PWBRange(pmem.NoSite, tail, nodeLen)
 	boot.PWBRange(pmem.NoSite, head, nodeLen)
 	boot.PSync()
-	return &List{pool: boot.Pool(), eng: eng, head: head, roOpt: true}
+	return &List{pool: boot.Pool(), eng: eng, head: head, ro: ReadOnlyReexecute}
 }
 
 // AttachEmbedded reconstructs an embedded list from its persistent head
 // node address.
 func AttachEmbedded(eng *tracking.Engine, pool *pmem.Pool, head pmem.Addr) *List {
-	return &List{pool: pool, eng: eng, head: head, roOpt: true}
+	return &List{pool: pool, eng: eng, head: head, ro: ReadOnlyReexecute}
 }
 
 // HeadAddr returns the persistent address of the list's head sentinel, the
@@ -186,7 +219,7 @@ func Attach(pool *pmem.Pool, rootSlot int) (*List, error) {
 		return nil, fmt.Errorf("rlist: corrupt header at %#x", uint64(header))
 	}
 	eng := tracking.Attach(pool, table, threads, "rlist")
-	return &List{pool: pool, eng: eng, head: head, header: header, roOpt: true}, nil
+	return &List{pool: pool, eng: eng, head: head, header: header, ro: ReadOnlyReexecute}, nil
 }
 
 // Handle binds a thread context to the list. A Handle is not safe for
@@ -242,27 +275,13 @@ func (h *Handle) Insert(key int64) bool {
 	checkKey(key)
 	h.th.Invoke()
 	c := h.ctx
-	newcurr := c.AllocLocal(nodeLen)
-	newnd := c.AllocLocal(nodeLen)
-	c.Store(newnd+offKey, keyBits(key))
-	c.Store(newnd+offNext, uint64(newcurr))
-	h.th.BeginOp()
+	// The first attempt that publishes allocates the new nodes and begins
+	// the operation; a read-only outcome needs neither.
+	var newcurr, newnd pmem.Addr
 
 	for {
 		// Gather phase: find the insertion window.
 		pred, curr, predInfo, currInfo := h.search(key)
-		exists := keyOf(c.Load(curr+offKey)) == key
-		var affect []tracking.AffectEntry
-		if exists {
-			affect = []tracking.AffectEntry{{InfoField: curr + offInfo, Observed: currInfo, Untag: true}}
-		} else {
-			affect = []tracking.AffectEntry{
-				{InfoField: pred + offInfo, Observed: predInfo, Untag: true},
-				// curr is replaced by its copy and leaves the list,
-				// so it keeps its tag forever.
-				{InfoField: curr + offInfo, Observed: currInfo, Untag: false},
-			}
-		}
 
 		// Helping phase.
 		if tracking.IsTagged(predInfo) {
@@ -274,19 +293,35 @@ func (h *Handle) Insert(key int64) bool {
 			continue
 		}
 
-		var writes []tracking.WriteEntry
-		var news []pmem.Addr
+		exists := keyOf(c.Load(curr+offKey)) == key
+		if exists && h.list.ro == ReadOnlyReexecute {
+			return false
+		}
+		if newnd == pmem.Null {
+			newcurr = c.AllocLocal(nodeLen)
+			newnd = c.AllocLocal(nodeLen)
+			c.Store(newnd+offKey, keyBits(key))
+			c.Store(newnd+offNext, uint64(newcurr))
+			h.th.BeginOp()
+		}
 		var desc pmem.Addr
 		if exists {
 			// Read-only path: the key is present, Insert behaves
 			// like a Find returning false.
-			desc = h.th.NewDesc(OpInsert, ResultFalse, affect, nil, nil)
-			if h.list.roOpt {
+			desc = h.th.NewDesc(OpInsert, ResultFalse,
+				[]tracking.AffectEntry{{InfoField: curr + offInfo, Observed: currInfo, Untag: true}}, nil, nil)
+			if h.list.ro == ReadOnlyPublish {
 				h.th.SetEarlyResult(desc, ResultFalse)
 			}
 		} else {
-			writes = []tracking.WriteEntry{{Field: pred + offNext, Old: uint64(curr), New: uint64(newnd)}}
-			news = []pmem.Addr{newnd + offInfo, newcurr + offInfo}
+			affect := []tracking.AffectEntry{
+				{InfoField: pred + offInfo, Observed: predInfo, Untag: true},
+				// curr is replaced by its copy and leaves the list,
+				// so it keeps its tag forever.
+				{InfoField: curr + offInfo, Observed: currInfo, Untag: false},
+			}
+			writes := []tracking.WriteEntry{{Field: pred + offNext, Old: uint64(curr), New: uint64(newnd)}}
+			news := []pmem.Addr{newnd + offInfo, newcurr + offInfo}
 			desc = h.th.NewDesc(OpInsert, ResultTrue, affect, writes, news)
 		}
 		// newcurr duplicates curr; both new nodes are pre-tagged with
@@ -299,7 +334,7 @@ func (h *Handle) Insert(key int64) bool {
 		h.th.Publish(desc,
 			tracking.Region{Addr: newcurr, Words: nodeLen},
 			tracking.Region{Addr: newnd, Words: nodeLen})
-		if exists && h.list.roOpt {
+		if exists && h.list.ro == ReadOnlyPublish {
 			return false
 		}
 		h.th.Help(desc)
@@ -315,22 +350,10 @@ func (h *Handle) Delete(key int64) bool {
 	checkKey(key)
 	h.th.Invoke()
 	c := h.ctx
-	h.th.BeginOp()
+	begun := false
 
 	for {
 		pred, curr, predInfo, currInfo := h.search(key)
-		missing := keyOf(c.Load(curr+offKey)) != key
-		var affect []tracking.AffectEntry
-		if missing {
-			affect = []tracking.AffectEntry{{InfoField: curr + offInfo, Observed: currInfo, Untag: true}}
-		} else {
-			affect = []tracking.AffectEntry{
-				{InfoField: pred + offInfo, Observed: predInfo, Untag: true},
-				// curr leaves the list; it stays tagged forever.
-				{InfoField: curr + offInfo, Observed: currInfo, Untag: false},
-			}
-		}
-
 		if tracking.IsTagged(predInfo) {
 			h.th.Help(tracking.DescOf(predInfo))
 			continue
@@ -340,13 +363,27 @@ func (h *Handle) Delete(key int64) bool {
 			continue
 		}
 
+		missing := keyOf(c.Load(curr+offKey)) != key
+		if missing && h.list.ro == ReadOnlyReexecute {
+			return false
+		}
+		if !begun {
+			h.th.BeginOp()
+			begun = true
+		}
 		var desc pmem.Addr
 		if missing {
-			desc = h.th.NewDesc(OpDelete, ResultFalse, affect, nil, nil)
-			if h.list.roOpt {
+			desc = h.th.NewDesc(OpDelete, ResultFalse,
+				[]tracking.AffectEntry{{InfoField: curr + offInfo, Observed: currInfo, Untag: true}}, nil, nil)
+			if h.list.ro == ReadOnlyPublish {
 				h.th.SetEarlyResult(desc, ResultFalse)
 			}
 		} else {
+			affect := []tracking.AffectEntry{
+				{InfoField: pred + offInfo, Observed: predInfo, Untag: true},
+				// curr leaves the list; it stays tagged forever.
+				{InfoField: curr + offInfo, Observed: currInfo, Untag: false},
+			}
 			// curr is tagged by this operation before its next field
 			// could change, so the value read here stays valid for
 			// the CAS (any change to curr.next first changes
@@ -356,7 +393,7 @@ func (h *Handle) Delete(key int64) bool {
 			desc = h.th.NewDesc(OpDelete, ResultTrue, affect, writes, nil)
 		}
 		h.th.Publish(desc)
-		if missing && h.list.roOpt {
+		if missing && h.list.ro == ReadOnlyPublish {
 			return false
 		}
 		h.th.Help(desc)
@@ -367,29 +404,39 @@ func (h *Handle) Delete(key int64) bool {
 }
 
 // Find reports whether key is in the set (Algorithm 4 lines 76-90). It is
-// read-only: it never tags nodes or runs Help for itself, but it persists
-// its descriptor and RD so that its response is detectable after a crash.
+// read-only: it never tags nodes or runs Help for itself. By default it
+// persists nothing and RecoverFind re-executes it; ReadOnlyPublish
+// persists its descriptor and RD so that its response is detectable after
+// a crash, as in the paper.
 func (h *Handle) Find(key int64) bool {
 	checkKey(key)
 	h.th.Invoke()
 	c := h.ctx
-	h.th.BeginOp()
+	begun := false
 	for {
 		_, curr, _, currInfo := h.search(key)
 		if tracking.IsTagged(currInfo) {
 			h.th.Help(tracking.DescOf(currInfo))
 			continue
 		}
-		affect := []tracking.AffectEntry{{InfoField: curr + offInfo, Observed: currInfo, Untag: true}}
+		found := keyOf(c.Load(curr+offKey)) == key
+		if h.list.ro == ReadOnlyReexecute {
+			return found
+		}
+		if !begun {
+			h.th.BeginOp()
+			begun = true
+		}
 		result := ResultFalse
-		if keyOf(c.Load(curr+offKey)) == key {
+		if found {
 			result = ResultTrue
 		}
-		desc := h.th.NewDesc(OpFind, result, affect, nil, nil)
-		if h.list.roOpt {
+		desc := h.th.NewDesc(OpFind, result,
+			[]tracking.AffectEntry{{InfoField: curr + offInfo, Observed: currInfo, Untag: true}}, nil, nil)
+		if h.list.ro == ReadOnlyPublish {
 			h.th.SetEarlyResult(desc, result)
 			h.th.Publish(desc)
-			return result == ResultTrue
+			return found
 		}
 		// Ablation path: run the full pipeline even for read-only ops.
 		h.th.Publish(desc)
@@ -405,26 +452,35 @@ func (h *Handle) Find(key int64) bool {
 // Insert(key). It finishes or re-invokes the operation and returns its
 // response.
 func (h *Handle) RecoverInsert(key int64) bool {
-	if _, res, ok := h.th.Recover(); ok {
-		return res == ResultTrue
+	if res, ok := h.Settled(); ok {
+		return res
 	}
 	return h.Insert(key)
 }
 
 // RecoverDelete is Delete's recovery function.
 func (h *Handle) RecoverDelete(key int64) bool {
-	if _, res, ok := h.th.Recover(); ok {
-		return res == ResultTrue
+	if res, ok := h.Settled(); ok {
+		return res
 	}
 	return h.Delete(key)
 }
 
 // RecoverFind is Find's recovery function.
 func (h *Handle) RecoverFind(key int64) bool {
-	if _, res, ok := h.th.Recover(); ok {
-		return res == ResultTrue
+	if res, ok := h.Settled(); ok {
+		return res
 	}
 	return h.Find(key)
+}
+
+// Settled is the first half of every recovery function: it settles the
+// thread's published attempt, if any, and reports its response. ok is
+// false when the interrupted operation took no effect and must be
+// re-executed.
+func (h *Handle) Settled() (result, ok bool) {
+	_, res, ok := h.th.Recover()
+	return res == ResultTrue, ok
 }
 
 // RecoveredOpType reports the descriptor type the thread's recovery data

@@ -17,7 +17,8 @@
 //     successor, which becomes the new sentinel; the response is the
 //     successor's (immutable) value, recorded as the descriptor's pending
 //     result. The old sentinel leaves the queue and stays tagged forever.
-//     Dequeue on an empty queue takes the read-only path.
+//     Dequeue on an empty queue is read-only: it persists nothing, and
+//     RecoverDequeue re-executes it.
 package rqueue
 
 import (
@@ -199,7 +200,7 @@ func (h *Handle) Enqueue(value uint64) {
 func (h *Handle) Dequeue() (value uint64, ok bool) {
 	h.th.Invoke()
 	c := h.ctx
-	h.th.BeginOp()
+	begun := false
 
 	for {
 		sent := pmem.Addr(c.Load(h.q.headAddr))
@@ -210,14 +211,15 @@ func (h *Handle) Dequeue() (value uint64, ok bool) {
 		}
 		first := pmem.Addr(c.Load(sent + offNext))
 		if first == pmem.Null {
-			// Empty queue: read-only path. The response is decided at
-			// the next-field read: next == Null means no node was ever
-			// appended after the sentinel, so it is still the head.
-			affect := []tracking.AffectEntry{{InfoField: sent + offInfo, Observed: sentInfo, Untag: true}}
-			desc := h.th.NewDesc(OpDequeue, Empty, affect, nil, nil)
-			h.th.SetEarlyResult(desc, Empty)
-			h.th.Publish(desc)
+			// Empty queue: a read-only outcome, decided at the next-field
+			// read (next == Null means no node was ever appended after
+			// the sentinel, so it is still the head). It persists nothing;
+			// RecoverDequeue re-executes it.
 			return Empty, false
+		}
+		if !begun {
+			h.th.BeginOp()
+			begun = true
 		}
 		val := c.Load(first + offValue) // immutable once linked
 		affect := []tracking.AffectEntry{

@@ -14,7 +14,8 @@
 //   - Pop() tags the current top node T and swings top to a *fresh copy*
 //     of the node beneath T, returning T's (immutable) value; T and the
 //     copied node leave the stack tagged forever. Pop on the empty stack
-//     (the top node carries the sentinel value) takes the read-only path.
+//     (the top node carries the sentinel value) is read-only: it persists
+//     nothing, and RecoverPop re-executes it.
 //
 // The copy in Pop is the same ABA-avoidance device the paper's list Insert
 // uses (Algorithm 3's newcurr): if Pop re-exposed the old node, the top
@@ -137,6 +138,31 @@ func (s *Stack) Handle(ctx *pmem.ThreadCtx) *Handle {
 // Invoke performs the system-side invocation step; see tracking.Invoke.
 func (h *Handle) Invoke() { h.th.Invoke() }
 
+// readTop returns the top node and an info value it held while it was the
+// top: the top pointer is re-read after the info word, until it is
+// unchanged. A node the top pointer has moved off can sit untagged beneath
+// a newer one (a Push covers the old top and untags it at cleanup), so an
+// info value read after such a move would let a stale operation tag the
+// covered node and record a result whose update never applied — a pop of
+// a value still stacked, or a push that linked nothing. Every operation
+// that moves the top pointer off a node tags that node first, and top
+// values never recur, so with the re-read a tagging CAS of the observed
+// value succeeds only while the node is still the top.
+func (h *Handle) readTop() (top pmem.Addr, info uint64) {
+	c := h.ctx
+	top = pmem.Addr(c.Load(h.s.topAddr))
+	for {
+		// First-observer read of a link-and-persist info word (see
+		// tracking.Engine.ObservedSite).
+		info = c.LoadAndPersist(h.s.eng.ObservedSite(), top+offInfo)
+		again := pmem.Addr(c.Load(h.s.topAddr))
+		if again == top {
+			return top, info
+		}
+		top = again
+	}
+}
+
 // Push adds value on top of the stack. value must be < Empty.
 func (h *Handle) Push(value uint64) {
 	if value >= Empty {
@@ -149,10 +175,7 @@ func (h *Handle) Push(value uint64) {
 	h.th.BeginOp()
 
 	for {
-		top := pmem.Addr(c.Load(h.s.topAddr))
-		// First-observer read of a link-and-persist info word (see
-		// tracking.Engine.ObservedSite).
-		topInfo := c.LoadAndPersist(h.s.eng.ObservedSite(), top+offInfo)
+		top, topInfo := h.readTop()
 		if tracking.IsTagged(topInfo) {
 			h.th.Help(tracking.DescOf(topInfo))
 			continue
@@ -179,24 +202,24 @@ func (h *Handle) Push(value uint64) {
 func (h *Handle) Pop() (value uint64, ok bool) {
 	h.th.Invoke()
 	c := h.ctx
-	h.th.BeginOp()
+	begun := false
 
 	for {
-		top := pmem.Addr(c.Load(h.s.topAddr))
-		topInfo := c.LoadAndPersist(h.s.eng.ObservedSite(), top+offInfo)
+		top, topInfo := h.readTop()
 		if tracking.IsTagged(topInfo) {
 			h.th.Help(tracking.DescOf(topInfo))
 			continue
 		}
 		val := c.Load(top + offValue) // immutable once published
 		if val == Empty {
-			// Empty stack: read-only path, decided at the sentinel-
-			// value read with the top's tag state observed untagged.
-			affect := []tracking.AffectEntry{{InfoField: top + offInfo, Observed: topInfo, Untag: true}}
-			desc := h.th.NewDesc(OpPop, Empty, affect, nil, nil)
-			h.th.SetEarlyResult(desc, Empty)
-			h.th.Publish(desc)
+			// Empty stack: a read-only outcome, decided at the sentinel-
+			// value read with the top's tag state observed untagged. It
+			// persists nothing; RecoverPop re-executes it.
 			return Empty, false
+		}
+		if !begun {
+			h.th.BeginOp()
+			begun = true
 		}
 		// Replace the node beneath top with a fresh copy so the top
 		// pointer never holds the same value twice (see the package

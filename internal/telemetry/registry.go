@@ -314,8 +314,12 @@ func (r *Registry) TelemetryPFence(tid int) {
 }
 
 // TelemetryEvent implements pmem.TelemetrySink: crash-lifecycle events are
-// always traced when a ring is configured.
+// always traced when a ring is configured. Spin-wait hints (EventPause) are
+// scheduling points, not events of the run, and are dropped.
 func (r *Registry) TelemetryEvent(kind pmem.TelemetryEventKind, tid int, s pmem.Site, arg uint64) {
+	if kind == pmem.EventPause {
+		return
+	}
 	r.poolEvents.Add(1)
 	if r.ring != nil {
 		r.ring.append(kind, tid, s, arg)

@@ -122,6 +122,26 @@ func TestRingWraparound(t *testing.T) {
 	}
 }
 
+// TestPauseHintsAreNotEvents pins that a thread's spin-wait hints reach
+// the attached sink but leave the registry's event count and trace alone:
+// how often a waiter polls depends on scheduling, and the per-task event
+// counts in crash_coverage.json must not.
+func TestPauseHintsAreNotEvents(t *testing.T) {
+	pool := pmem.New(pmem.Config{Mode: pmem.ModeStrict, CapacityWords: 1 << 10, MaxThreads: 2})
+	reg := NewRegistry(Config{RingSize: 64, TracePersist: true})
+	reg.AttachPool(pool)
+	ctx := pool.NewThread(1)
+	for i := 0; i < 10; i++ {
+		ctx.Pause()
+	}
+	if snap := reg.Snapshot(); snap.EventsSeen != 0 || len(snap.Events) != 0 {
+		t.Fatalf("pause hints recorded as events: seen %d, kept %d", snap.EventsSeen, len(snap.Events))
+	}
+	if got := reg.Totals().Events; got != 0 {
+		t.Fatalf("Totals().Events = %d after pause hints only, want 0", got)
+	}
+}
+
 // TestRingConcurrentAppend drives the ring from several goroutines under
 // -race: every collected event must be intact (kind matches what writers
 // produce) and sequence-sorted.

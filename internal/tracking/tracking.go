@@ -148,6 +148,28 @@ func Attach(pool *pmem.Pool, table pmem.Addr, maxThreads int, sitePrefix string)
 // TableAddr returns the persistent address of the recovery table.
 func (e *Engine) TableAddr() pmem.Addr { return e.table }
 
+// HelpInFlight settles every thread's published, unfinished operation
+// (CP = 1, RD naming a descriptor whose result is still Bottom) by running
+// Help on it with ctx, so that afterwards each such operation has either
+// taken effect or never can. Recovery code that reconciles state kept
+// outside the structure against it — the kvstore's slot table against its
+// index — calls it first: an operation frozen mid-tagging would otherwise
+// be completed later by the first operation to meet its tag, after the
+// reconciliation already judged it not to have happened. Operations whose
+// result is recorded are skipped, so a quiescent image costs only loads.
+func (e *Engine) HelpInFlight(ctx *pmem.ThreadCtx) {
+	for tid := 0; tid < e.maxThreads; tid++ {
+		line := e.table + pmem.Addr(tid*pmem.LineBytes)
+		t := &Thread{eng: e, ctx: ctx, cp: line, rd: line + pmem.WordSize}
+		if ctx.Load(t.cp) == 0 {
+			continue
+		}
+		if d := pmem.Addr(ctx.Load(t.rd)); d != pmem.Null && t.Result(d) == Bottom {
+			t.Help(d)
+		}
+	}
+}
+
 // Thread binds a pmem thread context to the engine. The context's thread id
 // selects the CP/RD line in the recovery table.
 func (e *Engine) Thread(ctx *pmem.ThreadCtx) *Thread {
@@ -186,7 +208,18 @@ func (t *Thread) Ctx() *pmem.ThreadCtx { return t.ctx }
 // tell "crashed before invocation" (re-invoke the operation) apart from
 // "crashed inside the operation" (call its recovery function). The
 // duplicate reset is harmless.
+//
+// CP invariant: Invoke is the only writer of CP = 0, and it always writes
+// it durably (BeginOp writes only CP = 1). So a CP that reads 0 in the
+// volatile view is already 0 in the durable view — after a crash the
+// volatile view is rebuilt from the durable one — and Invoke skips the
+// store: one load of the thread's private line instead of a write-back.
+// Read-only operations never run BeginOp, so a run of them persists
+// nothing at all.
 func (t *Thread) Invoke() {
+	if t.ctx.Load(t.cp) == 0 {
+		return
+	}
 	t.ctx.StoreDurable(t.eng.sites.cp, t.cp, 0)
 }
 
@@ -338,6 +371,13 @@ func (t *Thread) Help(d pmem.Addr) {
 			c.PWBFirst(s.observed, field)
 		default:
 			c.PWBFirst(s.tag, field)
+			if t.Result(d) != Bottom {
+				// The operation already took effect and released this
+				// entry: a late visit. Finish its cleanup instead of
+				// backtracking (see lateCleanup).
+				t.lateCleanup(d, nA, nW, nN)
+				return
+			}
 			// Backtrack phase: untag the already-tagged prefix in
 			// reverse order, then give up this attempt. Because
 			// cleanup also untags in reverse AffectSet order, the
@@ -386,6 +426,38 @@ func (t *Thread) Help(d pmem.Addr) {
 		}
 		c.CASDirty(field, tag, untag)
 		c.PWBFirst(s.cleanup, field)
+	}
+	c.PSync()
+}
+
+// lateCleanup finishes the cleanup of an operation whose result is already
+// recorded, for a visitor whose tagging CAS found an AffectSet entry
+// released. The cleanup untags the NewSet and the AffectSet in one fence
+// epoch, so a crash may persist an AffectSet untag but not a NewSet one:
+// the new node then stays tagged by a descriptor whose tagging can never
+// succeed again, and without this step every operation reaching the node
+// would help that descriptor forever. Each CAS is the cleanup's own
+// (tag -> untag, so a no-op once the word moved on) and is persisted only
+// when it changed the word; in a crash-free run every CAS fails and the
+// visit costs what a backtrack at index 0 costs.
+func (t *Thread) lateCleanup(d pmem.Addr, nA, nW, nN int) {
+	c := t.ctx
+	s := &t.eng.sites
+	tag, untag := Tagged(d), Untagged(d)
+	for i := 0; i < nN; i++ {
+		nf := t.newEntry(d, nA, nW, i)
+		if _, ok := c.CASDirty(nf, tag, untag); ok {
+			c.PWBFirst(s.cleanup, nf)
+		}
+	}
+	for i := nA - 1; i >= 0; i-- {
+		field, _, doUntag := t.affectEntry(d, i)
+		if !doUntag {
+			continue
+		}
+		if _, ok := c.CASDirty(field, tag, untag); ok {
+			c.PWBFirst(s.cleanup, field)
+		}
 	}
 	c.PSync()
 }

@@ -499,3 +499,130 @@ func TestHelpersRaceWithCompletion(t *testing.T) {
 		}
 	}
 }
+
+// TestRecoverAfterBacktrackReinvokes pins the argument that lets an update
+// which published an attempt, backtracked, and then resolved read-only
+// return with CP = 1 and RD naming the failed attempt: a recovery Help of
+// that attempt fails again — its observed info value never recurs, and Help
+// persisted the foreign value before backtracking — so Recover reports
+// re-invoke and the attempt's write is never applied.
+func TestRecoverAfterBacktrackReinvokes(t *testing.T) {
+	for _, pol := range []pmem.CrashPolicy{{}, {CommitAll: true}} {
+		pool, eng := newEngine(t, pmem.ModeStrict)
+		th := eng.Thread(pool.NewThread(1))
+		other := eng.Thread(pool.NewThread(2))
+		ctx := th.Ctx()
+		n1, i1 := fakeNode(ctx, 1)
+		n2, i2 := fakeNode(ctx, 2)
+		ctx.PWBRange(pmem.NoSite, n1, 2)
+		ctx.PWBRange(pmem.NoSite, n2, 2)
+		ctx.PSync()
+
+		th.BeginOp()
+		d := th.NewDesc(1, 1,
+			[]AffectEntry{{InfoField: i1, Observed: 0, Untag: true}, {InfoField: i2, Observed: 0, Untag: true}},
+			[]WriteEntry{{Field: n1, Old: 1, New: 2}}, nil)
+		th.Publish(d)
+		// A competing operation on node 2 completes between the attempt's
+		// gather and its tagging.
+		other.BeginOp()
+		od := other.NewDesc(9, 1, []AffectEntry{{InfoField: i2, Observed: 0, Untag: true}},
+			[]WriteEntry{{Field: n2, Old: 2, New: 3}}, nil)
+		other.Publish(od)
+		other.Help(od)
+		th.Help(d) // tags node 1, fails on node 2, backtracks
+		if r := th.Result(d); r != Bottom {
+			t.Fatalf("backtracked attempt claimed result %d", r)
+		}
+		// The operation's retry resolved read-only and is about to return:
+		// CP = 1 and RD = d are what a crash now finds.
+		crashNowWith(pool, pol)
+
+		th2 := Attach(pool, eng.TableAddr(), 8, "test").Thread(pool.NewThread(1))
+		if rd, _, ok := th2.Recover(); ok || rd != d {
+			t.Fatalf("policy %+v: Recover = (%#x, ok=%v), want the failed attempt %#x reported re-invoke", pol, rd, ok, d)
+		}
+		c2 := th2.Ctx()
+		if v := c2.Load(n1); v != 1 {
+			t.Fatalf("policy %+v: failed attempt's write applied on recovery: %d", pol, v)
+		}
+		if v := c2.Load(i1); v != Untagged(d) {
+			t.Fatalf("policy %+v: node 1 info = %#x, want the attempt's backtrack %#x", pol, v, Untagged(d))
+		}
+		if v := c2.Load(i2); v != Untagged(od) {
+			t.Fatalf("policy %+v: node 2 info = %#x, want the competitor's %#x", pol, v, Untagged(od))
+		}
+	}
+}
+
+// crashNowWith is crashNow under an explicit adversary.
+func crashNowWith(pool *pmem.Pool, pol pmem.CrashPolicy) {
+	pool.TriggerCrash()
+	pool.Crash(pol)
+	pool.Recover()
+}
+
+// TestLateVisitFinishesTornCleanup: the cleanup untags the NewSet and the
+// AffectSet in one fence epoch, so a crash may persist the AffectSet untag
+// and lose the NewSet one. A later Help of the completed descriptor then
+// fails at tagging; it must still untag the stranded new node, or every
+// operation that reaches the node helps the descriptor forever.
+func TestLateVisitFinishesTornCleanup(t *testing.T) {
+	pool, eng := newEngine(t, pmem.ModeStrict)
+	th := eng.Thread(pool.NewThread(1))
+	ctx := th.Ctx()
+	n1, i1 := fakeNode(ctx, 1)
+	n3, i3 := fakeNode(ctx, 3)
+	ctx.PWBRange(pmem.NoSite, n1, 2)
+	ctx.PSync()
+
+	th.BeginOp()
+	d := th.NewDesc(1, 1, []AffectEntry{{InfoField: i1, Observed: 0, Untag: true}},
+		[]WriteEntry{{Field: n1, Old: 1, New: 2}}, []pmem.Addr{i3})
+	ctx.Store(i3, Tagged(d))
+	th.Publish(d, Region{Addr: n3, Words: 2})
+	th.Help(d)
+	// The torn cleanup a crash can leave: node 1 durably untagged, the new
+	// node's untag lost.
+	ctx.Store(i3, Tagged(d))
+	ctx.PWB(pmem.NoSite, i3)
+	ctx.PSync()
+	crashNow(pool)
+
+	visitor := Attach(pool, eng.TableAddr(), 8, "test").Thread(pool.NewThread(2))
+	visitor.Help(d)
+	if v := pool.DurableLoad(i3); v != Untagged(d) {
+		t.Fatalf("late visit left the new node durably %#x, want untagged %#x", v, Untagged(d))
+	}
+	if v := pool.DurableLoad(i1); v != Untagged(d) {
+		t.Fatalf("late visit changed node 1 to %#x", v)
+	}
+	if _, res, ok := visitor.Recover(); ok {
+		t.Fatalf("visitor thread has no operation of its own, Recover returned %d", res)
+	}
+	owner := Attach(pool, eng.TableAddr(), 8, "test").Thread(pool.NewThread(1))
+	if _, res, ok := owner.Recover(); !ok || res != 1 {
+		t.Fatalf("owner Recover = (%d, %v), want the completed result 1", res, ok)
+	}
+}
+
+// TestInvokeSkipsZeroCheckpoint: Invoke persists CP = 0 only when CP holds
+// 1 — after BeginOp — and is a plain load otherwise.
+func TestInvokeSkipsZeroCheckpoint(t *testing.T) {
+	pool, eng := newEngine(t, pmem.ModeFast)
+	th := eng.Thread(pool.NewThread(1))
+	cpPWBs := func() uint64 { return pool.Snapshot().PWBsBySite["test/pwb-CP"] }
+	for i, step := range []struct {
+		begin bool
+		want  uint64
+	}{{false, 0}, {true, 1}, {false, 0}, {true, 1}, {true, 1}} {
+		if step.begin {
+			th.BeginOp()
+		}
+		before := cpPWBs()
+		th.Invoke()
+		if got := cpPWBs() - before; got != step.want {
+			t.Fatalf("step %d (after BeginOp=%v): Invoke recorded %d pwb-CP, want %d", i, step.begin, got, step.want)
+		}
+	}
+}
