@@ -37,11 +37,10 @@ bench-batching:
 	$(GO) run ./cmd/crashtest -sweep -structure all -depth 1 -seed 1 -batch-ops 8 \
 		-budget 120s -compare crash_coverage.json
 
-# bench-flushavoid smokes the flush-avoidance layer: the substrate batch's
-# mode:"flushavoid" points on the tracking-hash update mix must cut
-# executed pwbs/op >= 20% against the mode:"fast" baseline at every
-# goroutine count, and the gate's exact one-goroutine measurement must not
-# execute more pwbs than committed (-check-flushavoid gates it, see
+# bench-flushavoid smokes the flush-avoidance layer: at every goroutine
+# count of the gate, the tracking-hash update mix run in lockstep (exact
+# counts) must execute no more pwbs than committed with flush avoidance on
+# and >= 20% fewer than with it off (-check-flushavoid gates it, see
 # bench.CheckFlushAvoid, and
 # bench_flushavoid.json is the CI artifact), then a depth-1 flush-avoided
 # crash-site sweep must compare

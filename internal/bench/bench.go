@@ -28,6 +28,7 @@ import (
 	"repro/internal/rlist"
 	"repro/internal/romulus"
 	"repro/internal/telemetry"
+	"repro/internal/tracking"
 )
 
 // Algo names an evaluated implementation, with the paper's labels.
@@ -93,11 +94,11 @@ type Config struct {
 	OnlySites []string
 	// Cost overrides the pmem cost model (zero value: default).
 	Cost pmem.CostModel
-	// TrackingReadOnly selects how the Tracking list persists its
-	// read-only outcomes (ablation). The zero value, rlist.ReadOnlyPublish,
-	// is Algorithm 1 as the paper measures it, so every figure run pins it;
-	// the library default is rlist.ReadOnlyReexecute.
-	TrackingReadOnly rlist.ReadOnlyMode
+	// TrackingProfile selects the Tracking list engine's profile
+	// (ablation). The zero value, tracking.Paper, is Algorithm 1 as the
+	// paper measures it, so every figure run pins it; the library default
+	// is tracking.Default. The other Tracking structures keep the default.
+	TrackingProfile tracking.Profile
 	// BatchOps, when positive, installs an ambient write-combining policy
 	// on the pool (pmem.SetBatchPolicy): up to BatchOps operations share
 	// one group psync and duplicate line flushes merge across them. The
@@ -180,7 +181,7 @@ func build(cfg Config) (*instance, error) {
 	})
 	inst := &instance{pool: pool}
 	runner, err := newStructure(inst, cfg.Algo, cfg.Threads+1, 0, words/8,
-		cfg.TrackingReadOnly)
+		cfg.TrackingProfile)
 	if err != nil {
 		return nil, err
 	}
@@ -193,15 +194,15 @@ func build(cfg Config) (*instance, error) {
 // per-thread state the structure allocates, rootSlot anchors its durable
 // root — the multi-tenant workload engine places several structures on one
 // pool, one root slot each — and regionWords sizes the duplicated/logged
-// region of the TM-style algorithms (Romulus, RedoOpt). ro is the Tracking
-// list's read-only mode (see Config.TrackingReadOnly).
+// region of the TM-style algorithms (Romulus, RedoOpt). prof is the Tracking
+// list engine's profile (see Config.TrackingProfile).
 func newStructure(inst *instance, algo Algo, maxThreads, rootSlot, regionWords int,
-	ro rlist.ReadOnlyMode) (func(tid int) opRunner, error) {
+	prof tracking.Profile) (func(tid int) opRunner, error) {
 	pool := inst.pool
 	switch algo {
 	case AlgoTracking:
 		l := rlist.New(pool, maxThreads, rootSlot)
-		l.SetReadOnlyMode(ro)
+		l.Engine().SetProfile(prof)
 		return func(tid int) opRunner { return l.Handle(inst.newThread(tid)) }, nil
 	case AlgoTrackingBST:
 		tr := rbst.New(pool, maxThreads, rootSlot)

@@ -1,11 +1,10 @@
 package bench
 
 import (
-	"math"
 	"testing"
 	"time"
 
-	"repro/internal/rlist"
+	"repro/internal/tracking"
 )
 
 func quickOpts() Options {
@@ -204,16 +203,16 @@ func TestCategoryString(t *testing.T) {
 }
 
 func TestReadOnlyOptAblationConfig(t *testing.T) {
-	run := func(ro rlist.ReadOnlyMode) (perOp func(sites ...string) float64) {
+	run := func(prof tracking.Profile) (perOp func(sites ...string) float64) {
 		res, err := Run(Config{
 			Algo: AlgoTracking, Threads: 1, Duration: 60e6,
-			Workload: ReadIntensive(), TrackingReadOnly: ro,
+			Workload: ReadIntensive(), TrackingProfile: prof,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if res.Ops == 0 {
-			t.Fatalf("Tracking[ro=%s] completed no ops", ro)
+			t.Fatalf("Tracking[profile=%s] completed no ops", prof)
 		}
 		return func(sites ...string) float64 {
 			var n uint64
@@ -223,7 +222,7 @@ func TestReadOnlyOptAblationConfig(t *testing.T) {
 			return float64(n) / float64(res.Ops)
 		}
 	}
-	publish, reexec, full := run(rlist.ReadOnlyPublish), run(rlist.ReadOnlyReexecute), run(rlist.ReadOnlyFull)
+	publish, reexec, full := run(tracking.Paper), run(tracking.Default), run(tracking.Full)
 	// Without the optimization, read-only ops run Help and so tag nodes:
 	// the info-tag site must fire far more often than with it.
 	if f, p := full("rlist/pwb-info-tag"), publish("rlist/pwb-info-tag"); f <= p {
@@ -247,38 +246,34 @@ func TestKeyRangeSweepRuns(t *testing.T) {
 	}
 }
 
-// TestCheckFlushAvoidGate pins the gate's two rules: a relative cut of at
-// least faMinReduction at every goroutine count of the report, and the
-// committed executed-pwb count of the one-goroutine measurement — which
-// the unmodified tree must meet exactly, run after run.
+// TestCheckFlushAvoidGate pins the gate's two rules on fixed counts — at
+// most the committed count, and a cut of at least faMinCutPct — and then
+// the committed counts themselves, which the unmodified tree must meet
+// exactly, run after run, at every goroutine count of the gate.
 func TestCheckFlushAvoidGate(t *testing.T) {
-	pair := func(g int, fast, fa float64) []SubstratePoint {
-		return []SubstratePoint{
-			{Op: "tracking-hash-update", Mode: "fast", Goroutines: g, PWBsPerOp: fast},
-			{Op: "tracking-hash-update", Mode: "flushavoid", Goroutines: g, PWBsPerOp: fa},
-		}
-	}
-	committed := SubstratePoint{PWBsPerOp: float64(faGatePWBs) / faGateOps}
-	above := SubstratePoint{PWBsPerOp: float64(faGatePWBs+1) / faGateOps}
 	for _, c := range []struct {
-		name string
-		pts  []SubstratePoint
-		solo SubstratePoint
-		ok   bool
+		name          string
+		committed, fa uint64
+		fast          uint64
+		ok            bool
 	}{
-		{"committed", append(pair(1, 4.53, 3.41), pair(8, 5.17, 3.91)...), committed, true},
-		{"cut too small", append(pair(1, 4.53, 3.41), pair(8, 4.50, 3.91)...), committed, false},
-		{"one pwb above the committed count", pair(1, 4.53, 3.41), above, false},
-		{"no pair", pair(2, 4.91, 0)[:1], committed, false},
+		{"committed, cut exactly at the floor", 9280, 9280, 11600, true},
+		{"cut one pwb short of the floor", 9280, 9280, 11599, false},
+		{"one pwb above the committed count", 9280, 9281, 20000, false},
 	} {
-		if err := checkFlushAvoid(SubstrateReport{Points: c.pts}, c.solo); (err == nil) != c.ok {
+		if err := checkFlushAvoid(1, c.committed, c.fast, c.fa); (err == nil) != c.ok {
 			t.Errorf("%s: checkFlushAvoid = %v, want ok=%v", c.name, err, c.ok)
 		}
 	}
-	for run := 0; run < 2; run++ {
-		solo := runTrackingHashPoint(1, faGateOps, true)
-		if got := math.Round(solo.PWBsPerOp * faGateOps); got != faGatePWBs {
-			t.Errorf("run %d: one-goroutine measurement executed %.0f pwbs, committed %d", run, got, faGatePWBs)
+	for _, c := range faGatePWBs {
+		for run := 0; run < 2; run++ {
+			fast, fa := gatePWBs(c.goroutines, false), gatePWBs(c.goroutines, true)
+			if fa != c.pwbs {
+				t.Errorf("g=%d run %d: flush-avoided gate run executed %d pwbs, committed %d", c.goroutines, run, fa, c.pwbs)
+			}
+			if err := checkFlushAvoid(c.goroutines, c.pwbs, fast, fa); err != nil {
+				t.Errorf("run %d: %v", run, err)
+			}
 		}
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"sort"
 	"time"
 
-	"repro/internal/rlist"
 	"repro/internal/telemetry"
+	"repro/internal/tracking"
 )
 
 // Category is a pwb code line's measured performance-impact class
@@ -405,14 +405,15 @@ func AdditionFigure(algo Algo, w Workload, o Options) ([]Series, error) {
 
 // ReadOnlyOptAblation measures the value of persisting less for read-only
 // operations: the Tracking list on the read-intensive mix, where they
-// dominate, at each read-only mode — the paper's optimization (Algorithm 1,
-// red code), re-execution (nothing persisted), and no optimization.
+// dominate, at each engine profile — the paper's optimization (Algorithm 1,
+// red code), the library default (reads re-execute and persist nothing;
+// updates skip BeginOp), and no optimization.
 func ReadOnlyOptAblation(o Options) ([]Series, error) {
 	o = o.fill()
 	var out []Series
-	for _, ro := range []rlist.ReadOnlyMode{rlist.ReadOnlyPublish, rlist.ReadOnlyReexecute, rlist.ReadOnlyFull} {
-		s, err := throughputSweep("Tracking[ro="+ro.String()+"]",
-			Config{Algo: AlgoTracking, Workload: ReadIntensive(), TrackingReadOnly: ro}, o)
+	for _, prof := range []tracking.Profile{tracking.Paper, tracking.Default, tracking.Full} {
+		s, err := throughputSweep("Tracking[profile="+prof.String()+"]",
+			Config{Algo: AlgoTracking, Workload: ReadIntensive(), TrackingProfile: prof}, o)
 		if err != nil {
 			return nil, err
 		}

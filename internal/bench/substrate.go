@@ -24,12 +24,12 @@ package bench
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"runtime"
 	"sync"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/pmem"
 	"repro/internal/redolog"
 	"repro/internal/rhash"
@@ -343,11 +343,7 @@ func flushAvoidPoints(goroutines []int, opsPerPoint int) []SubstratePoint {
 // runTrackingHashPoint times total update-mix operations over a tracking
 // hash map at g goroutines, with or without flush avoidance.
 func runTrackingHashPoint(g, total int, flushAvoid bool) SubstratePoint {
-	p := pmem.New(pmem.Config{Mode: pmem.ModeFast, CapacityWords: 1 << 21, MaxThreads: g + 1})
-	if flushAvoid {
-		p.SetFlushAvoid(true)
-	}
-	m := rhash.New(p, faHashBuckets, g+1, 0)
+	p, m := newTrackingHash(g, flushAvoid)
 	per := total / g
 	base := p.Snapshot()
 	var wg sync.WaitGroup
@@ -357,21 +353,13 @@ func runTrackingHashPoint(g, total int, flushAvoid bool) SubstratePoint {
 		go func(t int) {
 			defer wg.Done()
 			h := m.Handle(p.NewThread(t + 1))
-			rng := rand.New(rand.NewSource(int64(0x9e37*t + 1)))
+			next := faHashOps(t)
 			n := per
 			if t == 0 {
 				n += total - per*g
 			}
 			for i := 0; i < n; i++ {
-				key := rng.Int63n(faHashKeyRange) + 1
-				switch {
-				case rng.Intn(100) < faHashFindPct:
-					h.Find(key)
-				case rng.Intn(2) == 0:
-					h.Insert(key)
-				default:
-					h.Delete(key)
-				}
+				runFAHashOp(h, next())
 				runtime.Gosched()
 			}
 		}(t)
@@ -385,73 +373,132 @@ func runTrackingHashPoint(g, total int, flushAvoid bool) SubstratePoint {
 	return statPoint("tracking-hash-update", mode, g, ns, p.Snapshot().Sub(base), total)
 }
 
-// The flush-avoidance gate, restated from the measurement taken once
-// read-only operations stopped persisting anything. The CP/RD flushes of
-// Finds that the memo used to elide are no longer issued at all, so both
-// absolute counts fell (fast 8.86 -> 4.75, flushavoid 6.09 -> 3.59
-// executed pwbs/op at one goroutine in BENCH_pmem.json) while the
-// relative cut shrank from 31% to about a quarter. The gate therefore
-// holds an absolute count, measured at one goroutine where it is exact,
-// and keeps a relative floor at every goroutine count.
-const (
-	// faGateOps is the op count of the gate's own one-goroutine
-	// measurement: the tracking-hash point of a -substrate-ops 300000 run,
-	// the scale make bench-flushavoid runs at.
-	faGateOps = 3_000
-	// faGatePWBs is the committed number of pwbs that measurement executes
-	// with flush avoidance on (3.41 per op; 4.53 per op without). With one
-	// goroutine the op stream and the memo are deterministic, so the count
-	// is exact on every host and any increase is a regression.
-	faGatePWBs = 10_231
-	// faMinReduction is the least executed-pwbs/op cut flush avoidance
-	// must show against mode:"fast" at every goroutine count (22-28%
-	// measured across runs).
-	faMinReduction = 0.20
-)
-
-// CheckFlushAvoid validates the flush-avoidance gate on a substrate
-// report: every tracking-hash-update goroutine count measured both ways
-// must show mode:"flushavoid" executing at least faMinReduction fewer pwbs
-// per operation than mode:"fast". It then measures the one-goroutine
-// flush-avoided point at the committed scale, faGateOps, which must
-// execute at most faGatePWBs. Returns an error naming the first failing
-// point, or an error if the report contains no comparable pair.
-func CheckFlushAvoid(rep SubstrateReport) error {
-	return checkFlushAvoid(rep, runTrackingHashPoint(1, faGateOps, true))
+// newTrackingHash builds the narrow tracking hash map of the update mix
+// for g worker threads (ids 1..g).
+func newTrackingHash(g int, flushAvoid bool) (*pmem.Pool, *rhash.Map) {
+	p := pmem.New(pmem.Config{Mode: pmem.ModeFast, CapacityWords: 1 << 21, MaxThreads: g + 1})
+	if flushAvoid {
+		p.SetFlushAvoid(true)
+	}
+	return p, rhash.New(p, faHashBuckets, g+1, 0)
 }
 
-// checkFlushAvoid is CheckFlushAvoid with the one-goroutine measurement
-// supplied.
-func checkFlushAvoid(rep SubstrateReport, solo SubstratePoint) error {
-	fast := map[int]float64{}
-	for _, pt := range rep.Points {
-		if pt.Op == "tracking-hash-update" && pt.Mode == "fast" {
-			fast[pt.Goroutines] = pt.PWBsPerOp
+// faHashOps returns worker t's (0-based) stream of update-mix operations.
+// The stream depends only on t, so every measurement of the mix, timed or
+// counted, issues the same operations.
+func faHashOps(t int) func() chaos.Op {
+	rng := rand.New(rand.NewSource(int64(0x9e37*t + 1)))
+	return func() chaos.Op {
+		key := rng.Int63n(faHashKeyRange) + 1
+		switch {
+		case rng.Intn(100) < faHashFindPct:
+			return chaos.Op{Kind: chaos.KindFind, Key: key}
+		case rng.Intn(2) == 0:
+			return chaos.Op{Kind: chaos.KindInsert, Key: key}
+		default:
+			return chaos.Op{Kind: chaos.KindDelete, Key: key}
 		}
 	}
-	pairs := 0
-	for _, pt := range rep.Points {
-		if pt.Op != "tracking-hash-update" || pt.Mode != "flushavoid" {
-			continue
+}
+
+func runFAHashOp(h *rhash.Handle, op chaos.Op) {
+	switch op.Kind {
+	case chaos.KindFind:
+		h.Find(op.Key)
+	case chaos.KindInsert:
+		h.Insert(op.Key)
+	default:
+		h.Delete(op.Key)
+	}
+}
+
+// The flush-avoidance gate measures the update mix at every goroutine
+// count in faGatePWBs, with and without flush avoidance, counting the pwbs
+// executed rather than timing them. The threads run in lockstep
+// (chaos.Schedule.Lockstep): one at a time, passing the turn at each
+// persistence instruction, so every count is exact on every host and the
+// gate needs no noise margin. At each goroutine count the flush-avoided
+// run must execute at most the committed count — any increase is a
+// regression — and at least faMinCutPct percent fewer pwbs than the run
+// without flush avoidance. The timed mode:"flushavoid" points of the
+// substrate report are the artifact, not the gate: free-running
+// interleavings move their cut by several points from run to run
+// (EXPERIMENTS.md, "Flush avoidance").
+const (
+	// faGateOps is the op count of each gate measurement, split evenly
+	// over the goroutines: the tracking-hash point of a -substrate-ops
+	// 300000 run, the scale make bench-flushavoid runs at.
+	faGateOps = 3_000
+	// faMinCutPct is the least executed-pwbs cut, in percent, flush
+	// avoidance must show at every goroutine count of the gate.
+	faMinCutPct = 20
+)
+
+// faGatePWBs lists the goroutine counts the gate measures, each with the
+// committed number of pwbs its flush-avoided run executes.
+var faGatePWBs = []struct {
+	goroutines int
+	pwbs       uint64
+}{{1, 9_280}, {2, 10_327}, {4, 11_183}, {8, 12_724}, {16, 13_868}}
+
+// gateThread drives one tracking-hash handle through a lockstep gate
+// schedule. The mix never invokes a checkpoint (as in the timed points)
+// and the gate never crashes, so Recover is unreachable.
+type gateThread struct{ h *rhash.Handle }
+
+func (gateThread) Invoke()                    {}
+func (g gateThread) Run(op chaos.Op) uint64   { runFAHashOp(g.h, op); return 0 }
+func (gateThread) Recover(op chaos.Op) uint64 { panic("bench: flush-avoidance gate run crashed") }
+
+// gatePWBs runs faGateOps update-mix operations over g lockstep
+// goroutines and returns the number of pwbs executed.
+func gatePWBs(g int, flushAvoid bool) uint64 {
+	p, m := newTrackingHash(g, flushAvoid)
+	streams := make(map[int]func() chaos.Op, g)
+	s := chaos.NewSchedule(g, faGateOps/g, 0, func(_ *rand.Rand, tid, _ int) chaos.Op {
+		if streams[tid] == nil {
+			streams[tid] = faHashOps(tid - 1)
 		}
-		base, ok := fast[pt.Goroutines]
-		if !ok || base == 0 {
-			continue
-		}
-		pairs++
-		if red := 1 - pt.PWBsPerOp/base; red < faMinReduction {
-			return fmt.Errorf(
-				"flush avoidance gate: tracking-hash-update g=%d executed pwbs/op %.3f vs fast %.3f (%.1f%% reduction, need >= %.0f%%)",
-				pt.Goroutines, pt.PWBsPerOp, base, 100*red, 100*faMinReduction)
+		return streams[tid]()
+	})
+	s.Lockstep(p, nil)
+	base := p.Snapshot()
+	err := s.Resume(func(tid int) (chaos.Thread, error) {
+		return gateThread{m.Handle(p.NewThread(tid))}, nil
+	})
+	if err != nil {
+		panic(err)
+	}
+	st := p.Snapshot().Sub(base)
+	return st.PWBs - st.PWBsMerged - st.PWBsElided
+}
+
+// CheckFlushAvoid runs the flush-avoidance gate. It returns an error
+// naming the first goroutine count whose flush-avoided run executes more
+// pwbs than committed or cuts less than faMinCutPct percent of the run
+// without flush avoidance.
+func CheckFlushAvoid() error {
+	for _, c := range faGatePWBs {
+		g := c.goroutines
+		if err := checkFlushAvoid(g, c.pwbs, gatePWBs(g, false), gatePWBs(g, true)); err != nil {
+			return err
 		}
 	}
-	if pairs == 0 {
-		return fmt.Errorf("flush avoidance gate: no fast/flushavoid tracking-hash-update pair in report")
-	}
-	if executed := math.Round(solo.PWBsPerOp * faGateOps); executed > faGatePWBs {
+	return nil
+}
+
+// checkFlushAvoid applies the gate's two rules to the pwbs executed at g
+// goroutines without (fast) and with (fa) flush avoidance.
+func checkFlushAvoid(g int, committed, fast, fa uint64) error {
+	if fa > committed {
 		return fmt.Errorf(
-			"flush avoidance gate: tracking-hash-update g=1 executed %.0f pwbs over %d ops, committed %d",
-			executed, faGateOps, faGatePWBs)
+			"flush avoidance gate: tracking-hash-update g=%d executed %d pwbs, committed %d",
+			g, fa, committed)
+	}
+	if 100*fa > (100-faMinCutPct)*fast {
+		return fmt.Errorf(
+			"flush avoidance gate: tracking-hash-update g=%d executed %d pwbs vs %d without flush avoidance (%.1f%% cut, need >= %d%%)",
+			g, fa, fast, 100*(1-float64(fa)/float64(fast)), faMinCutPct)
 	}
 	return nil
 }

@@ -39,8 +39,8 @@ import (
 
 	"repro/internal/kvstore"
 	"repro/internal/pmem"
-	"repro/internal/rlist"
 	"repro/internal/telemetry"
+	"repro/internal/tracking"
 )
 
 // WorkloadsSchema tags BENCH_workloads.json; ValidateWorkloadsJSON rejects
@@ -547,7 +547,7 @@ func buildScenario(sc Scenario, threads int, seed int64) (*scenarioRun, error) {
 				run.kv = append(run.kv, kvTenantRun{tenant: ti, store: s})
 			}
 		} else {
-			f, err = newStructure(run.inst, t.Algo, maxThreads, ti, workloadPoolWords/8, rlist.ReadOnlyPublish)
+			f, err = newStructure(run.inst, t.Algo, maxThreads, ti, workloadPoolWords/8, tracking.Paper)
 		}
 		if err != nil {
 			return nil, err

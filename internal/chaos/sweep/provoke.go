@@ -9,7 +9,8 @@ package sweep
 // scripts it deterministically with the crash machinery itself:
 //
 //  1. Act one: operation A (a two-entry-AffectSet update) is crashed at
-//     its RD persist — descriptor published and durable, nothing tagged.
+//     its Publish's checkpoint persist — descriptor published and durable,
+//     nothing tagged.
 //  2. Act two: operation B, whose *first* AffectSet entry is A's *second*,
 //     is crashed at its first tagging persist — B's tag is durably in
 //     place on A's second node.
@@ -30,6 +31,11 @@ package sweep
 // that response is delivered, and the recovery function must re-execute
 // the operation.
 
+// Both key off Publish, not BeginOp: the engine's pwb-RD site records the
+// checkpoint persist of Publish, and under tracking.Default BeginOp persists
+// nothing, so an operation's publishHit-th write-back at that site is its
+// first Publish.
+
 import (
 	"fmt"
 
@@ -41,6 +47,10 @@ import (
 	"repro/internal/rqueue"
 	"repro/internal/rstack"
 )
+
+// publishHit is the hit index, at an engine's pwb-RD site, of an
+// operation's first Publish.
+const publishHit = 1
 
 // Provoker drives one scripted crash scenario: staging crashes that freeze
 // operations at exact persist points (always committed in full, so the
@@ -229,11 +239,11 @@ func (p *Provoker) crashNow() {
 
 // actReadOnlyAfterBacktrack is the fourth act of the set scenarios. Thread
 // 1 runs op, an update whose attempt publishes a two-entry AffectSet. At
-// the attempt's RD persist thread 2 runs b1, which changes the attempt's
+// the attempt's Publish thread 2 runs b1, which changes the attempt's
 // second entry, so op's Help tags the first entry, fails on the second and
 // backtracks; at that backtrack persist thread 2 runs b2, which makes op's
 // outcome read-only. op's retry returns false from its gather phase with
-// CP = 1 and RD naming the failed attempt; the crash strikes just before
+// the checkpoint naming the failed attempt; the crash strikes just before
 // that response is delivered, and op's recovery function must re-execute
 // it: the failed attempt's recovery Help fails again (its info values
 // never recur), Recover reports re-invoke, and the re-execution answers
@@ -246,7 +256,7 @@ func actReadOnlyAfterBacktrack(p *Provoker, prefix string,
 	}
 	var res, res1, res2 uint64
 	err = p.interleave(1, []hook{
-		{prefix + "/pwb-RD", 2, func() { res1 = setThread{handles(2)}.Run(b1) }},
+		{prefix + "/pwb-RD", publishHit, func() { res1 = setThread{handles(2)}.Run(b1) }},
 		{prefix + "/pwb-info-backtrack", 1, func() { res2 = setThread{handles(2)}.Run(b2) }},
 	}, func() error {
 		res = setThread{handles(1)}.Run(op)
@@ -295,7 +305,7 @@ func provokeListBacktrack(pool *pmem.Pool, p *Provoker) error {
 		boot.Invoke()
 		boot.Insert(k)
 	}
-	if err := p.Stage("rlist/pwb-RD", 2, func() error {
+	if err := p.Stage("rlist/pwb-RD", publishHit, func() error {
 		l, err := rlist.Attach(pool, 0)
 		if err != nil {
 			return err
@@ -368,7 +378,7 @@ func provokeBSTBacktrack(pool *pmem.Pool, p *Provoker) error {
 		boot.Invoke()
 		boot.Insert(k)
 	}
-	if err := p.Stage("rbst/pwb-RD", 2, func() error {
+	if err := p.Stage("rbst/pwb-RD", publishHit, func() error {
 		tr, err := rbst.Attach(pool, 0)
 		if err != nil {
 			return err
@@ -442,7 +452,7 @@ func provokeHashBacktrack(pool *pmem.Pool, p *Provoker) error {
 		boot.Invoke()
 		boot.Insert(k)
 	}
-	if err := p.Stage("rhash/pwb-RD", 2, func() error {
+	if err := p.Stage("rhash/pwb-RD", publishHit, func() error {
 		m, err := rhash.Attach(pool, 0)
 		if err != nil {
 			return err

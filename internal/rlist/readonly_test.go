@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/pmem"
+	"repro/internal/tracking"
 )
 
 // readOnlyCases are the list's read-only outcomes over the keys {10, 20}.
@@ -155,4 +156,118 @@ func parksOnCrash(f func()) (crashed bool) {
 	}()
 	f()
 	return false
+}
+
+// crashPolicies are the adversaries the checkpoint crash tests resolve
+// each crash with: drop every pending write-back, commit every one, a
+// seeded coin per line, and the coin without evictions — evicting any line
+// forces its writer's scheduled write-backs, which would mask a torn epoch.
+var crashPolicies = []struct {
+	name string
+	pol  func(seed int64) pmem.CrashPolicy
+}{
+	{"drop-all", func(int64) pmem.CrashPolicy { return pmem.CrashPolicy{} }},
+	{"commit-all", func(int64) pmem.CrashPolicy { return pmem.CrashPolicy{CommitAll: true} }},
+	{"coin", func(seed int64) pmem.CrashPolicy {
+		return pmem.CrashPolicy{Rng: rand.New(rand.NewSource(seed)), CommitProb: 0.5, EvictProb: 0.5}
+	}},
+	{"coin-no-evict", func(seed int64) pmem.CrashPolicy {
+		return pmem.CrashPolicy{Rng: rand.New(rand.NewSource(seed)), CommitProb: 0.5}
+	}},
+}
+
+// TestInsertCrashFollowsCheckpoint crashes a successful Insert at every
+// pool access it makes, from its invocation step through Publish's psync
+// and on to its return. Recover must report re-invoke exactly when the
+// durable checkpoint names no descriptor — under the Default profile, when
+// its bit 0 is clear — and the recovered or re-invoked Insert must take
+// effect exactly once.
+func TestInsertCrashFollowsCheckpoint(t *testing.T) {
+	for _, prof := range []tracking.Profile{tracking.Default, tracking.Paper} {
+		for _, cp := range crashPolicies {
+			for crashAt := int64(1); ; crashAt++ {
+				if crashAt > 1000 {
+					t.Fatalf("%s/%s: Insert never completed crash-free", prof, cp.name)
+				}
+				// A small pool: the test rebuilds it at every crash point.
+				pool := pmem.New(pmem.Config{Mode: pmem.ModeStrict, CapacityWords: 1 << 12, MaxThreads: 4})
+				l := New(pool, 4, 0)
+				l.Engine().SetProfile(prof)
+				h := l.Handle(pool.NewThread(1))
+				h.Insert(10)
+				h.Insert(20)
+				pool.SetCrashAfter(crashAt)
+				invoked := false
+				crashed := parksOnCrash(func() {
+					h.Invoke()
+					invoked = true
+					h.Insert(15)
+				})
+				pool.SetCrashAfter(0)
+				if !crashed {
+					break
+				}
+				pool.Crash(cp.pol(crashAt))
+				pool.Recover()
+				l2, err := Attach(pool, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				l2.Engine().SetProfile(prof)
+				h2 := l2.Handle(pool.NewThread(1))
+				// A crash before the invocation completed leaves ok false:
+				// the system re-invokes the operation without recovering it.
+				var res, ok bool
+				if invoked {
+					// Thread 1's checkpoint word: word 0 of the table's line 1.
+					w := pool.DurableLoad(l2.Engine().TableAddr() + pmem.LineBytes)
+					if prof == tracking.Default && w == 1 {
+						t.Fatalf("%s crashAt=%d: durable checkpoint 1 (CP = 1, RD = Null), which only BeginOp writes", cp.name, crashAt)
+					}
+					published := w&1 == 1 && w != 1
+					if res, ok = h2.Settled(); ok != published {
+						t.Fatalf("%s/%s crashAt=%d: Recover ok=%v with durable checkpoint %#x", prof, cp.name, crashAt, ok, w)
+					}
+					if ok && !res {
+						t.Fatalf("%s/%s crashAt=%d: recovered Insert(15) = false", prof, cp.name, crashAt)
+					}
+				}
+				if !ok && !h2.Insert(15) {
+					t.Fatalf("%s/%s crashAt=%d: re-invoked Insert(15) = false: the crashed run took effect", prof, cp.name, crashAt)
+				}
+				ctx := pool.NewThread(0)
+				if err := l2.CheckInvariants(ctx, true); err != nil {
+					t.Fatalf("%s/%s crashAt=%d: %v", prof, cp.name, crashAt, err)
+				}
+				if keys := l2.Keys(ctx); len(keys) != 3 || keys[0] != 10 || keys[1] != 15 || keys[2] != 20 {
+					t.Fatalf("%s/%s crashAt=%d: keys %v, want [10 15 20]", prof, cp.name, crashAt, keys)
+				}
+			}
+		}
+	}
+}
+
+// TestUpdateSkipsBeginOpCost pins the saving of the Default profile
+// exactly: a successful Insert costs what it costs under Paper minus
+// BeginOp's two pwbs, one pfence and one psync.
+func TestUpdateSkipsBeginOpCost(t *testing.T) {
+	cost := func(prof tracking.Profile) pmem.Stats {
+		pool, l, h := seedList(t, pmem.ModeFast)
+		l.Engine().SetProfile(prof)
+		base := pool.Snapshot()
+		if !h.Insert(15) {
+			t.Fatalf("%s: Insert(15) = false", prof)
+		}
+		return pool.Snapshot().Sub(base)
+	}
+	paper, def := cost(tracking.Paper), cost(tracking.Default)
+	if def.PWBs != paper.PWBs-2 || def.PFences != paper.PFences-1 || def.PSyncs != paper.PSyncs-1 {
+		t.Fatalf("Default Insert: %d pwbs, %d pfences, %d psyncs; Paper: %d, %d, %d; want Paper - 2, - 1, - 1",
+			def.PWBs, def.PFences, def.PSyncs, paper.PWBs, paper.PFences, paper.PSyncs)
+	}
+	for _, site := range []string{"rlist/pwb-CP", "rlist/pwb-RD"} {
+		if d := paper.PWBsBySite[site] - def.PWBsBySite[site]; d != 1 {
+			t.Fatalf("%s: Paper - Default = %d pwbs, want BeginOp's 1", site, d)
+		}
+	}
 }

@@ -17,8 +17,10 @@
 //   - Find(k) and unsuccessful updates are read-only. By default they
 //     return straight from the gather phase and persist nothing; their
 //     recovery functions re-execute them (see the tracking package doc for
-//     why that is sound). ReadOnlyMode selects the paper's descriptor-
-//     publishing read path instead, for the ablation experiments.
+//     why that is sound). The engine's tracking.Profile selects the
+//     paper's descriptor-publishing read path instead (tracking.Paper), or
+//     no read-only optimization at all (tracking.Full), for the ablation
+//     experiments.
 package rlist
 
 import (
@@ -73,47 +75,7 @@ type List struct {
 	eng    *tracking.Engine
 	head   pmem.Addr
 	header pmem.Addr
-	ro     ReadOnlyMode
 }
-
-// ReadOnlyMode selects what the list persists for a read-only outcome: a
-// Find, an Insert of a present key, or a Delete of an absent key.
-type ReadOnlyMode uint8
-
-// The read-only modes. ReadOnlyPublish is the zero value because it is
-// Algorithm 1 as the paper measures it; New, NewEmbedded, Attach and
-// AttachEmbedded select ReadOnlyReexecute.
-const (
-	// ReadOnlyPublish is the paper's read-only optimization (Section 3,
-	// code in red): the outcome publishes a descriptor carrying its early
-	// result, for detectability, and returns without running Help.
-	ReadOnlyPublish ReadOnlyMode = iota
-	// ReadOnlyReexecute persists nothing: the outcome returns straight
-	// from the gather phase, and the recovery functions re-execute it.
-	ReadOnlyReexecute
-	// ReadOnlyFull runs read-only outcomes through the full tagging,
-	// result and cleanup pipeline, like updates (no optimization).
-	ReadOnlyFull
-)
-
-// String names the mode as the ablation experiments label it.
-func (m ReadOnlyMode) String() string {
-	switch m {
-	case ReadOnlyPublish:
-		return "publish"
-	case ReadOnlyReexecute:
-		return "reexecute"
-	case ReadOnlyFull:
-		return "full"
-	default:
-		return fmt.Sprintf("ReadOnlyMode(%d)", uint8(m))
-	}
-}
-
-// SetReadOnlyMode selects how read-only outcomes are persisted (see
-// ReadOnlyMode). Set it before handing out handles; it is exposed for the
-// paper-figure and ablation experiments.
-func (l *List) SetReadOnlyMode(m ReadOnlyMode) { l.ro = m }
 
 // New creates an empty list for up to maxThreads threads and records its
 // persistent header in the pool's rootSlot, so Attach can find it after a
@@ -148,7 +110,7 @@ func New(pool *pmem.Pool, maxThreads, rootSlot int) *List {
 	boot.PWB(pmem.NoSite, root)
 	boot.PSync()
 
-	return &List{pool: pool, eng: eng, head: head, header: header, ro: ReadOnlyReexecute}
+	return &List{pool: pool, eng: eng, head: head, header: header}
 }
 
 // NewEmbedded creates a list that shares an existing Tracking engine (and
@@ -169,13 +131,13 @@ func NewEmbedded(eng *tracking.Engine, boot *pmem.ThreadCtx) *List {
 	boot.PWBRange(pmem.NoSite, tail, nodeLen)
 	boot.PWBRange(pmem.NoSite, head, nodeLen)
 	boot.PSync()
-	return &List{pool: boot.Pool(), eng: eng, head: head, ro: ReadOnlyReexecute}
+	return &List{pool: boot.Pool(), eng: eng, head: head}
 }
 
 // AttachEmbedded reconstructs an embedded list from its persistent head
 // node address.
 func AttachEmbedded(eng *tracking.Engine, pool *pmem.Pool, head pmem.Addr) *List {
-	return &List{pool: pool, eng: eng, head: head, ro: ReadOnlyReexecute}
+	return &List{pool: pool, eng: eng, head: head}
 }
 
 // HeadAddr returns the persistent address of the list's head sentinel, the
@@ -219,7 +181,7 @@ func Attach(pool *pmem.Pool, rootSlot int) (*List, error) {
 		return nil, fmt.Errorf("rlist: corrupt header at %#x", uint64(header))
 	}
 	eng := tracking.Attach(pool, table, threads, "rlist")
-	return &List{pool: pool, eng: eng, head: head, header: header, ro: ReadOnlyReexecute}, nil
+	return &List{pool: pool, eng: eng, head: head, header: header}, nil
 }
 
 // Handle binds a thread context to the list. A Handle is not safe for
@@ -294,7 +256,8 @@ func (h *Handle) Insert(key int64) bool {
 		}
 
 		exists := keyOf(c.Load(curr+offKey)) == key
-		if exists && h.list.ro == ReadOnlyReexecute {
+		prof := h.list.eng.Profile()
+		if exists && prof == tracking.Default {
 			return false
 		}
 		if newnd == pmem.Null {
@@ -310,7 +273,7 @@ func (h *Handle) Insert(key int64) bool {
 			// like a Find returning false.
 			desc = h.th.NewDesc(OpInsert, ResultFalse,
 				[]tracking.AffectEntry{{InfoField: curr + offInfo, Observed: currInfo, Untag: true}}, nil, nil)
-			if h.list.ro == ReadOnlyPublish {
+			if prof == tracking.Paper {
 				h.th.SetEarlyResult(desc, ResultFalse)
 			}
 		} else {
@@ -334,7 +297,7 @@ func (h *Handle) Insert(key int64) bool {
 		h.th.Publish(desc,
 			tracking.Region{Addr: newcurr, Words: nodeLen},
 			tracking.Region{Addr: newnd, Words: nodeLen})
-		if exists && h.list.ro == ReadOnlyPublish {
+		if exists && prof == tracking.Paper {
 			return false
 		}
 		h.th.Help(desc)
@@ -364,7 +327,8 @@ func (h *Handle) Delete(key int64) bool {
 		}
 
 		missing := keyOf(c.Load(curr+offKey)) != key
-		if missing && h.list.ro == ReadOnlyReexecute {
+		prof := h.list.eng.Profile()
+		if missing && prof == tracking.Default {
 			return false
 		}
 		if !begun {
@@ -375,7 +339,7 @@ func (h *Handle) Delete(key int64) bool {
 		if missing {
 			desc = h.th.NewDesc(OpDelete, ResultFalse,
 				[]tracking.AffectEntry{{InfoField: curr + offInfo, Observed: currInfo, Untag: true}}, nil, nil)
-			if h.list.ro == ReadOnlyPublish {
+			if prof == tracking.Paper {
 				h.th.SetEarlyResult(desc, ResultFalse)
 			}
 		} else {
@@ -393,7 +357,7 @@ func (h *Handle) Delete(key int64) bool {
 			desc = h.th.NewDesc(OpDelete, ResultTrue, affect, writes, nil)
 		}
 		h.th.Publish(desc)
-		if missing && h.list.ro == ReadOnlyPublish {
+		if missing && prof == tracking.Paper {
 			return false
 		}
 		h.th.Help(desc)
@@ -405,9 +369,9 @@ func (h *Handle) Delete(key int64) bool {
 
 // Find reports whether key is in the set (Algorithm 4 lines 76-90). It is
 // read-only: it never tags nodes or runs Help for itself. By default it
-// persists nothing and RecoverFind re-executes it; ReadOnlyPublish
-// persists its descriptor and RD so that its response is detectable after
-// a crash, as in the paper.
+// persists nothing and RecoverFind re-executes it; the tracking.Paper
+// profile persists its descriptor and RD so that its response is
+// detectable after a crash, as in the paper.
 func (h *Handle) Find(key int64) bool {
 	checkKey(key)
 	h.th.Invoke()
@@ -420,7 +384,8 @@ func (h *Handle) Find(key int64) bool {
 			continue
 		}
 		found := keyOf(c.Load(curr+offKey)) == key
-		if h.list.ro == ReadOnlyReexecute {
+		prof := h.list.eng.Profile()
+		if prof == tracking.Default {
 			return found
 		}
 		if !begun {
@@ -433,7 +398,7 @@ func (h *Handle) Find(key int64) bool {
 		}
 		desc := h.th.NewDesc(OpFind, result,
 			[]tracking.AffectEntry{{InfoField: curr + offInfo, Observed: currInfo, Untag: true}}, nil, nil)
-		if h.list.ro == ReadOnlyPublish {
+		if prof == tracking.Paper {
 			h.th.SetEarlyResult(desc, result)
 			h.th.Publish(desc)
 			return found

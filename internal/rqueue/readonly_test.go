@@ -152,3 +152,85 @@ func parksOnCrash(f func()) (crashed bool) {
 	f()
 	return false
 }
+
+// TestEnqueueCrashFollowsCheckpoint crashes an Enqueue at every pool
+// access it makes, from its invocation step through Publish's psync and on
+// to its return, under four adversaries. Recover must report re-invoke
+// exactly when the durable checkpoint names no descriptor — under the
+// Default profile, when its bit 0 is clear — and the value must end up
+// enqueued exactly once.
+func TestEnqueueCrashFollowsCheckpoint(t *testing.T) {
+	// The coin without evictions reaches torn epochs that an eviction
+	// would force complete.
+	policies := []struct {
+		name string
+		pol  func(seed int64) pmem.CrashPolicy
+	}{
+		{"drop-all", func(int64) pmem.CrashPolicy { return pmem.CrashPolicy{} }},
+		{"commit-all", func(int64) pmem.CrashPolicy { return pmem.CrashPolicy{CommitAll: true} }},
+		{"coin", func(seed int64) pmem.CrashPolicy {
+			return pmem.CrashPolicy{Rng: rand.New(rand.NewSource(seed)), CommitProb: 0.5, EvictProb: 0.5}
+		}},
+		{"coin-no-evict", func(seed int64) pmem.CrashPolicy {
+			return pmem.CrashPolicy{Rng: rand.New(rand.NewSource(seed)), CommitProb: 0.5}
+		}},
+	}
+	for _, prof := range []tracking.Profile{tracking.Default, tracking.Paper} {
+		for _, cp := range policies {
+			for crashAt := int64(1); ; crashAt++ {
+				if crashAt > 1000 {
+					t.Fatalf("%s/%s: Enqueue never completed crash-free", prof, cp.name)
+				}
+				// A small pool: the test rebuilds it at every crash point.
+				pool := pmem.New(pmem.Config{Mode: pmem.ModeStrict, CapacityWords: 1 << 12, MaxThreads: 4})
+				q := New(pool, 4, 0)
+				q.eng.SetProfile(prof)
+				h := q.Handle(pool.NewThread(1))
+				h.Enqueue(1)
+				pool.SetCrashAfter(crashAt)
+				invoked := false
+				crashed := parksOnCrash(func() {
+					h.Invoke()
+					invoked = true
+					h.Enqueue(2)
+				})
+				pool.SetCrashAfter(0)
+				if !crashed {
+					break
+				}
+				pool.Crash(cp.pol(crashAt))
+				pool.Recover()
+				q2, err := Attach(pool, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				q2.eng.SetProfile(prof)
+				h2 := q2.Handle(pool.NewThread(1))
+				// A crash before the invocation completed leaves ok false:
+				// the system re-invokes the operation without recovering it.
+				ok := false
+				if invoked {
+					// Thread 1's checkpoint word: word 0 of the table's line 1.
+					w := pool.DurableLoad(q2.eng.TableAddr() + pmem.LineBytes)
+					if prof == tracking.Default && w == 1 {
+						t.Fatalf("%s crashAt=%d: durable checkpoint 1 (CP = 1, RD = Null), which only BeginOp writes", cp.name, crashAt)
+					}
+					published := w&1 == 1 && w != 1
+					if _, _, ok = h2.th.Recover(); ok != published {
+						t.Fatalf("%s/%s crashAt=%d: Recover ok=%v with durable checkpoint %#x", prof, cp.name, crashAt, ok, w)
+					}
+				}
+				if !ok {
+					h2.Enqueue(2)
+				}
+				ctx := pool.NewThread(0)
+				if err := q2.CheckInvariants(ctx, true); err != nil {
+					t.Fatalf("%s/%s crashAt=%d: %v", prof, cp.name, crashAt, err)
+				}
+				if got := q2.Drain(ctx); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+					t.Fatalf("%s/%s crashAt=%d: queue %v, want [1 2]", prof, cp.name, crashAt, got)
+				}
+			}
+		}
+	}
+}

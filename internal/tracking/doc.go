@@ -19,12 +19,44 @@
 // tagging, update and cleanup phases and is idempotent, so any thread —
 // including the recovery function after a crash — can (re-)run it.
 //
-// Detectability comes from two thread-private persistent words per thread:
-// CP (a check-point flag) and RD (a pointer to the descriptor of the
-// thread's current operation). They are persisted, with the descriptor and
-// any freshly allocated nodes, *before* Help first runs, so after a crash
-// the recovery function can locate the descriptor, finish the operation via
-// Help, and read its response from the result field.
+// Detectability comes from two thread-private persistent variables per
+// thread: CP (a check-point flag) and RD (a pointer to the descriptor of
+// the thread's current operation). They are persisted, with the descriptor
+// and any freshly allocated nodes, *before* Help first runs, so after a
+// crash the recovery function can locate the descriptor, finish the
+// operation via Help, and read its response from the result field.
+//
+// # One checkpoint word
+//
+// CP and RD live packed in one 8-byte word per thread, the checkpoint
+// idiom of Cho et al. (PAPERS.md) applied to the paper's own pair. The
+// word holds 0, meaning CP = 0 (no published attempt), or d | 1, meaning
+// CP = 1 and RD = d; descriptors are 8-aligned, so bit 0 is free. Invoke
+// stores 0 durably, skipping the store when the word already reads 0;
+// Publish persists the descriptor and NewSet, fences, and stores d | 1;
+// Recover and Engine.HelpInFlight read the one word.
+//
+// A word cannot persist torn, which is what removes Algorithm 1's BeginOp
+// (RD := Null, pwb, pfence, CP := 1, pwb, psync): that step exists only so
+// that a durable CP = 1 never pairs with a stale RD. Before Publish's psync
+// the durable word is whatever Invoke left (0), a failed earlier attempt
+// of the same operation (see below), or d | 1. In the first two cases
+// recovery re-invokes the operation: d has tagged nothing, because Help
+// starts only after the psync, and its pre-tagged NewSet nodes stay
+// unreachable until the update CAS. In the last case d itself is durable,
+// because the pfence orders the descriptor before the word.
+//
+// # Profiles
+//
+// An Engine runs one of three profiles. Default, which New and Attach
+// select, is the library's: BeginOp does nothing and read-only outcomes
+// persist nothing. Paper is Algorithm 1 as the paper measures it: BeginOp
+// issues the paper's exact instructions and sites on the packed word
+// (store 0, pwb at the RD site, pfence, store 1, pwb at the CP site,
+// psync), and internal/rlist publishes its read-only outcomes with an
+// early result (the red code). The paper-figure experiments pin Paper, so
+// the figures count what the paper counts. Full is Paper without the
+// read-only optimization: the list runs read-only outcomes through Help.
 //
 // # Read-only operations persist nothing
 //
@@ -41,7 +73,7 @@
 //
 // An update calls BeginOp just before its first Publish. If a published
 // attempt then fails to tag (Help backtracks) and the retry resolves
-// read-only, the operation returns with CP = 1 and RD naming the failed
+// read-only, the operation returns with the checkpoint naming the failed
 // attempt. That is still sound: the attempt's tagging failed because an
 // AffectSet entry no longer held its observed info value, info values
 // never recur (every value names a fresh descriptor) and Help persisted
@@ -50,16 +82,16 @@
 // re-invoked — the read-only case above.
 //
 // The paper's read-only optimization (Algorithm 1, red code: publish a
-// descriptor with an early result and skip Help) stays available as an
-// ablation level of internal/rlist, which the paper-figure experiments
-// select.
+// descriptor with an early result and skip Help) stays available in
+// internal/rlist under the Paper profile.
 //
 // # API tour
 //
 // An Engine is created per structure (New) and hands out one Thread per
-// worker (Thread). An updating operation calls Invoke, BeginOp, NewDesc,
-// Publish and Help, in that order; after a crash, Thread.Recover locates
-// the published descriptor and finishes or reports the operation. The pwb
+// worker (Thread); SetProfile selects its profile. An updating operation
+// calls Invoke, BeginOp, NewDesc, Publish and Help, in that order; after a
+// crash, Thread.Recover locates the published descriptor and finishes or
+// reports the operation. The pwb
 // sites the engine registers (pwb-CP, pwb-RD, pwb-desc+new, pwb-info-tag,
 // pwb-info-backtrack, pwb-info-cleanup, pwb-update-field, pwb-result) are
 // the unit of the paper's cost methodology and of the crash-site sweep in

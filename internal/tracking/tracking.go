@@ -76,19 +76,58 @@ const (
 	descEntries = 4
 )
 
+// Profile selects which of the engine's persistence paths the operations
+// run. It is an ablation axis: the paper-figure experiments pin Paper, and
+// New and Attach select Default.
+type Profile uint8
+
+// The profiles. Paper is the zero value because it is Algorithm 1 as the
+// paper measures it.
+const (
+	// Paper is Algorithm 1 with its read-only optimization (Section 3,
+	// code in red): BeginOp persists RD := Null and CP := 1 before the
+	// operation's first Publish, and the list's read-only outcomes publish
+	// a descriptor carrying their early result.
+	Paper Profile = iota
+	// Default persists what detectability needs and nothing more: BeginOp
+	// does nothing (Publish's one failure-atomic checkpoint store gives
+	// its guarantee), and read-only outcomes persist nothing and recover
+	// by re-execution.
+	Default
+	// Full is Paper without the read-only optimization: the list's
+	// read-only outcomes run the full tagging, result and cleanup
+	// pipeline, like updates.
+	Full
+)
+
+// String names the profile as the ablation experiments label it.
+func (p Profile) String() string {
+	switch p {
+	case Paper:
+		return "paper"
+	case Default:
+		return "default"
+	case Full:
+		return "full"
+	default:
+		return fmt.Sprintf("Profile(%d)", uint8(p))
+	}
+}
+
 // Engine shares the per-data-structure state of the Tracking transform: the
-// pool, the persistent per-thread recovery table (CP and RD variables), and
-// the registered persistence sites.
+// pool, the persistent per-thread recovery table (one checkpoint word per
+// thread), the profile, and the registered persistence sites.
 type Engine struct {
 	pool       *pmem.Pool
-	table      pmem.Addr // maxThreads cache lines; line t: word 0 = CP, word 1 = RD
+	table      pmem.Addr // maxThreads cache lines; word 0 of line t is thread t's checkpoint
 	maxThreads int
+	profile    Profile
 	sites      engineSites
 }
 
 type engineSites struct {
-	cp      pmem.Site // pwb(CP) — thread-private
-	rd      pmem.Site // pwb(RD) — thread-private
+	cp      pmem.Site // pwb(CP) — thread-private checkpoint word
+	rd      pmem.Site // pwb(RD) — thread-private checkpoint word
 	publish pmem.Site // pbarrier(*opInfo, NewSet) — freshly allocated data
 	tag     pmem.Site // pwb(nd→info) after the tagging CAS (Alg. 2 line 36)
 	back    pmem.Site // pwb(nd→info) in the backtrack phase (line 42)
@@ -131,7 +170,7 @@ func New(pool *pmem.Pool, maxThreads int, sitePrefix string) *Engine {
 	if maxThreads <= 0 {
 		panic("tracking: maxThreads must be positive")
 	}
-	e := &Engine{pool: pool, maxThreads: maxThreads, sites: registerSites(pool, sitePrefix)}
+	e := &Engine{pool: pool, maxThreads: maxThreads, profile: Default, sites: registerSites(pool, sitePrefix)}
 	boot := pool.NewThread(0)
 	e.table = boot.AllocLines(maxThreads)
 	boot.PWBRange(pmem.NoSite, e.table, maxThreads*pmem.LineWords)
@@ -142,14 +181,24 @@ func New(pool *pmem.Pool, maxThreads int, sitePrefix string) *Engine {
 // Attach reconstructs an Engine over an existing recovery table, e.g. after
 // a crash and pool recovery.
 func Attach(pool *pmem.Pool, table pmem.Addr, maxThreads int, sitePrefix string) *Engine {
-	return &Engine{pool: pool, table: table, maxThreads: maxThreads, sites: registerSites(pool, sitePrefix)}
+	return &Engine{pool: pool, table: table, maxThreads: maxThreads, profile: Default, sites: registerSites(pool, sitePrefix)}
 }
 
-// TableAddr returns the persistent address of the recovery table.
+// TableAddr returns the persistent address of the recovery table. Line t
+// of the table is thread t's recovery line; its word 0 is the thread's
+// checkpoint word (see Thread).
 func (e *Engine) TableAddr() pmem.Addr { return e.table }
 
+// SetProfile selects the engine's profile (see Profile). Set it before
+// handing out threads; it is exposed for the paper-figure and ablation
+// experiments.
+func (e *Engine) SetProfile(p Profile) { e.profile = p }
+
+// Profile returns the engine's profile.
+func (e *Engine) Profile() Profile { return e.profile }
+
 // HelpInFlight settles every thread's published, unfinished operation
-// (CP = 1, RD naming a descriptor whose result is still Bottom) by running
+// (a checkpoint naming a descriptor whose result is still Bottom) by running
 // Help on it with ctx, so that afterwards each such operation has either
 // taken effect or never can. Recovery code that reconciles state kept
 // outside the structure against it — the kvstore's slot table against its
@@ -159,15 +208,16 @@ func (e *Engine) TableAddr() pmem.Addr { return e.table }
 // result is recorded are skipped, so a quiescent image costs only loads.
 func (e *Engine) HelpInFlight(ctx *pmem.ThreadCtx) {
 	for tid := 0; tid < e.maxThreads; tid++ {
-		line := e.table + pmem.Addr(tid*pmem.LineBytes)
-		t := &Thread{eng: e, ctx: ctx, cp: line, rd: line + pmem.WordSize}
-		if ctx.Load(t.cp) == 0 {
-			continue
-		}
-		if d := pmem.Addr(ctx.Load(t.rd)); d != pmem.Null && t.Result(d) == Bottom {
+		t := &Thread{eng: e, ctx: ctx, ck: e.checkpoint(tid)}
+		if d, ok := t.published(); ok && t.Result(d) == Bottom {
 			t.Help(d)
 		}
 	}
+}
+
+// checkpoint returns the address of thread tid's checkpoint word.
+func (e *Engine) checkpoint(tid int) pmem.Addr {
+	return e.table + pmem.Addr(tid*pmem.LineBytes)
 }
 
 // Thread binds a pmem thread context to the engine. The context's thread id
@@ -176,8 +226,7 @@ func (e *Engine) Thread(ctx *pmem.ThreadCtx) *Thread {
 	if ctx.TID() < 0 || ctx.TID() >= e.maxThreads {
 		panic(fmt.Sprintf("tracking: thread id %d out of range [0,%d)", ctx.TID(), e.maxThreads))
 	}
-	line := e.table + pmem.Addr(ctx.TID()*pmem.LineBytes)
-	return &Thread{eng: e, ctx: ctx, cp: line, rd: line + pmem.WordSize}
+	return &Thread{eng: e, ctx: ctx, ck: e.checkpoint(ctx.TID())}
 }
 
 // Thread is the per-thread face of the engine. It is not safe for
@@ -185,8 +234,18 @@ func (e *Engine) Thread(ctx *pmem.ThreadCtx) *Thread {
 type Thread struct {
 	eng *Engine
 	ctx *pmem.ThreadCtx
-	cp  pmem.Addr // check-point variable CPq
-	rd  pmem.Addr // recovery data variable RDq
+	// ck is the thread's checkpoint word, the paper's CPq and RDq packed
+	// into one failure-atomic word: 0 (CP = 0), or RD | 1 (CP = 1; RD is
+	// 8-aligned, so bit 0 is free).
+	ck pmem.Addr
+}
+
+// published decodes the checkpoint word: the descriptor of the thread's
+// published attempt, with ok == false when CP = 0 or RD = Null.
+func (t *Thread) published() (d pmem.Addr, ok bool) {
+	w := t.ctx.Load(t.ck)
+	d = pmem.Addr(w &^ 1)
+	return d, w&1 == 1 && d != pmem.Null
 }
 
 // Ctx returns the underlying pmem thread context.
@@ -209,30 +268,42 @@ func (t *Thread) Ctx() *pmem.ThreadCtx { return t.ctx }
 // "crashed inside the operation" (call its recovery function). The
 // duplicate reset is harmless.
 //
-// CP invariant: Invoke is the only writer of CP = 0, and it always writes
-// it durably (BeginOp writes only CP = 1). So a CP that reads 0 in the
-// volatile view is already 0 in the durable view — after a crash the
-// volatile view is rebuilt from the durable one — and Invoke skips the
-// store: one load of the thread's private line instead of a write-back.
-// Read-only operations never run BeginOp, so a run of them persists
-// nothing at all.
+// Checkpoint invariant: Invoke is the only writer of a durable 0, and it
+// always writes it durably. (The Paper profile's BeginOp also stores 0,
+// but only right after Invoke, over a word that already reads 0, and it
+// persists the word again before the operation goes on.) So a checkpoint
+// that reads 0 in the volatile view is already 0 in the durable view —
+// after a crash the volatile view is rebuilt from the durable one — and
+// Invoke skips the store: one load of the thread's private line instead of
+// a write-back. Read-only operations never Publish, so a run of them
+// persists nothing at all.
 func (t *Thread) Invoke() {
-	if t.ctx.Load(t.cp) == 0 {
+	if t.ctx.Load(t.ck) == 0 {
 		return
 	}
-	t.ctx.StoreDurable(t.eng.sites.cp, t.cp, 0)
+	t.ctx.StoreDurable(t.eng.sites.cp, t.ck, 0)
 }
 
 // BeginOp performs the bookkeeping at the start of a recoverable operation,
 // Algorithm 1 lines 2-5: RD := Null; pbarrier(RD); CP := 1; pwb(CP); psync.
-// All pwbs hit the thread's private recovery line (Low impact).
+// All pwbs hit the thread's private checkpoint word (Low impact).
+//
+// Under the Default profile BeginOp does nothing. Its only purpose is that
+// a durable CP = 1 never pairs with a stale RD, and Publish's single store
+// of RD | 1 into the one checkpoint word already guarantees that: a word
+// cannot persist torn. Under Paper and Full it issues the paper's exact
+// instructions on the packed word, so the figures count what the paper
+// counts.
 func (t *Thread) BeginOp() {
+	if t.eng.profile == Default {
+		return
+	}
 	s := &t.eng.sites
-	t.ctx.Store(t.rd, uint64(pmem.Null))
-	t.ctx.PWB(s.rd, t.rd)
+	t.ctx.Store(t.ck, uint64(pmem.Null)) // RD := Null
+	t.ctx.PWB(s.rd, t.ck)
 	t.ctx.PFence()
-	t.ctx.Store(t.cp, 1)
-	t.ctx.PWB(s.cp, t.cp)
+	t.ctx.Store(t.ck, uint64(pmem.Null)|1) // CP := 1
+	t.ctx.PWB(s.cp, t.ck)
 	t.ctx.PSync()
 }
 
@@ -297,9 +368,14 @@ func (t *Thread) SetEarlyResult(d pmem.Addr, v uint64) {
 
 // Publish persists the descriptor and any freshly allocated nodes
 // (pbarrier(*opInfo, NewSet), Algorithm 1 line 19), then installs the
-// descriptor in RD and persists it (lines 20-21). After Publish returns,
-// the operation is recoverable: a crash at any later point lets Recover
-// find the descriptor and complete or report the operation.
+// descriptor in RD and persists it (lines 20-21): one store of d | 1, which
+// sets RD = d and CP = 1 together. After Publish returns, the operation is
+// recoverable: a crash at any later point lets Recover find the descriptor
+// and complete or report the operation. A crash before Publish's psync
+// leaves the durable checkpoint either as it was (0, or a failed earlier
+// attempt whose recovery Help fails again) — and d has tagged nothing,
+// since Help starts after the psync — or d | 1 with d itself durable,
+// since the pfence orders the descriptor before the checkpoint.
 func (t *Thread) Publish(d pmem.Addr, fresh ...Region) {
 	s := &t.eng.sites
 	t.ctx.PWBRange(s.publish, d, t.DescWords(d))
@@ -307,8 +383,8 @@ func (t *Thread) Publish(d pmem.Addr, fresh ...Region) {
 		t.ctx.PWBRange(s.publish, r.Addr, r.Words)
 	}
 	t.ctx.PFence()
-	t.ctx.Store(t.rd, uint64(d))
-	t.ctx.PWB(s.rd, t.rd)
+	t.ctx.Store(t.ck, uint64(d)|1)
+	t.ctx.PWB(s.rd, t.ck)
 	t.ctx.PSync()
 }
 
@@ -468,12 +544,8 @@ func (t *Thread) lateCleanup(d pmem.Addr, nA, nW, nN int) {
 // made no visible changes and must simply be re-invoked with the same
 // arguments.
 func (t *Thread) Recover() (d pmem.Addr, result uint64, ok bool) {
-	c := t.ctx
-	if c.Load(t.cp) == 0 {
-		return pmem.Null, 0, false
-	}
-	d = pmem.Addr(c.Load(t.rd))
-	if d == pmem.Null {
+	d, ok = t.published()
+	if !ok {
 		return pmem.Null, 0, false
 	}
 	t.Help(d)

@@ -73,22 +73,67 @@ func TestDescRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBeginOpPersistsCheckpoint: under Paper, BeginOp issues Algorithm 1's
+// exact instructions — RD := Null at the RD site, pfence, CP := 1 at the CP
+// site, psync — and leaves CP = 1, RD = Null durable in the packed word;
+// under Default it issues nothing and the word stays 0. Either way Recover
+// reports re-invoke for an operation that never published.
 func TestBeginOpPersistsCheckpoint(t *testing.T) {
-	pool, eng := newEngine(t, pmem.ModeStrict)
-	th := eng.Thread(pool.NewThread(1))
-	th.BeginOp()
-	pool.TriggerCrash()
-	pool.Crash(pmem.CrashPolicy{})
-	pool.Recover()
-	th2 := Attach(pool, eng.TableAddr(), 8, "test").Thread(pool.NewThread(1))
-	if th2.Ctx().Load(th2.cp) != 1 {
-		t.Fatal("CP=1 not durable after BeginOp")
+	for _, c := range []struct {
+		prof                    Profile
+		pwbRD, pwbCP, fence, sy uint64
+		durable                 uint64
+	}{
+		{Paper, 1, 1, 1, 1, 1},
+		{Full, 1, 1, 1, 1, 1},
+		{Default, 0, 0, 0, 0, 0},
+	} {
+		pool, eng := newEngine(t, pmem.ModeStrict)
+		eng.SetProfile(c.prof)
+		th := eng.Thread(pool.NewThread(1))
+		th.Invoke()
+		base := pool.Snapshot()
+		th.BeginOp()
+		d := pool.Snapshot().Sub(base)
+		if d.PWBsBySite["test/pwb-RD"] != c.pwbRD || d.PWBsBySite["test/pwb-CP"] != c.pwbCP ||
+			d.PWBs != c.pwbRD+c.pwbCP || d.PFences != c.fence || d.PSyncs != c.sy {
+			t.Fatalf("%s: BeginOp issued %d pwb-RD, %d pwb-CP, %d pwbs, %d pfences, %d psyncs; want %d, %d, %d, %d, %d",
+				c.prof, d.PWBsBySite["test/pwb-RD"], d.PWBsBySite["test/pwb-CP"], d.PWBs, d.PFences, d.PSyncs,
+				c.pwbRD, c.pwbCP, c.pwbRD+c.pwbCP, c.fence, c.sy)
+		}
+		crashNow(pool)
+		if v := pool.DurableLoad(th.ck); v != c.durable {
+			t.Fatalf("%s: durable checkpoint %#x after BeginOp, want %#x", c.prof, v, c.durable)
+		}
+		th2 := Attach(pool, eng.TableAddr(), 8, "test").Thread(pool.NewThread(1))
+		if _, _, ok := th2.Recover(); ok {
+			t.Fatalf("%s: Recover claimed a result for an unpublished op", c.prof)
+		}
 	}
-	if th2.Ctx().Load(th2.rd) != uint64(pmem.Null) {
-		t.Fatal("RD not durably Null after BeginOp")
-	}
-	if _, _, ok := th2.Recover(); ok {
-		t.Fatal("Recover claimed a result for an unpublished op")
+}
+
+// TestPublishPacksCheckpoint: Publish's one store sets CP = 1 and RD = d
+// together, at the same cost under every profile: the descriptor's pwbs,
+// a pfence, one pwb of the checkpoint word at the RD site, and a psync.
+func TestPublishPacksCheckpoint(t *testing.T) {
+	for _, prof := range []Profile{Paper, Default} {
+		pool, eng := newEngine(t, pmem.ModeStrict)
+		eng.SetProfile(prof)
+		th := eng.Thread(pool.NewThread(1))
+		_, i1 := fakeNode(th.Ctx(), 1)
+		th.Invoke()
+		th.BeginOp()
+		d := th.NewDesc(1, 1, []AffectEntry{{InfoField: i1, Observed: 0, Untag: true}}, nil, nil)
+		base := pool.Snapshot()
+		th.Publish(d)
+		st := pool.Snapshot().Sub(base)
+		if st.PWBsBySite["test/pwb-RD"] != 1 || st.PWBsBySite["test/pwb-CP"] != 0 ||
+			st.PFences != 1 || st.PSyncs != 1 {
+			t.Fatalf("%s: Publish issued %v, %d pfences, %d psyncs", prof, st.PWBsBySite, st.PFences, st.PSyncs)
+		}
+		if v := pool.DurableLoad(th.ck); v != uint64(d)|1 {
+			t.Fatalf("%s: durable checkpoint %#x after Publish, want %#x", prof, v, uint64(d)|1)
+		}
 	}
 }
 
@@ -417,40 +462,53 @@ func TestRandomizedCrashDuringHelp(t *testing.T) {
 	}
 }
 
+// publishNoop publishes a one-entry descriptor with no writes on th, which
+// leaves the checkpoint word durably d | 1 under every profile.
+func publishNoop(th *Thread) pmem.Addr {
+	_, info := fakeNode(th.Ctx(), 0)
+	th.BeginOp()
+	d := th.NewDesc(1, 1, []AffectEntry{{InfoField: info, Observed: 0, Untag: true}}, nil, nil)
+	th.Publish(d)
+	return d
+}
+
 // TestInvokeAtomicity checks the system-contract primitive: Invoke either
-// has no effect (the crash preceded it) or leaves CP = 0 durable — there is
-// no intermediate state, which is what makes "crashed before invocation"
-// distinguishable from "crashed inside the operation".
+// has no effect (the crash preceded it) or leaves the checkpoint durably 0
+// — there is no intermediate state, which is what makes "crashed before
+// invocation" distinguishable from "crashed inside the operation".
 func TestInvokeAtomicity(t *testing.T) {
-	for crashAt := int64(1); crashAt <= 3; crashAt++ {
-		pool, eng := newEngine(t, pmem.ModeStrict)
-		th := eng.Thread(pool.NewThread(1))
-		th.BeginOp() // leaves CP = 1 durable
-		if v := pool.DurableLoad(th.cp); v != 1 {
-			t.Fatalf("setup: durable CP = %d", v)
-		}
-		pool.SetCrashAfter(crashAt)
-		completed := false
-		func() {
-			defer func() {
-				if r := recover(); r != nil && r != pmem.ErrCrashed {
-					panic(r)
-				}
+	for _, prof := range []Profile{Paper, Default} {
+		for crashAt := int64(1); crashAt <= 3; crashAt++ {
+			pool, eng := newEngine(t, pmem.ModeStrict)
+			eng.SetProfile(prof)
+			th := eng.Thread(pool.NewThread(1))
+			before := uint64(publishNoop(th)) | 1
+			if v := pool.DurableLoad(th.ck); v != before {
+				t.Fatalf("%s setup: durable checkpoint %#x, want %#x", prof, v, before)
+			}
+			pool.SetCrashAfter(crashAt)
+			completed := false
+			func() {
+				defer func() {
+					if r := recover(); r != nil && r != pmem.ErrCrashed {
+						panic(r)
+					}
+				}()
+				th.Invoke()
+				completed = true
 			}()
-			th.Invoke()
-			completed = true
-		}()
-		pool.SetCrashAfter(0)
-		if pool.CrashPending() {
-			pool.Crash(pmem.CrashPolicy{})
-			pool.Recover()
-		}
-		durable := pool.DurableLoad(th.cp)
-		if completed && durable != 0 {
-			t.Fatalf("crashAt=%d: Invoke returned but CP durable = %d", crashAt, durable)
-		}
-		if !completed && durable != 1 {
-			t.Fatalf("crashAt=%d: Invoke crashed but CP durable = %d (partial effect)", crashAt, durable)
+			pool.SetCrashAfter(0)
+			if pool.CrashPending() {
+				pool.Crash(pmem.CrashPolicy{})
+				pool.Recover()
+			}
+			durable := pool.DurableLoad(th.ck)
+			if completed && durable != 0 {
+				t.Fatalf("%s crashAt=%d: Invoke returned but checkpoint durable = %#x", prof, crashAt, durable)
+			}
+			if !completed && durable != before {
+				t.Fatalf("%s crashAt=%d: Invoke crashed but checkpoint durable = %#x (partial effect)", prof, crashAt, durable)
+			}
 		}
 	}
 }
@@ -606,23 +664,35 @@ func TestLateVisitFinishesTornCleanup(t *testing.T) {
 	}
 }
 
-// TestInvokeSkipsZeroCheckpoint: Invoke persists CP = 0 only when CP holds
-// 1 — after BeginOp — and is a plain load otherwise.
+// TestInvokeSkipsZeroCheckpoint: Invoke persists a 0 checkpoint only when
+// the word is non-zero — after a Publish, or after the Paper profile's
+// BeginOp — and is a plain load otherwise.
 func TestInvokeSkipsZeroCheckpoint(t *testing.T) {
-	pool, eng := newEngine(t, pmem.ModeFast)
-	th := eng.Thread(pool.NewThread(1))
-	cpPWBs := func() uint64 { return pool.Snapshot().PWBsBySite["test/pwb-CP"] }
-	for i, step := range []struct {
-		begin bool
-		want  uint64
-	}{{false, 0}, {true, 1}, {false, 0}, {true, 1}, {true, 1}} {
-		if step.begin {
-			th.BeginOp()
-		}
-		before := cpPWBs()
-		th.Invoke()
-		if got := cpPWBs() - before; got != step.want {
-			t.Fatalf("step %d (after BeginOp=%v): Invoke recorded %d pwb-CP, want %d", i, step.begin, got, step.want)
+	const none, begin, publish = 0, 1, 2
+	for _, c := range []struct {
+		prof  Profile
+		steps []int
+		want  []uint64
+	}{
+		{Paper, []int{none, begin, none, publish, begin}, []uint64{0, 1, 0, 1, 1}},
+		{Default, []int{none, begin, none, publish, begin}, []uint64{0, 0, 0, 1, 0}},
+	} {
+		pool, eng := newEngine(t, pmem.ModeFast)
+		eng.SetProfile(c.prof)
+		th := eng.Thread(pool.NewThread(1))
+		cpPWBs := func() uint64 { return pool.Snapshot().PWBsBySite["test/pwb-CP"] }
+		for i, step := range c.steps {
+			switch step {
+			case begin:
+				th.BeginOp()
+			case publish:
+				publishNoop(th)
+			}
+			before := cpPWBs()
+			th.Invoke()
+			if got := cpPWBs() - before; got != c.want[i] {
+				t.Fatalf("%s step %d (%d): Invoke recorded %d pwb-CP, want %d", c.prof, i, step, got, c.want[i])
+			}
 		}
 	}
 }
