@@ -101,12 +101,19 @@ func (s *Store) recoverShard(ctx *pmem.ThreadCtx, si int) (reconciled int, err e
 		return 0, fmt.Errorf("kvstore: shard %d: %w", si, err)
 	}
 	sh := &shard{idx: m, alloc: alloc, slots: slots}
-	member := make(map[int64]bool)
-	for _, k := range m.Keys(ctx) {
-		member[k] = true
+	// One map sized to the index holds both facts per key: an index member
+	// (keyMember) and a live slot already seen (keySeen).
+	const (
+		keyMember uint8 = 1 << iota
+		keySeen
+	)
+	keys := m.Keys(ctx)
+	state := make(map[int64]uint8, len(keys))
+	for _, k := range keys {
+		state[k] = keyMember
 	}
-	seen := make(map[int64]bool)
-	var roots []pmem.Addr
+	members := len(state)
+	roots := make([]pmem.Addr, 0, members)
 	dirty := false
 	for j := 0; j < s.slotCap; j++ {
 		w := s.slotAddr(sh, j)
@@ -119,11 +126,12 @@ func (s *Store) recoverShard(ctx *pmem.ThreadCtx, si int) (reconciled int, err e
 			return 0, fmt.Errorf("kvstore: shard %d slot %d: block %#x not owned by shard allocator", si, j, v)
 		}
 		k := int64(ctx.Load(b + bKey*pmem.WordSize))
-		if seen[k] {
+		st := state[k]
+		if st&keySeen != 0 {
 			return 0, fmt.Errorf("kvstore: shard %d: key %d has two live slots", si, k)
 		}
-		seen[k] = true
-		if !member[k] || s.shardOf(k) != si {
+		state[k] = st | keySeen
+		if st&keyMember == 0 || s.shardOf(k) != si {
 			ctx.Store(w, slotTombstone)
 			ctx.PWB(s.siteSlot, w)
 			dirty = true
@@ -138,8 +146,8 @@ func (s *Store) recoverShard(ctx *pmem.ThreadCtx, si int) (reconciled int, err e
 	// The commit protocol publishes a key's slot durably before its index
 	// insert linearizes, so an index member without a live slot means the
 	// store's durable state was corrupted outside the protocol.
-	if len(roots) != len(member) {
-		return 0, fmt.Errorf("kvstore: shard %d: %d index members vs %d consistent slots", si, len(member), len(roots))
+	if len(roots) != members {
+		return 0, fmt.Errorf("kvstore: shard %d: %d index members vs %d consistent slots", si, members, len(roots))
 	}
 	if err := alloc.RecoverGC(ctx, func(visit func(pmem.Addr) error) error {
 		for _, b := range roots {

@@ -251,6 +251,33 @@ func BenchmarkAllocLocal(b *testing.B) {
 	}
 }
 
+// BenchmarkPoolRecover measures Pool.Recover on a fully allocated 4 M-word
+// strict pool with 1 % and 100 % of its lines written since the previous
+// recovery. Rewriting the lines and resolving the crash run outside the
+// timer; only the restart is timed.
+func BenchmarkPoolRecover(b *testing.B) {
+	const words = 4 << 20
+	p := New(Config{Mode: ModeStrict, CapacityWords: words, MaxThreads: 1})
+	base := p.NewThread(0).AllocWords(words - LineWords)
+	lines := words/LineWords - 1
+	for _, pct := range []int{1, 100} {
+		b.Run(fmt.Sprintf("dirty=%d%%", pct), func(b *testing.B) {
+			stride := 100 / pct
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ctx := p.NewThread(0)
+				for l := 0; l < lines; l += stride {
+					ctx.Store(base+Addr(l*LineBytes), uint64(i+1))
+				}
+				p.TriggerCrash()
+				p.Crash(CrashPolicy{})
+				b.StartTimer()
+				p.Recover()
+			}
+		})
+	}
+}
+
 // BenchmarkStrictFlushBurst measures ModeStrict capture cost for the
 // flush-heavy pattern of the Capsules transform: several PWBs of the same
 // line between fences. Duplicate-line write-backs should coalesce.

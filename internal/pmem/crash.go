@@ -161,18 +161,39 @@ func (p *Pool) evictDirty(ctxs []*ThreadCtx, pol CrashPolicy) {
 // Crash and re-arms the pool for the recovered execution. Thread contexts
 // created before the crash are dead; recovery code must create fresh ones
 // (the system resurrects threads, Section 2).
+//
+// Only lines written since the previous Recover are restored; the rest
+// already hold their durable content. Every strict-mode value change ends
+// in markDirty (Store, a successful CAS, StoreDurable), and the durable
+// view changes only through commitLine/commitWord, which apply values a
+// snapshot read from the volatile view. So a line with a clear dirty flag
+// has volatile words equal to its durable words. A failed CAS does bump
+// the word's version without marking the line; such a word keeps an even
+// version above its durable one and an unchanged value, which snapLine and
+// commitLine already handle. Real NVMM copies nothing at a restart; the
+// simulator pays one scan of the allocated lines' flags plus the restore
+// of the dirty lines.
 func (p *Pool) Recover() {
 	if p.mode != ModeStrict {
 		panic("pmem: Recover requires ModeStrict")
 	}
-	limit := p.AllocatedWords()
-	for wi := 0; wi < limit; wi++ {
-		p.storeWord(wi, atomic.LoadUint64(&p.durable[wi]))
-		atomic.StoreUint64(&p.wver[wi], atomic.LoadUint64(&p.dver[wi]))
-	}
-	for line := range p.dirty {
+	lines := (p.AllocatedWords() + LineWords - 1) / LineWords
+	for line := 0; line < lines; line++ {
+		if atomic.LoadUint32(&p.dirty[line]) == 0 {
+			continue
+		}
+		for wi := line * LineWords; wi < (line+1)*LineWords; wi++ {
+			p.storeWord(wi, atomic.LoadUint64(&p.durable[wi]))
+			atomic.StoreUint64(&p.wver[wi], atomic.LoadUint64(&p.dver[wi]))
+		}
 		atomic.StoreUint32(&p.dirty[line], 0)
 	}
+	p.rearm()
+}
+
+// rearm finishes Recover once the volatile view is restored: it drops the
+// pre-crash thread contexts and clears the consumed crash triggers.
+func (p *Pool) rearm() {
 	p.mu.Lock()
 	// Pre-crash contexts are dead. Keep their counters out of future
 	// snapshots by detaching them; their pendings were consumed by Crash.

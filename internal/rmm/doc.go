@@ -18,23 +18,22 @@
 //     sides of churn touch the shared top pointer once per ~16 ops,
 //   - a span-bucket address-resolution table (one shift plus at most two
 //     compares maps a freed address to its owning chunk, independent of
-//     the chunk count; republished in one pointer swap on each grow),
-//   - the shrink policy's chunk dormancy flags.
+//     the chunk count; republished in one pointer swap on each grow, and
+//     replaced by a scan of the chunk bases when the chunks lie too far
+//     apart for an index of O(chunks) size).
 //
 // A crash discards all of it; Attach rebuilds the free-stacks from the
 // bitmaps, and RecoverGC rebuilds them from the application's reachable
 // set while reclaiming every crash-leaked block in the same pass. See
 // docs/allocator.md for the full design and crash-timeline argument.
 //
-// # Growth and shrink
+// # Growth
 //
 // NewGrowable starts with one chunk and grows chunk-by-chunk when every
-// active chunk is empty, up to a fixed budget. The grow path persists
-// the chunk's directory entry, fences, then persists the new chunk
-// count — the single commit point — so a crash mid-grow either hides
-// the chunk entirely or exposes it fully free (TestCrashMidGrow pins
-// both sides). SetShrinkPolicy retires entirely-free chunks to volatile
-// dormancy; demand reactivates them before any further grow.
+// chunk is empty, up to a fixed budget. The grow path persists the
+// chunk's directory entry, fences, then persists the new chunk count —
+// the single commit point — so a crash mid-grow either hides the chunk
+// entirely or exposes it fully free (TestCrashMidGrow pins both sides).
 //
 // # Recovery
 //
@@ -46,5 +45,5 @@
 // serial path no matter the worker count.
 //
 // Stats/PublishTelemetry export the rmm-* gauge family (utilization,
-// growth/shrink activity, leak reclamation) through internal/telemetry.
+// growth activity, leak reclamation) through internal/telemetry.
 package rmm

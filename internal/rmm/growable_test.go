@@ -38,46 +38,6 @@ func TestGrowOnDemand(t *testing.T) {
 	}
 }
 
-// TestShrinkReactivate pins the shrink policy: when churn drains the
-// arena, a fully free chunk is retired (volatile dormancy only — durable
-// state untouched), and renewed demand reactivates it before any grow.
-func TestShrinkReactivate(t *testing.T) {
-	pool := pmem.New(pmem.Config{Mode: pmem.ModeStrict, CapacityWords: 1 << 16, MaxThreads: 4})
-	a := NewGrowable(pool, 4, 16, 4, 0)
-	a.SetShrinkPolicy(75)
-	h := a.Handle(pool.NewThread(1))
-	blocks := make([]pmem.Addr, 0, 48)
-	for i := 0; i < 48; i++ {
-		blocks = append(blocks, h.Alloc())
-	}
-	for _, b := range blocks {
-		if err := h.Free(b); err != nil {
-			t.Fatal(err)
-		}
-	}
-	h.Flush()
-	st := a.Stats()
-	if st.Shrinks == 0 || st.DormantChunks == 0 {
-		t.Fatalf("all-free arena did not shrink: %+v", st)
-	}
-	if st.FreeBlocks != st.TotalBlocks || st.LiveBlocks != 0 {
-		t.Fatalf("population accounting broken: %+v", st)
-	}
-	// Demand must reactivate dormant capacity, not grow past maxChunks.
-	for i := 0; i < 48; i++ {
-		if b := h.Alloc(); b == pmem.Null {
-			t.Fatalf("re-alloc %d failed with dormant capacity available", i)
-		}
-	}
-	st = a.Stats()
-	if st.Reactivates == 0 {
-		t.Fatalf("refill grew instead of reactivating: %+v", st)
-	}
-	if st.Chunks > 4 {
-		t.Fatalf("chunks %d exceeded maxChunks", st.Chunks)
-	}
-}
-
 // buildCrashedGrowable is buildCrashedAlloc over a growable allocator:
 // seeded churn with an alloc-heavy opening so the arena grows through
 // several chunks before the armed crash lands. Pure function of seed.
@@ -316,15 +276,13 @@ func TestCrashMidGrowSerialParallelIdentical(t *testing.T) {
 }
 
 // TestConcurrentChurnRace drives concurrent Alloc/Free churn across
-// growing chunks under -race: the free-stack CASes, the handle caches,
-// the grow lock and the shrink policy must be data-race-free, every
-// handed-out block must be exclusively owned, and the final population
-// must reconcile.
+// growing chunks under -race: the free-stack CASes, the handle caches
+// and the grow lock must be data-race-free, every handed-out block must
+// be exclusively owned, and the final population must reconcile.
 func TestConcurrentChurnRace(t *testing.T) {
 	const threads, perThread = 6, 400
 	pool := pmem.New(pmem.Config{Mode: pmem.ModeFast, CapacityWords: 1 << 18, MaxThreads: threads + 2})
 	a := NewGrowable(pool, 4, 64, 8, 0)
-	a.SetShrinkPolicy(90)
 	var wg sync.WaitGroup
 	liveCount := make([]int, threads)
 	for tid := 0; tid < threads; tid++ {

@@ -48,12 +48,7 @@ type chunk struct {
 	blocks pmem.Addr // chunkCap * blockWords words
 	top    atomic.Uint64
 	free   atomic.Int64 // free-stack population (excludes handle caches)
-	// dormant marks a chunk the shrink policy has retired: Alloc skips it
-	// until demand reactivates it. The flag is volatile only — the durable
-	// state of a dormant chunk is indistinguishable from an active one, so
-	// recovery simply resurrects every chunk active.
-	dormant atomic.Bool
-	next    []atomic.Uint32
+	next   []atomic.Uint32
 }
 
 // packTop builds a top word from a version and a 1-based head index.
@@ -111,10 +106,9 @@ func (c *chunk) popChain(dst []int, max int) (n int, steps uint64) {
 // Allocator manages fixed-size blocks carved out of a pool, in up to
 // maxChunks chunks of chunkCap blocks each. The durable state is the
 // header (geometry + chunk directory + chunk count) and one allocation
-// bitmap per chunk; everything else — the per-chunk free-stacks, the
-// handle caches, the shrink policy's dormancy flags — is volatile and
-// rebuilt from the bitmaps on Attach or from the reachable set in
-// RecoverGC.
+// bitmap per chunk; everything else — the per-chunk free-stacks and the
+// handle caches — is volatile and rebuilt from the bitmaps on Attach or
+// from the reachable set in RecoverGC.
 type Allocator struct {
 	pool        *pmem.Pool
 	header      pmem.Addr
@@ -132,24 +126,24 @@ type Allocator struct {
 	chunks      []atomic.Pointer[chunk]
 	// bases is the published address-resolution table: the arena base of
 	// every chunk in chunk order plus, when the chunk span is a power of
-	// two, a span-granular bucket index mapping an address directly to its
-	// owning chunk (at most two candidates per bucket, since disjoint
-	// span-length arenas can overlap a span-length bucket at most twice).
-	// Free resolves a block address through it in O(1) instead of scanning
-	// the base list — the same trick page-table-style allocators use.
+	// two and the chunks lie close together, a span-granular bucket index
+	// mapping an address directly to its owning chunk (at most two
+	// candidates per bucket, since disjoint span-length arenas can overlap
+	// a span-length bucket at most twice). Free resolves a block address
+	// through it in O(1) instead of scanning the base list — the same trick
+	// page-table-style allocators use.
 	// Republished as one pointer swap on each grow so readers always see a
 	// consistent table.
-	bases atomic.Pointer[baseTable]
-	nChunks     atomic.Int32
-	growMu      sync.Mutex
-	rotor       atomic.Int64 // distributes handles across chunks
-	shrinkPct   atomic.Int64 // auto-retire threshold; 0 disables
-	s           sites
+	bases   atomic.Pointer[baseTable]
+	nChunks atomic.Int32
+	growMu  sync.Mutex
+	rotor   atomic.Int64 // distributes handles across chunks
+	s       sites
 
 	// Statistics counters; see Stats.
-	allocs, freesN, grows, shrinks, reactivates atomic.Uint64
-	refills, flushes, stackSteps                atomic.Uint64
-	leaksReclaimed, marksRestored               atomic.Uint64
+	allocs, freesN, grows         atomic.Uint64
+	refills, flushes, stackSteps  atomic.Uint64
+	leaksReclaimed, marksRestored atomic.Uint64
 }
 
 // New creates a fixed-size allocator of nBlocks blocks of blockWords words
@@ -161,8 +155,8 @@ func New(pool *pmem.Pool, blockWords, nBlocks, rootSlot int) *Allocator {
 
 // NewGrowable creates a growable allocator: one chunk of chunkBlocks
 // blocks of blockWords words each is carved out immediately, and Alloc
-// grows the arena chunk by chunk, up to maxChunks, when every active chunk
-// is exhausted. The header (geometry, chunk directory, chunk count) is
+// grows the arena chunk by chunk, up to maxChunks, when every chunk is
+// exhausted. The header (geometry, chunk directory, chunk count) is
 // persisted and recorded in rootSlot so Attach can rebuild the allocator
 // after a crash. The slot is validated before anything is built.
 func NewGrowable(pool *pmem.Pool, blockWords, chunkBlocks, maxChunks, rootSlot int) *Allocator {
@@ -336,7 +330,8 @@ func (a *Allocator) locate(g int) (*chunk, int) {
 // nil-chunk padded. Bucket entries carry the candidate's base and chunk
 // pointer inline, so the hot lookup is one table load plus one bucket
 // load — no hop through the base or chunk slices. A nil look means
-// irregular geometry; findBlock falls back to scanning bases.
+// irregular geometry or chunks spread too far apart (see index); findBlock
+// falls back to scanning bases.
 type baseTable struct {
 	bases []pmem.Addr
 	chs   []*chunk // resolved chunk pointers, same order as bases
@@ -409,44 +404,63 @@ func (a *Allocator) resolve(ch *chunk, ci, off int) (*chunk, int, int, bool) {
 	return ch, ci, idx, true
 }
 
+// lookSlack bounds the bucket index at lookSlack buckets per chunk.
+// Chunks carved back to back need about one bucket each; allocators that
+// grow interleaved in one pool (a kvstore's per-shard allocators) spread
+// their chunks across most of it, and an index over that whole range would
+// cost its size in allocation and zeroing on every grow and every attach.
+const lookSlack = 4
+
 // publishBases rebuilds the address-resolution table from the first n
 // chunks and publishes it in one pointer swap. Callers are single-threaded
-// constructors/recovery or hold growMu. The bucket index is built only for
-// power-of-two spans (shift-indexable); other geometries publish just the
-// base list and findBlock scans it.
+// constructors/recovery or hold growMu.
 func (a *Allocator) publishBases(n int) {
 	t := &baseTable{bases: make([]pmem.Addr, n), chs: make([]*chunk, n)}
 	for ci := 0; ci < n; ci++ {
 		t.chs[ci] = a.chunks[ci].Load()
 		t.bases[ci] = t.chs[ci].blocks
 	}
-	span := a.chunkCap * a.stride
-	if spanShift := shiftFor(span); spanShift >= 0 && n > 0 && n <= 1<<15 {
-		lo, hi := t.bases[0], t.bases[0]
-		for _, b := range t.bases {
-			if b < lo {
-				lo = b
-			}
-			if b > hi {
-				hi = b
-			}
+	t.index(a.chunkCap * a.stride)
+	a.bases.Store(t)
+}
+
+// index builds t's bucket index over chunks of span bytes. It does so only
+// for power-of-two spans (shift-indexable) whose chunks lie close enough
+// together that the index needs at most lookSlack buckets per chunk;
+// otherwise look stays nil and findBlock scans the base list, so a table
+// always costs O(chunks) to build.
+func (t *baseTable) index(span int) {
+	spanShift := shiftFor(span)
+	if spanShift < 0 || len(t.bases) == 0 {
+		return
+	}
+	lo, hi := t.bases[0], t.bases[0]
+	for _, b := range t.bases {
+		if b < lo {
+			lo = b
 		}
-		t.lo, t.shift = lo, uint(spanShift)
-		t.look = make([][2]lookEntry, int(hi-lo+pmem.Addr(span)-1)>>spanShift+1)
-		for ci, base := range t.bases {
-			e := lookEntry{base: base, ch: t.chs[ci], ci: int32(ci)}
-			b0 := int(base-lo) >> spanShift
-			b1 := int(base-lo+pmem.Addr(span)-1) >> spanShift
-			for _, b := range [2]int{b0, b1} {
-				if t.look[b][0].ch == nil {
-					t.look[b][0] = e
-				} else if t.look[b][0].ci != e.ci {
-					t.look[b][1] = e
-				}
+		if b > hi {
+			hi = b
+		}
+	}
+	buckets := int(hi-lo+pmem.Addr(span)-1)>>spanShift + 1
+	if buckets > lookSlack*len(t.bases) {
+		return
+	}
+	t.lo, t.shift = lo, uint(spanShift)
+	t.look = make([][2]lookEntry, buckets)
+	for ci, base := range t.bases {
+		e := lookEntry{base: base, ch: t.chs[ci], ci: int32(ci)}
+		b0 := int(base-lo) >> spanShift
+		b1 := int(base-lo+pmem.Addr(span)-1) >> spanShift
+		for _, b := range [2]int{b0, b1} {
+			if t.look[b][0].ch == nil {
+				t.look[b][0] = e
+			} else if t.look[b][0].ci != e.ci {
+				t.look[b][1] = e
 			}
 		}
 	}
-	a.bases.Store(t)
 }
 
 // grow carves a new chunk out of the pool arena and publishes it. The
@@ -586,8 +600,7 @@ func (h *Handle) takeLocal() (int, bool) {
 // refill repopulates the handle's cache from the shared free-stacks:
 // chunks are scanned round-robin from the handle's preferred chunk, and
 // the first non-empty stack donates up to refillBlocks blocks in one CAS.
-// When every active chunk is empty the allocator expands (reactivating a
-// dormant chunk, then growing) and the scan retries once.
+// When every chunk is empty the allocator grows and the scan retries once.
 func (h *Handle) refill() (int, bool) {
 	a := h.a
 	h.cache = h.cache[:cap(h.cache)]
@@ -595,12 +608,8 @@ func (h *Handle) refill() (int, bool) {
 	for attempt := 0; attempt < 2; attempt++ {
 		n := int(a.nChunks.Load())
 		for j := 0; j < n; j++ {
-			c := a.chunkAt((h.pref + j) % n)
-			if c.dormant.Load() {
-				continue
-			}
 			ci := (h.pref + j) % n
-			got, steps := c.popChain(h.cache, refillBlocks)
+			got, steps := a.chunkAt(ci).popChain(h.cache, refillBlocks)
 			a.stackSteps.Add(steps)
 			if got > 0 {
 				for i := 0; i < got; i++ {
@@ -619,23 +628,16 @@ func (h *Handle) refill() (int, bool) {
 	return 0, false
 }
 
-// expand makes more blocks allocatable when every active free-stack is
-// empty: it reactivates the lowest dormant chunk if one exists, else grows
-// a fresh chunk. The grow lock serializes expanders; a second expander
-// re-checks the stacks under the lock so racing exhaustion cannot grow
-// twice for one shortage.
+// expand makes more blocks allocatable when every free-stack is empty by
+// growing a fresh chunk. The grow lock serializes expanders; a second
+// expander re-checks the stacks under the lock so racing exhaustion cannot
+// grow twice for one shortage.
 func (a *Allocator) expand(ctx *pmem.ThreadCtx) bool {
 	a.growMu.Lock()
 	defer a.growMu.Unlock()
 	n := int(a.nChunks.Load())
 	for ci := 0; ci < n; ci++ {
-		c := a.chunkAt(ci)
-		if c.dormant.Load() {
-			c.dormant.Store(false)
-			a.reactivates.Add(1)
-			return true
-		}
-		if !c.dormant.Load() && c.free.Load() > 0 {
+		if a.chunkAt(ci).free.Load() > 0 {
 			return true // a concurrent free or expander already resolved it
 		}
 	}
@@ -724,10 +726,9 @@ func (h *Handle) Free(addr pmem.Addr) error {
 }
 
 // Flush splices the handle's buffered frees back onto their chunks'
-// shared free-stacks (one CAS per distinct chunk) and applies the shrink
-// policy. Free calls it automatically at the flush threshold; call it
-// directly before idling a thread so its buffered blocks become
-// allocatable to others.
+// shared free-stacks (one CAS per distinct chunk). Free calls it
+// automatically at the flush threshold; call it directly before idling a
+// thread so its buffered blocks become allocatable to others.
 func (h *Handle) Flush() {
 	if len(h.frees) == 0 {
 		return
@@ -764,68 +765,6 @@ func (h *Handle) Flush() {
 	}
 	h.frees = h.frees[:0]
 	a.flushes.Add(1)
-	a.maybeShrink()
-}
-
-// SetShrinkPolicy sets the auto-shrink threshold: after a free flush, if
-// at least minFreePct percent of the active capacity is on the shared
-// free-stacks and some chunk is entirely free, that chunk is retired
-// (made dormant) so allocation concentrates in fewer chunks. 0 disables
-// auto-shrink; Shrink remains available for explicit retirement.
-// Dormancy is volatile: a crash resurrects every chunk active and the
-// policy re-applies under the post-recovery load.
-func (a *Allocator) SetShrinkPolicy(minFreePct int) { a.shrinkPct.Store(int64(minFreePct)) }
-
-// maybeShrink applies the auto-shrink policy after a flush.
-func (a *Allocator) maybeShrink() {
-	pct := a.shrinkPct.Load()
-	if pct <= 0 {
-		return
-	}
-	var free, capacity int64
-	n := int(a.nChunks.Load())
-	active := 0
-	for ci := 0; ci < n; ci++ {
-		c := a.chunkAt(ci)
-		if c.dormant.Load() {
-			continue
-		}
-		active++
-		free += c.free.Load()
-		capacity += int64(a.chunkCap)
-	}
-	if active >= 2 && free*100 >= capacity*pct {
-		a.Shrink()
-	}
-}
-
-// Shrink retires one entirely free chunk (the highest-indexed one) by
-// marking it dormant, so Alloc stops drawing from it; a later exhaustion
-// reactivates it before any grow. At least one chunk always stays active.
-// The durable state is untouched — a dormant chunk's bitmap is all-free
-// and recovery resurrects it active. Returns whether a chunk was retired.
-func (a *Allocator) Shrink() bool {
-	a.growMu.Lock()
-	defer a.growMu.Unlock()
-	n := int(a.nChunks.Load())
-	active := 0
-	for ci := 0; ci < n; ci++ {
-		if !a.chunkAt(ci).dormant.Load() {
-			active++
-		}
-	}
-	if active < 2 {
-		return false
-	}
-	for ci := n - 1; ci >= 0; ci-- {
-		c := a.chunkAt(ci)
-		if !c.dormant.Load() && c.free.Load() == int64(a.chunkCap) {
-			c.dormant.Store(true)
-			a.shrinks.Add(1)
-			return true
-		}
-	}
-	return false
 }
 
 // InUse counts allocated blocks (diagnostic): the population of the
@@ -847,8 +786,7 @@ func (a *Allocator) InUse(ctx *pmem.ThreadCtx) int {
 	return n
 }
 
-// TotalBlocks reports the current capacity in blocks across all chunks,
-// dormant included.
+// TotalBlocks reports the current capacity in blocks across all chunks.
 func (a *Allocator) TotalBlocks() int { return int(a.nChunks.Load()) * a.chunkCap }
 
 // splicer assembles one chunk's free-stack deterministically from
@@ -856,7 +794,7 @@ func (a *Allocator) TotalBlocks() int { return int(a.nChunks.Load()) * a.chunkCa
 // ascending pre-linked sublist (word is idempotent and touches only that
 // word's next cells, so independent words may be built by different
 // recovery workers); commit then splices the sublists in word order and
-// publishes the stack head, free count and active flag. The result is a
+// publishes the stack head and free count. The result is a
 // pure function of the bitmap contents — identical no matter how many
 // workers built the sublists.
 type splicer struct {
@@ -925,7 +863,6 @@ func (s *splicer) commit() {
 	}
 	s.c.top.Store(packTop(s.c.top.Load()>>32+1, first))
 	s.c.free.Store(total)
-	s.c.dormant.Store(false)
 }
 
 // CheckInvariants audits the volatile/durable split on a quiescent

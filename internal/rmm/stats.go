@@ -12,12 +12,9 @@ type Stats struct {
 	// blocks per chunk.
 	BlockWords int
 	ChunkCap   int
-	// Chunks / MaxChunks are the published and maximum chunk counts;
-	// DormantChunks of the published chunks are retired by the shrink
-	// policy.
-	Chunks        int
-	MaxChunks     int
-	DormantChunks int
+	// Chunks / MaxChunks are the published and maximum chunk counts.
+	Chunks    int
+	MaxChunks int
 	// TotalBlocks, FreeBlocks and LiveBlocks partition the current
 	// capacity (see the type comment for handle-buffered blocks).
 	TotalBlocks int64
@@ -26,10 +23,8 @@ type Stats struct {
 	// Allocs and Frees count completed operations.
 	Allocs uint64
 	Frees  uint64
-	// Grows, Shrinks and Reactivates count chunk-policy transitions.
-	Grows       uint64
-	Shrinks     uint64
-	Reactivates uint64
+	// Grows counts chunks carved since New, the first one included.
+	Grows uint64
 	// CacheRefills and FreeFlushes count handle↔shared-stack batch
 	// transfers; StackSteps counts CAS attempts plus links walked on the
 	// shared stacks (the amortized-O(1) diagnostic).
@@ -54,8 +49,6 @@ func (a *Allocator) Stats() Stats {
 		Allocs:         a.allocs.Load(),
 		Frees:          a.freesN.Load(),
 		Grows:          a.grows.Load(),
-		Shrinks:        a.shrinks.Load(),
-		Reactivates:    a.reactivates.Load(),
 		CacheRefills:   a.refills.Load(),
 		FreeFlushes:    a.flushes.Load(),
 		StackSteps:     a.stackSteps.Load(),
@@ -65,11 +58,7 @@ func (a *Allocator) Stats() Stats {
 	n := int(a.nChunks.Load())
 	st.Chunks = n
 	for ci := 0; ci < n; ci++ {
-		c := a.chunkAt(ci)
-		if c.dormant.Load() {
-			st.DormantChunks++
-		}
-		st.FreeBlocks += c.free.Load()
+		st.FreeBlocks += a.chunkAt(ci).free.Load()
 	}
 	st.TotalBlocks = int64(n * a.chunkCap)
 	st.LiveBlocks = st.TotalBlocks - st.FreeBlocks
@@ -83,15 +72,12 @@ func (a *Allocator) Stats() Stats {
 func (a *Allocator) PublishTelemetry(reg *telemetry.Registry) {
 	st := a.Stats()
 	reg.SetGauge("rmm-chunks", uint64(st.Chunks))
-	reg.SetGauge("rmm-chunks-dormant", uint64(st.DormantChunks))
 	reg.SetGauge("rmm-blocks-total", uint64(st.TotalBlocks))
 	reg.SetGauge("rmm-blocks-free", uint64(st.FreeBlocks))
 	reg.SetGauge("rmm-blocks-live", uint64(st.LiveBlocks))
 	reg.SetGauge("rmm-allocs", st.Allocs)
 	reg.SetGauge("rmm-frees", st.Frees)
 	reg.SetGauge("rmm-grows", st.Grows)
-	reg.SetGauge("rmm-shrinks", st.Shrinks)
-	reg.SetGauge("rmm-reactivates", st.Reactivates)
 	reg.SetGauge("rmm-cache-refills", st.CacheRefills)
 	reg.SetGauge("rmm-free-flushes", st.FreeFlushes)
 	reg.SetGauge("rmm-stack-steps", st.StackSteps)

@@ -1,3 +1,9 @@
+//go:build benchgate
+
+// This file holds a wall-clock ratio check, so it is excluded from
+// `go test ./...` (whose verdicts must not depend on host timing) and run
+// by `make bench-gate`.
+
 package telemetry
 
 import (
