@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-gate bench-pmem bench-alloc bench-recovery bench-batching bench-flushavoid bench-workloads kvstore-smoke sweep docs-lint telemetry-smoke ci
+.PHONY: all build test race bench-ab bench-gate bench-pmem bench-alloc bench-recovery bench-batching bench-flushavoid bench-workloads kvstore-smoke sweep docs-lint telemetry-smoke ci
 
 all: build
 
@@ -12,6 +12,15 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# bench-ab runs paired A/B runs of the frozen end-to-end benchmark on one
+# workload: both refs as git worktrees under .bench_build/ab/, ABBA order,
+# every run in the foreground under timeout, worktrees removed on exit.
+# It prints one line of end-to-end metrics per run (scripts/bench-ab.sh).
+bench-ab:
+	@if [ -z "$(A)" ] || [ -z "$(B)" ] || [ -z "$(W)" ] || [ -z "$(PAIRS)" ] || [ -z "$(SEED)" ]; then \
+		echo "usage: make bench-ab A=<ref> B=<ref> W=<workload> PAIRS=<n> SEED=<s>" >&2; exit 2; fi
+	bash scripts/bench-ab.sh "$(A)" "$(B)" "$(W)" "$(PAIRS)" "$(SEED)"
 
 # bench-gate runs the checks whose verdicts depend on host timing (build
 # tag benchgate), kept out of `go test ./...` so tier-1 stays

@@ -21,10 +21,12 @@ func kvObserverConfig() kvstore.Config {
 //
 // Fast mode: thread 1's Put stores the slot word with the dirty tag but its
 // own flush is suppressed (the deterministic stand-in for the writer dying
-// between the dirty store and its write-back), so thread 2's Get is the
-// first observer: its probe read must issue the line's flush, record the
-// observed site, clear the tag, and return the committed value — and later
-// readers of the now-clean word must not record again.
+// between the dirty store and its write-back). Thread 2's Get reads the
+// value past the tag and must record nothing and leave the tag: reads
+// persist nothing. Thread 2's failing CAS is then the first observer: its
+// probe read must issue the line's flush, record the observed site and
+// clear the tag — and later probes of the now-clean word must not record
+// again.
 //
 // Strict mode: the same window under the real crash machinery — thread 1's
 // Put crashes at its slot-publish persist with everything committed. The
@@ -58,26 +60,38 @@ func TestKVFirstObserverRace(t *testing.T) {
 		pool.SetSiteEnabled(slotSite, true)
 		before := pool.Snapshot().PWBsBySite["kvstore/pwb-slot-observed"]
 
-		// Thread 2 is the first observer: its probe read flushes the line.
+		// Thread 2's Get masks the tag: it reads the value, flushes nothing.
 		g := s.Handle(pool.NewThread(2))
 		g.Invoke()
-		v, ok := g.Get(7)
-		if !ok || v != 777 {
-			t.Fatalf("observer Get(7) = %d, %v, want 777, true", v, ok)
+		if v, ok := g.Get(7); !ok || v != 777 {
+			t.Fatalf("Get(7) = %d, %v, want 777, true", v, ok)
+		}
+		if got := pool.Snapshot().PWBsBySite["kvstore/pwb-slot-observed"]; got != before {
+			t.Fatalf("observed-site hits %d -> %d on a Get, want no flush from a read", before, got)
+		}
+
+		// Thread 2's CAS is the first observer: its probe read flushes the line.
+		g.Invoke()
+		if ok, err := g.CAS(7, 1, 2); err != nil || ok {
+			t.Fatalf("observer CAS(7, 1, 2) = %v, %v, want false, nil", ok, err)
 		}
 		after := pool.Snapshot().PWBsBySite["kvstore/pwb-slot-observed"]
 		if after != before+1 {
 			t.Fatalf("observed-site hits %d -> %d, want exactly one first-observer flush", before, after)
 		}
 
-		// The tag is cleared: a second reader takes the clean fast path and
+		// The tag is cleared: a second probe takes the clean fast path and
 		// records nothing.
 		g.Invoke()
-		if v, ok := g.Get(7); !ok || v != 777 {
-			t.Fatalf("second Get(7) = %d, %v, want 777, true", v, ok)
+		if ok, err := g.CAS(7, 1, 2); err != nil || ok {
+			t.Fatalf("second CAS(7, 1, 2) = %v, %v, want false, nil", ok, err)
 		}
 		if again := pool.Snapshot().PWBsBySite["kvstore/pwb-slot-observed"]; again != after {
 			t.Fatalf("observed-site hits grew %d -> %d on a clean word", after, again)
+		}
+		g.Invoke()
+		if v, ok := g.Get(7); !ok || v != 777 {
+			t.Fatalf("final Get(7) = %d, %v, want 777, true", v, ok)
 		}
 	})
 

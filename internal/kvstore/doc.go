@@ -21,19 +21,49 @@
 //
 // # Operations
 //
-// Keys hash to a shard with a seeded splitmix64; each shard serializes
-// its writers with a volatile spinlock whose spin body performs a pool
-// load, so a simulated crash propagates into spinners instead of
-// deadlocking them. A fresh Put runs the three-stage protocol the
-// recovery machinery is built around: (1) value-write — allocate a block
-// (its bitmap bit is durable before the address is returned), persist
-// key/value, publish the block address into a free slot with a persisted
-// store; (2) index-insert — the rhash Insert, whose tracking checkpoint
-// is the membership linearization point; (3) TTL-stamp — persist the
-// expiry tick into the block. Delete linearizes at the rhash Delete,
-// then tombstones the slot durably and frees the block (bit-clear
-// durable before reuse). Overwrites and CAS build a fully-persisted
-// replacement block and commit it with a single-word slot swap.
+// Keys hash to a shard with a seeded splitmix64. Each shard has a
+// volatile sequence lock: a word that writers move from even v to v+1
+// with a CAS on entry and back to even with an increment on exit, so it
+// is odd exactly while a writer is inside the shard's write section. The
+// spin body performs a pool load, so a simulated crash propagates into
+// spinners instead of deadlocking them. A fresh Put runs the three-stage
+// protocol the recovery machinery is built around: (1) value-write —
+// allocate a block (its bitmap bit is durable before the address is
+// returned), persist key/value, publish the block address into a free
+// slot with a persisted store; (2) index-insert — the rhash Insert, whose
+// tracking checkpoint is the membership linearization point; (3)
+// TTL-stamp — persist the expiry tick into the block. Delete linearizes
+// at the rhash Delete, then tombstones the slot durably and frees the
+// block (bit-clear durable before reuse). Overwrites and CAS build a
+// fully-persisted replacement block and commit it with a single-word slot
+// swap; an overwrite Put reports false without an index call, because a
+// live slot seen inside the write section means the key is a member.
+//
+// Get takes no lock and calls no index. Between write sections the slot
+// table and the index agree — a live slot exists exactly when its key is
+// an index member (CheckInvariants asserts it, and recovery restores it
+// before clients resume) — so the slot probe alone answers membership.
+// Get's probe reads slot words with plain loads and masks the
+// link-and-persist dirty tag rather than clearing it, so a read never
+// pays a publisher's slot write-back; only a read that overlaps a write
+// section can see a tag, and its view is discarded anyway.
+// Get reads the sequence word, probes, reads the value word, and re-reads
+// the sequence word; it returns only if the word was even and did not
+// move, and otherwise loads pool memory (so a crash propagates, as in the
+// writers' spin) and retries. This is safe because every write to a
+// shard's slots and value blocks happens inside that shard's write
+// section: Put, Delete, CAS, EvictExpired, RecoverPut, RecoverDelete and
+// RecoverCAS all take the lock, store recovery repairs slots before any
+// handle exists, and blocks are reused only through the shard's own
+// allocator, which those same sections drive. A read that overlapped a
+// write section may be torn, but a torn read only ever sees slot
+// sentinels or block addresses (valid pool words), and the probe is
+// bounded by the slot capacity; the re-read of the sequence word then
+// discards it. A Get that returns therefore saw the state between two
+// write sections, which is also the state its lock-taking predecessor
+// saw. Get persists nothing and publishes nothing through tracking, so
+// RecoverGet recovers it by re-execution. Operation counts live in
+// per-thread-id tallies, so counting writes no shared line either.
 //
 // # Recovery
 //

@@ -136,15 +136,26 @@ func ceilPow2(n int) int {
 	return p
 }
 
-// shard is the volatile view of one shard.
+// shard is the volatile view of one shard, padded to its own cache line
+// so one shard's writers do not invalidate another's readers.
 type shard struct {
 	idx   *rhash.Map
 	alloc *rmm.Allocator
 	slots pmem.Addr
-	// mu serializes writers; spinners load pool memory so a simulated
-	// crash propagates into them (see shard.lock).
-	mu  atomic.Bool
-	ops atomic.Uint64 // completed operations, for per-shard gauges
+	// seq is the shard's sequence lock: odd while a writer is inside its
+	// write section, bumped on entry and on exit. Writers serialize on it
+	// (Store.lock); Get reads optimistically and retries when it moved.
+	seq atomic.Uint64
+	_   [pmem.LineBytes - 32]byte // the four words above fill 32 bytes
+}
+
+// tally is one thread id's operation counts. Only the handles of that
+// thread id write it, so counting an operation writes no line another
+// thread touches on its own path; the gauges sum the tallies.
+type tally struct {
+	puts, gets, deletes, casOps atomic.Uint64
+	shardOps                    []atomic.Uint64           // completed operations per shard
+	_                           [pmem.LineBytes - 56]byte // 4 words + a slice header
 }
 
 // Store is the volatile handle to an attached or freshly built store.
@@ -168,11 +179,13 @@ type Store struct {
 	// siteSlotObs records first-observer flushes of slot words: slots are
 	// link-and-persist words (see internal/pmem/flushavoid.go), so a probe
 	// that reads one still dirty-marked persists it on behalf of the
-	// publisher. Recorded only in fast mode with flush avoidance on — the
+	// publisher (Get's lookup masks the tag instead, see lookup). Recorded
+	// only in fast mode with flush avoidance on — the
 	// writer's own PWBFirst almost always wins the first-observer race.
 	siteSlotObs pmem.Site
 
-	puts, gets, deletes, casOps, evictions atomic.Uint64
+	tallies   []tally // indexed by thread id
+	evictions atomic.Uint64
 
 	lastRecovery RecoveryStats
 }
@@ -213,6 +226,7 @@ func New(pool *pmem.Pool, cfg Config) (*Store, error) {
 		seed:       cfg.Seed,
 		shards:     make([]*shard, cfg.Shards),
 	}
+	s.initTallies()
 	s.registerSites()
 	s.eng = tracking.New(pool, cfg.MaxThreads, "rhash")
 	boot := pool.NewThread(0)
@@ -247,6 +261,17 @@ func New(pool *pmem.Pool, cfg Config) (*Store, error) {
 	return s, nil
 }
 
+// initTallies sizes the per-thread counters. Every thread's per-shard row
+// spans whole cache lines of one shared allocation.
+func (s *Store) initTallies() {
+	s.tallies = make([]tally, s.maxThreads)
+	stride := (s.nShards + pmem.LineWords - 1) / pmem.LineWords * pmem.LineWords
+	rows := make([]atomic.Uint64, s.maxThreads*stride)
+	for i := range s.tallies {
+		s.tallies[i].shardOps = rows[i*stride : i*stride+s.nShards : i*stride+s.nShards]
+	}
+}
+
 func (s *Store) dirEntry(si int) pmem.Addr {
 	return s.dir + pmem.Addr(si*pmem.LineBytes)
 }
@@ -276,16 +301,21 @@ func (s *Store) probeBase(key int64) int {
 	return int(splitmix64(uint64(key)^s.seed^0xa5a5a5a5a5a5a5a5) & uint64(s.slotCap-1))
 }
 
-// lock spins until the shard's writer lock is taken. The spin body loads
-// pool memory so a pending simulated crash panics the spinner instead of
-// leaving it spinning on a lock its crashed holder will never release.
+// lock spins until it moves the shard's sequence word from even to odd,
+// entering the write section. The spin body loads pool memory so a
+// pending simulated crash panics the spinner instead of leaving it
+// spinning on a lock its crashed holder will never release.
 func (s *Store) lock(ctx *pmem.ThreadCtx, sh *shard) {
-	for !sh.mu.CompareAndSwap(false, true) {
+	for {
+		if v := sh.seq.Load(); v&1 == 0 && sh.seq.CompareAndSwap(v, v+1) {
+			return
+		}
 		ctx.Load(s.header)
 	}
 }
 
-func (s *Store) unlock(sh *shard) { sh.mu.Store(false) }
+// unlock leaves the write section, making the sequence word even again.
+func (s *Store) unlock(sh *shard) { sh.seq.Add(1) }
 
 // Handle is a per-thread accessor; create one per ThreadCtx and do not
 // share it across goroutines. Its rhash and rmm sub-handles are built
@@ -294,19 +324,28 @@ type Handle struct {
 	s    *Store
 	ctx  *pmem.ThreadCtx
 	th   *tracking.Thread
+	t    *tally
 	idxH []*rhash.Handle
 	amH  []*rmm.Handle
 }
 
 // Handle creates the per-thread handle for ctx.
 func (s *Store) Handle(ctx *pmem.ThreadCtx) *Handle {
+	th := s.eng.Thread(ctx) // rejects thread ids outside [0, MaxThreads)
 	return &Handle{
 		s:    s,
 		ctx:  ctx,
-		th:   s.eng.Thread(ctx),
+		th:   th,
+		t:    &s.tallies[ctx.TID()],
 		idxH: make([]*rhash.Handle, s.nShards),
 		amH:  make([]*rmm.Handle, s.nShards),
 	}
+}
+
+// count records one completed operation of kind c on shard si.
+func (h *Handle) count(c *atomic.Uint64, si int) {
+	c.Add(1)
+	h.t.shardOps[si].Add(1)
 }
 
 // Invoke performs the system-side failure-atomic invocation step of the
@@ -361,6 +400,30 @@ func (h *Handle) probe(sh *shard, key int64) (pos int, block pmem.Addr, free int
 	return -1, pmem.Null, free
 }
 
+// lookup is Get's probe: it returns the block of key's live entry (Null
+// if absent). It reads slots with plain loads and masks the dirty tag
+// rather than clearing it, so a read writes no slot line and never pays
+// a publisher's first-observer write-back. A view torn by an overlapping
+// write section is discarded by Get's sequence check.
+func (h *Handle) lookup(sh *shard, key int64) pmem.Addr {
+	s := h.s
+	base := s.probeBase(key)
+	for i := 0; i < s.slotCap; i++ {
+		j := (base + i) & (s.slotCap - 1)
+		switch v := h.ctx.Load(s.slotAddr(sh, j)) &^ pmem.DirtyBit; v {
+		case slotEmpty:
+			return pmem.Null
+		case slotTombstone:
+		default:
+			b := pmem.Addr(v)
+			if int64(h.ctx.Load(b+bKey*pmem.WordSize)) == key {
+				return b
+			}
+		}
+	}
+	return pmem.Null
+}
+
 // newBlock allocates and fully persists a value block (stage "value-write"
 // of the put protocol): the allocator made the block's bitmap bit durable
 // before returning its address, and the key/ttl/value words are persisted
@@ -406,11 +469,12 @@ func (h *Handle) stampTTL(block pmem.Addr, expireAt uint64) {
 }
 
 // Put maps key to val until the logical tick expireAt (NoExpiry for
-// none). It reports whether the key was absent — the result of the
-// underlying detectable index insert. A fresh key runs the three-stage
-// protocol (value-write, index-insert, TTL-stamp; see the package
-// comment); an overwrite builds a fully-persisted replacement block and
-// commits it with a single-word slot swap, freeing the old block after.
+// none). It reports whether the key was absent. A fresh key runs the
+// three-stage protocol (value-write, index-insert, TTL-stamp; see the
+// package comment) and reports the result of the detectable index insert;
+// an overwrite builds a fully-persisted replacement block, commits it with
+// a single-word slot swap, frees the old block after, and reports false
+// without touching the index.
 func (h *Handle) Put(key int64, val uint64, expireAt uint64) (bool, error) {
 	s := h.s
 	si := s.shardOf(key)
@@ -422,7 +486,6 @@ func (h *Handle) Put(key int64, val uint64, expireAt uint64) (bool, error) {
 
 // put is Put's body; the caller holds shard si's lock.
 func (h *Handle) put(si int, sh *shard, key int64, val uint64, expireAt uint64) (bool, error) {
-	s := h.s
 	pos, block, free := h.probe(sh, key)
 	if block != pmem.Null {
 		nb, err := h.newBlock(si, key, expireAt, val)
@@ -430,13 +493,13 @@ func (h *Handle) put(si int, sh *shard, key int64, val uint64, expireAt uint64) 
 			return false, err
 		}
 		h.publish(sh, pos, nb) // commit point of the overwrite
-		absent := h.idx(si).Insert(key)
 		if err := h.am(si).Free(block); err != nil {
 			return false, err
 		}
-		s.puts.Add(1)
-		sh.ops.Add(1)
-		return absent, nil
+		h.count(&h.t.puts, si)
+		// A live slot under the write section means key is an index
+		// member, so an index Insert would only traverse and fail.
+		return false, nil
 	}
 	if free < 0 {
 		return false, fmt.Errorf("%w (shard %d)", ErrFull, si)
@@ -448,31 +511,35 @@ func (h *Handle) put(si int, sh *shard, key int64, val uint64, expireAt uint64) 
 	h.publish(sh, free, nb)         // stage 1: value durable and reachable
 	absent := h.idx(si).Insert(key) // stage 2: membership linearizes
 	h.stampTTL(nb, expireAt)        // stage 3: expiry stamp
-	s.puts.Add(1)
-	sh.ops.Add(1)
+	h.count(&h.t.puts, si)
 	return absent, nil
 }
 
-// Get returns the value mapped to key. The membership answer is the
-// detectable index find; the value is read from the slot the probe chain
-// resolves under the shard lock, so it is consistent with that answer.
+// Get returns the value mapped to key. Between write sections a live slot
+// exists exactly when its key is an index member, so the slot probe alone
+// answers membership. Get takes no lock: it reads the shard's sequence
+// word, probes, reads the value, and keeps the answer only if the word was
+// even and has not moved, so no write section overlapped the reads;
+// otherwise it retries (see "Operations" in the package comment).
 func (h *Handle) Get(key int64) (uint64, bool) {
 	s := h.s
 	si := s.shardOf(key)
 	sh := s.shards[si]
-	s.lock(h.ctx, sh)
-	defer s.unlock(sh)
-	found := h.idx(si).Find(key)
-	s.gets.Add(1)
-	sh.ops.Add(1)
-	if !found {
-		return 0, false
+	for {
+		if v := sh.seq.Load(); v&1 == 0 {
+			var val uint64
+			block := h.lookup(sh, key)
+			if block != pmem.Null {
+				val = h.ctx.Load(block + bVal*pmem.WordSize)
+			}
+			if sh.seq.Load() == v {
+				h.count(&h.t.gets, si)
+				return val, block != pmem.Null
+			}
+		}
+		// Like lock's spin: a pending crash panics here.
+		h.ctx.Load(s.header)
 	}
-	_, block, _ := h.probe(sh, key)
-	if block == pmem.Null {
-		return 0, false // unreachable if invariants hold
-	}
-	return h.ctx.Load(block + bVal*pmem.WordSize), true
 }
 
 // Delete unmaps key, reporting whether it was present. The index delete
@@ -489,7 +556,6 @@ func (h *Handle) Delete(key int64) (bool, error) {
 
 // delete is Delete's body; the caller holds shard si's lock.
 func (h *Handle) delete(si int, sh *shard, key int64) (bool, error) {
-	s := h.s
 	pos, block, _ := h.probe(sh, key)
 	present := h.idx(si).Delete(key) // commit point
 	if present {
@@ -501,8 +567,7 @@ func (h *Handle) delete(si int, sh *shard, key int64) (bool, error) {
 			return false, err
 		}
 	}
-	s.deletes.Add(1)
-	sh.ops.Add(1)
+	h.count(&h.t.deletes, si)
 	return present, nil
 }
 
@@ -517,8 +582,7 @@ func (h *Handle) CAS(key int64, old, new uint64) (bool, error) {
 	defer s.unlock(sh)
 	pos, block, _ := h.probe(sh, key)
 	if block == pmem.Null || h.ctx.Load(block+bVal*pmem.WordSize) != old {
-		s.casOps.Add(1)
-		sh.ops.Add(1)
+		h.count(&h.t.casOps, si)
 		return false, nil
 	}
 	ttl := h.ctx.Load(block + bTTL*pmem.WordSize)
@@ -530,8 +594,7 @@ func (h *Handle) CAS(key int64, old, new uint64) (bool, error) {
 	if err := h.am(si).Free(block); err != nil {
 		return false, err
 	}
-	s.casOps.Add(1)
-	sh.ops.Add(1)
+	h.count(&h.t.casOps, si)
 	return true, nil
 }
 
@@ -594,7 +657,25 @@ func (s *Store) Keys(ctx *pmem.ThreadCtx) []int64 {
 }
 
 // ShardOps returns the completed-operation count of shard si.
-func (s *Store) ShardOps(si int) uint64 { return s.shards[si].ops.Load() }
+func (s *Store) ShardOps(si int) uint64 {
+	var n uint64
+	for i := range s.tallies {
+		n += s.tallies[i].shardOps[si].Load()
+	}
+	return n
+}
+
+// opCounts sums the per-thread tallies by operation kind.
+func (s *Store) opCounts() (puts, gets, deletes, casOps uint64) {
+	for i := range s.tallies {
+		t := &s.tallies[i]
+		puts += t.puts.Load()
+		gets += t.gets.Load()
+		deletes += t.deletes.Load()
+		casOps += t.casOps.Load()
+	}
+	return
+}
 
 // ShardLiveSlots counts shard si's live value slots.
 func (s *Store) ShardLiveSlots(ctx *pmem.ThreadCtx, si int) int {

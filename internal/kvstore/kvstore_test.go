@@ -571,9 +571,8 @@ func TestPutFullShard(t *testing.T) {
 	}
 }
 
-// TestGetAllocatesNothing pins the default Get path — shard lock, index
-// Find, slot probe — to zero heap allocations once the handle has touched
-// the shard.
+// TestGetAllocatesNothing pins the Get path — sequence-word reads, slot
+// probe, value read — to zero heap allocations.
 func TestGetAllocatesNothing(t *testing.T) {
 	pool := pmem.New(pmem.Config{Mode: pmem.ModeFast, CapacityWords: 1 << 18, MaxThreads: 4})
 	s, err := kvstore.New(pool, kvstore.Config{Shards: 4, MaxThreads: 4})

@@ -66,6 +66,7 @@ func attachStore(pool *pmem.Pool, rootSlot, tid int) (*Store, *pmem.ThreadCtx, e
 		return nil, nil, fmt.Errorf("kvstore: root slot %d: corrupt header", rootSlot)
 	}
 	s.shards = make([]*shard, s.nShards)
+	s.initTallies()
 	s.registerSites()
 	s.eng = tracking.Attach(pool, engTable, s.maxThreads, "rhash")
 	// Settle every interrupted index operation before any shard is
@@ -261,24 +262,11 @@ func (h *Handle) RecoverPut(key int64, val uint64, expireAt uint64) (bool, error
 	return absent, nil
 }
 
-// RecoverGet is Get's exactly-once recovery function: the membership
-// answer replays through tracking; the value read is the current one.
-func (h *Handle) RecoverGet(key int64) (uint64, bool) {
-	s := h.s
-	si := s.shardOf(key)
-	sh := s.shards[si]
-	s.lock(h.ctx, sh)
-	defer s.unlock(sh)
-	found := h.idx(si).RecoverFind(key)
-	if !found {
-		return 0, false
-	}
-	_, block, _ := h.probe(sh, key)
-	if block == pmem.Null {
-		return 0, false
-	}
-	return h.ctx.Load(block + bVal*pmem.WordSize), true
-}
+// RecoverGet is Get's recovery function. Get persists nothing and
+// publishes nothing through tracking, so a read recovers by re-execution:
+// the interrupted Get never returned, and its response may be taken at
+// any point up to the re-executed one.
+func (h *Handle) RecoverGet(key int64) (uint64, bool) { return h.Get(key) }
 
 // RecoverDelete is Delete's exactly-once recovery function. Store recovery
 // has already settled the Delete's index delete and reconciled the slots:
@@ -357,18 +345,19 @@ func (s *Store) AuditPostRecovery(ctx *pmem.ThreadCtx) error {
 // per-shard throughput surface) and the deterministic recovery-cost
 // stats of the last Recover/RecoverParallel.
 func (s *Store) PublishTelemetry(reg *telemetry.Registry) {
+	puts, gets, deletes, casOps := s.opCounts()
 	reg.SetGauge("kvstore-shards", uint64(s.nShards))
-	reg.SetGauge("kvstore-puts", s.puts.Load())
-	reg.SetGauge("kvstore-gets", s.gets.Load())
-	reg.SetGauge("kvstore-deletes", s.deletes.Load())
-	reg.SetGauge("kvstore-cas", s.casOps.Load())
+	reg.SetGauge("kvstore-puts", puts)
+	reg.SetGauge("kvstore-gets", gets)
+	reg.SetGauge("kvstore-deletes", deletes)
+	reg.SetGauge("kvstore-cas", casOps)
 	reg.SetGauge("kvstore-evictions", s.evictions.Load())
 	var live, total int64
 	for si, sh := range s.shards {
 		st := sh.alloc.Stats()
 		live += st.LiveBlocks
 		total += st.TotalBlocks
-		reg.SetGauge(fmt.Sprintf("kvstore-shard-%03d-ops", si), sh.ops.Load())
+		reg.SetGauge(fmt.Sprintf("kvstore-shard-%03d-ops", si), s.ShardOps(si))
 	}
 	reg.SetGauge("kvstore-blocks-live", uint64(live))
 	reg.SetGauge("kvstore-blocks-total", uint64(total))
