@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-ab bench-gate bench-pmem bench-alloc bench-recovery bench-batching bench-flushavoid bench-workloads kvstore-smoke sweep docs-lint telemetry-smoke ci
+.PHONY: all build test race bench-ab bench-gate bench-pmem bench-recovery bench-batching bench-workloads kvstore-smoke sweep docs-lint telemetry-smoke ci
 
 all: build
 
@@ -35,13 +35,6 @@ bench-pmem:
 	$(GO) run ./cmd/benchrunner -substrate -threads 1,2,4,8,16 -batch-ops 8 -out BENCH_pmem.json
 	@cat BENCH_pmem.json
 
-# bench-alloc smokes the allocator churn comparison: the internal/rmm
-# free-stack against the bitmap-scan design it replaced, at fixed
-# occupancies (see docs/allocator.md). The full matrix rides along in
-# BENCH_pmem.json via bench-pmem; this target is the quick standalone run.
-bench-alloc:
-	$(GO) run ./cmd/benchrunner -alloc -threads 1,4 -substrate-ops 500000
-
 # bench-batching smokes the cross-operation batching layer: a short batched
 # substrate run (mode:"batched" points must show executed flush/sync counts
 # dropping), then a depth-1 batched crash-site sweep compared against the
@@ -50,23 +43,6 @@ bench-alloc:
 bench-batching:
 	$(GO) run ./cmd/benchrunner -substrate -threads 1,2 -substrate-ops 300000 -batch-ops 8
 	$(GO) run ./cmd/crashtest -sweep -structure all -depth 1 -seed 1 -batch-ops 8 \
-		-budget 120s -compare crash_coverage.json
-
-# bench-flushavoid smokes the flush-avoidance layer: at every goroutine
-# count of the gate, the tracking-hash update mix run in lockstep (exact
-# counts) must execute no more pwbs than committed with flush avoidance on
-# and >= 20% fewer than with it off (-check-flushavoid gates it, see
-# bench.CheckFlushAvoid, and
-# bench_flushavoid.json is the CI artifact), then a depth-1 flush-avoided
-# crash-site sweep must compare
-# verdict-identical against the committed coverage baseline — elision never
-# moves a record point, so the site x k-th-hit task matrix is unchanged
-# (see "Flush avoidance" in DESIGN.md).
-bench-flushavoid:
-	$(GO) run ./cmd/benchrunner -substrate -threads 1,2,8 -substrate-ops 300000 \
-		-check-flushavoid -out bench_flushavoid.json
-	@cat bench_flushavoid.json
-	$(GO) run ./cmd/crashtest -sweep -structure all -depth 1 -seed 1 -flush-avoid \
 		-budget 120s -compare crash_coverage.json
 
 # bench-recovery is the recovery-latency smoke: small sizes, one trial,
@@ -122,10 +98,8 @@ ci:
 	$(MAKE) docs-lint
 	$(MAKE) bench-gate
 	$(MAKE) bench-pmem
-	$(MAKE) bench-alloc
 	$(MAKE) bench-recovery
 	$(MAKE) bench-batching
-	$(MAKE) bench-flushavoid
 	$(MAKE) bench-workloads
 	$(MAKE) kvstore-smoke
 	$(MAKE) telemetry-smoke

@@ -24,11 +24,8 @@ func main() {
 		seed       = flag.Int64("seed", 1, "workload seed")
 		list       = flag.Bool("list", false, "list available experiments")
 		substrate  = flag.Bool("substrate", false, "measure the pmem substrate microbenchmarks instead of a figure")
-		allocOnly  = flag.Bool("alloc", false, "measure only the allocator churn points (free-stack vs bitmap-scan)")
 		subOps     = flag.Int("substrate-ops", 0, "operations per substrate data point (0: default)")
 		batchOps   = flag.Int("batch-ops", 0, "ambient write-combining policy, ops per group sync: adds mode:\"batched\" substrate points, applies to figure runs (0: off)")
-		checkFA    = flag.Bool("check-flushavoid", false, "with -substrate, fail unless the tracking-hash update mix, counted exactly in lockstep at every goroutine count of the gate, executes no more pwbs than committed with flush avoidance and >= 20% fewer than without (see bench.CheckFlushAvoid)")
-		flushAvoid = flag.Bool("flush-avoid", false, "run figure experiments with pool-wide flush avoidance enabled")
 		recMode    = flag.Bool("recovery", false, "measure post-crash recovery latency instead of a figure")
 		recSizes   = flag.String("recovery-sizes", "4096,32768", "comma-separated structure sizes for -recovery")
 		recWorkers = flag.String("recovery-workers", "1,2,4,8", "comma-separated engine worker counts for -recovery")
@@ -61,19 +58,8 @@ func main() {
 		ths = append(ths, n)
 	}
 
-	if *substrate || *allocOnly {
-		var rep bench.SubstrateReport
-		if *allocOnly {
-			rep = bench.AllocChurnReport(ths, *subOps)
-		} else {
-			rep = bench.SubstrateBatch(ths, *subOps, *batchOps)
-		}
-		if *checkFA {
-			if err := bench.CheckFlushAvoid(); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
+	if *substrate {
+		rep := bench.SubstrateBatch(ths, *subOps, *batchOps)
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -190,8 +176,7 @@ func main() {
 			"       benchrunner -workloads [-seed 1] [-workload-ops 12000] [-out BENCH_workloads.json]")
 		os.Exit(2)
 	}
-	opts := bench.Options{Threads: ths, Duration: *duration, Seed: *seed,
-		BatchOps: *batchOps, FlushAvoid: *flushAvoid}
+	opts := bench.Options{Threads: ths, Duration: *duration, Seed: *seed, BatchOps: *batchOps}
 
 	var reg *telemetry.Registry
 	if *teleOut != "" {

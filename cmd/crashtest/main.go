@@ -55,7 +55,6 @@ func main() {
 		recWorkers   = flag.Int("recovery-workers", 0, "sweep: parallel recovery-engine workers per task (0 = serial recovery)")
 		compare      = flag.String("compare", "", "sweep: baseline coverage report; exit nonzero on any verdict or metric drift")
 		batchOps     = flag.Int("batch-ops", 0, "sweep: ambient write-combining policy, ops per group-sync epoch (0 = unbatched; strict-mode batching must not change verdicts)")
-		flushAvoid   = flag.Bool("flush-avoid", false, "sweep: enable link-and-persist flush avoidance on every task pool (strict-mode flush avoidance must not change verdicts)")
 	)
 	flag.Parse()
 
@@ -67,7 +66,7 @@ func main() {
 	}
 	if *sweepMode {
 		os.Exit(runSweep(*structure, *seed, *ops, *maxHits, *depth, *workers,
-			*sweepThreads, *recWorkers, *batchOps, *flushAvoid, *budget, *report, *resume, *compare))
+			*sweepThreads, *recWorkers, *batchOps, *budget, *report, *resume, *compare))
 	}
 	os.Exit(runRandomized(*structure, *seed, *threads, *ops, *crashes, *rounds, *keyRange, *mean))
 }
@@ -151,7 +150,7 @@ func runRandomized(structure string, seed int64, threads, ops, crashes, rounds i
 
 // runSweep is the deterministic crash-site sweep mode.
 func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepThreads, recWorkers, batchOps int,
-	flushAvoid bool, budget time.Duration, report, resume, compare string) int {
+	budget time.Duration, report, resume, compare string) int {
 	names, err := structuresFor(structure, true)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -168,7 +167,6 @@ func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepT
 		Workers:         workers,
 		RecoveryWorkers: recWorkers,
 		BatchOps:        batchOps,
-		FlushAvoid:      flushAvoid,
 		Budget:          budget,
 		ProgressPath:    resume,
 		Log: func(format string, args ...any) {

@@ -4,14 +4,12 @@
 //   - repro-telemetry/1: a telemetry snapshot — well-formed JSON with no
 //     unknown fields, internally consistent per-site counters and latency
 //     histograms (ordered p50 ≤ p90 ≤ p99 ≤ p99.9), a monotone event
-//     trace, and consistent flush-avoidance gauges (pmem-pwbs-elided must
-//     be zero when pmem-flush-avoid is 0, and merged + elided can never
-//     exceed recorded).
+//     trace, and consistent write-back gauges (pmem-pwbs-merged can never
+//     exceed pmem-pwbs-recorded).
 //   - repro-workloads/1: a workload-scenario report — ordered quantiles per
 //     phase and class, class counts summing to the phase's operations, a
 //     calibrated arrival gap on every open-loop scenario, and
-//     pwbs_elided_per_op confined to scenarios that ran with flush
-//     avoidance on.
+//     non-negative per-phase pwb and psync counts.
 //
 // Files carrying any other schema tag (or none) are rejected, so format
 // drift fails CI instead of passing unexamined. The telemetry-smoke and

@@ -104,10 +104,6 @@ type Config struct {
 	// one group psync and duplicate line flushes merge across them. The
 	// opt-in batched-op mode; 0 keeps the per-instruction cost model.
 	BatchOps int
-	// FlushAvoid enables pool-wide flush avoidance (pmem.SetFlushAvoid):
-	// link-and-persist first-observer write-backs plus the per-thread
-	// flushed-line memo. ModeFast only; a no-op for strict runs.
-	FlushAvoid bool
 	// Telemetry, when non-nil, observes the run: the registry is attached
 	// to the pool as its persistence sink (after preloading, so it sees
 	// only the measured phase), every operation's latency is recorded into
@@ -262,9 +258,6 @@ func applySiteConfig(pool *pmem.Pool, cfg Config) {
 			MaxLines: 4 * cfg.BatchOps,
 		})
 	}
-	if cfg.FlushAvoid {
-		pool.SetFlushAvoid(true)
-	}
 	if cfg.DisableAllPWBs {
 		pool.SetAllSitesEnabled(false)
 		return
@@ -414,18 +407,11 @@ func Run(cfg Config) (Result, error) {
 
 	st := inst.pool.Snapshot().Sub(base)
 
-	// Publish the flush-avoidance accounting as gauges: telemetryvet
-	// enforces that elision counters only ever appear with the feature on
-	// (pmem-flush-avoid = 1).
+	// Publish the write-back accounting as gauges: telemetryvet enforces
+	// that merges never exceed the recorded write-backs.
 	if cfg.Telemetry != nil {
-		var faGauge uint64
-		if cfg.FlushAvoid {
-			faGauge = 1
-		}
-		cfg.Telemetry.SetGauge("pmem-flush-avoid", faGauge)
 		cfg.Telemetry.SetGauge("pmem-pwbs-recorded", st.PWBs)
 		cfg.Telemetry.SetGauge("pmem-pwbs-merged", st.PWBsMerged)
-		cfg.Telemetry.SetGauge("pmem-pwbs-elided", st.PWBsElided)
 	}
 
 	ops := total.Load()

@@ -245,35 +245,3 @@ func TestKeyRangeSweepRuns(t *testing.T) {
 		t.Fatalf("key-range sweep produced %d series, want 6", len(series))
 	}
 }
-
-// TestCheckFlushAvoidGate pins the gate's two rules on fixed counts — at
-// most the committed count, and a cut of at least faMinCutPct — and then
-// the committed counts themselves, which the unmodified tree must meet
-// exactly, run after run, at every goroutine count of the gate.
-func TestCheckFlushAvoidGate(t *testing.T) {
-	for _, c := range []struct {
-		name          string
-		committed, fa uint64
-		fast          uint64
-		ok            bool
-	}{
-		{"committed, cut exactly at the floor", 9280, 9280, 11600, true},
-		{"cut one pwb short of the floor", 9280, 9280, 11599, false},
-		{"one pwb above the committed count", 9280, 9281, 20000, false},
-	} {
-		if err := checkFlushAvoid(1, c.committed, c.fast, c.fa); (err == nil) != c.ok {
-			t.Errorf("%s: checkFlushAvoid = %v, want ok=%v", c.name, err, c.ok)
-		}
-	}
-	for _, c := range faGatePWBs {
-		for run := 0; run < 2; run++ {
-			fast, fa := gatePWBs(c.goroutines, false), gatePWBs(c.goroutines, true)
-			if fa != c.pwbs {
-				t.Errorf("g=%d run %d: flush-avoided gate run executed %d pwbs, committed %d", c.goroutines, run, fa, c.pwbs)
-			}
-			if err := checkFlushAvoid(c.goroutines, c.pwbs, fast, fa); err != nil {
-				t.Errorf("run %d: %v", run, err)
-			}
-		}
-	}
-}

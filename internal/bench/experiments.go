@@ -64,9 +64,6 @@ type Options struct {
 	// BatchOps, when positive, runs every measured data point under the
 	// ambient write-combining policy (see Config.BatchOps).
 	BatchOps int
-	// FlushAvoid runs every measured data point with pool-wide flush
-	// avoidance enabled (see Config.FlushAvoid).
-	FlushAvoid bool
 	// Telemetry, when non-nil, observes every measured data point of the
 	// experiment (see Config.Telemetry). Calibration runs — the
 	// categorization sweeps behind Figures 3e-6 — stay unobserved so the
@@ -101,7 +98,6 @@ func throughputSweep(name string, tmpl Config, o Options) (Series, error) {
 		cfg.Duration = o.Duration
 		cfg.Seed = o.Seed
 		cfg.BatchOps = o.BatchOps
-		cfg.FlushAvoid = o.FlushAvoid
 		cfg.Telemetry = o.Telemetry
 		res, err := Run(cfg)
 		if err != nil {
@@ -122,7 +118,6 @@ func counterSweep(name string, tmpl Config, o Options, pick func(Result) float64
 		cfg.Duration = o.Duration
 		cfg.Seed = o.Seed
 		cfg.BatchOps = o.BatchOps
-		cfg.FlushAvoid = o.FlushAvoid
 		cfg.Telemetry = o.Telemetry
 		res, err := Run(cfg)
 		if err != nil {

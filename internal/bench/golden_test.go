@@ -1,6 +1,12 @@
 package bench
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/chaos"
+	"repro/internal/rhash"
+)
 
 // paperGoldenOps is the golden runs' operation count: enough for every
 // operation kind to recur hundreds of times, small enough for tier-1.
@@ -60,6 +66,64 @@ func TestPaperFigureGolden(t *testing.T) {
 		tr, opt := got[string(AlgoTracking)+"/"+mix], got[string(AlgoCapsulesOpt)+"/"+mix]
 		if tr[0] <= opt[0] || tr[1] <= opt[1] {
 			t.Errorf("%s mix: Tracking %v not above Capsules-Opt %v on both counts (pwbs, psync+pfence)", mix, tr, opt)
+		}
+	}
+}
+
+// hashMixCountOps is the op count of each lockstep hash-mix run, split
+// evenly over the goroutines.
+const hashMixCountOps = 3_000
+
+// hashMixThread drives one tracking-hash handle through a lockstep
+// schedule. The mix never invokes a checkpoint and the run never crashes,
+// so Recover is unreachable.
+type hashMixThread struct{ h *rhash.Handle }
+
+func (hashMixThread) Invoke()                    {}
+func (m hashMixThread) Run(op chaos.Op) uint64   { runHashMixOp(m.h, op); return 0 }
+func (hashMixThread) Recover(op chaos.Op) uint64 { panic("bench: lockstep hash-mix run crashed") }
+
+// hashMixPWBs runs hashMixCountOps update-mix operations over g goroutines
+// in lockstep (chaos.Schedule.Lockstep: one thread at a time, passing the
+// turn at each persistence instruction) and returns the pwbs executed.
+// The interleaving is fixed, so the count is exact on every host.
+func hashMixPWBs(t *testing.T, g int) uint64 {
+	t.Helper()
+	p, m := newHashMix(g)
+	streams := make(map[int]func() chaos.Op, g)
+	s := chaos.NewSchedule(g, hashMixCountOps/g, 0, func(_ *rand.Rand, tid, _ int) chaos.Op {
+		if streams[tid] == nil {
+			streams[tid] = hashMixOps(tid - 1)
+		}
+		return streams[tid]()
+	})
+	s.Lockstep(p, nil)
+	base := p.Snapshot()
+	err := s.Resume(func(tid int) (chaos.Thread, error) {
+		return hashMixThread{m.Handle(p.NewThread(tid))}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := p.Snapshot().Sub(base)
+	return st.PWBs - st.PWBsMerged
+}
+
+// TestHashMixPWBGolden pins the pwbs the contended tracking-hash update
+// mix executes in lockstep at g = 1, 2, 4, 8 and 16 goroutines. Helping,
+// backtracking and re-persisting another helper's tag all show up in
+// these counts, so any change to what the default path flushes under
+// contention moves them. Each count is taken twice: the lockstep run
+// must repeat exactly.
+func TestHashMixPWBGolden(t *testing.T) {
+	for _, c := range []struct {
+		goroutines int
+		pwbs       uint64
+	}{{1, 11_600}, {2, 13_161}, {4, 14_862}, {8, 18_107}, {16, 21_140}} {
+		for run := 0; run < 2; run++ {
+			if got := hashMixPWBs(t, c.goroutines); got != c.pwbs {
+				t.Errorf("g=%d run %d: executed %d pwbs, golden %d", c.goroutines, run, got, c.pwbs)
+			}
 		}
 	}
 }

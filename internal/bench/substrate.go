@@ -23,7 +23,6 @@ package bench
 //     quantified in both instructions and nanoseconds.
 
 import (
-	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -42,19 +41,14 @@ import (
 // concurrency level.
 type SubstratePoint struct {
 	Op         string  `json:"op"`
-	Mode       string  `json:"mode"` // "fast", "strict", "batched", or "flushavoid"
+	Mode       string  `json:"mode"` // "fast", "strict" or "batched"
 	Goroutines int     `json:"goroutines"`
 	NsPerOp    float64 `json:"ns_per_op"`
 	// PWBsPerOp and PSyncsPerOp are the *executed* persistence charges per
-	// operation (recorded pwbs minus write-combining merges and minus
-	// flush-avoidance elisions; syncs that actually ran). Omitted when the
-	// operation issues none.
+	// operation (recorded pwbs minus write-combining merges; syncs that
+	// actually ran). Omitted when the operation issues none.
 	PWBsPerOp   float64 `json:"pwbs_per_op,omitempty"`
 	PSyncsPerOp float64 `json:"psyncs_per_op,omitempty"`
-	// PWBsElidedPerOp counts the recorded write-backs flush avoidance
-	// skipped per operation (dirty-tag first-observer dedup plus memo
-	// hits). Nonzero only for mode:"flushavoid" points.
-	PWBsElidedPerOp float64 `json:"pwbs_elided_per_op,omitempty"`
 }
 
 // SubstrateReport is the full substrate measurement, as serialized into
@@ -177,8 +171,7 @@ func SubstrateBatch(goroutines []int, opsPerPoint, batchOps int) SubstrateReport
 		}
 	}
 	rep.Points = append(rep.Points, commitPathPoints(opsPerPoint, batchOps)...)
-	rep.Points = append(rep.Points, flushAvoidPoints(goroutines, opsPerPoint)...)
-	rep.Points = append(rep.Points, allocChurnPoints(goroutines, opsPerPoint)...)
+	rep.Points = append(rep.Points, hashMixPoints(goroutines, opsPerPoint)...)
 	return rep
 }
 
@@ -239,13 +232,12 @@ func runSubstrateOp(op substrateOp, g, total, batchOps int) SubstratePoint {
 }
 
 // statPoint folds a stats delta into a SubstratePoint, reporting executed
-// (post-merge, post-elision) persistence charges per operation.
+// (post-merge) persistence charges per operation.
 func statPoint(name, mode string, g int, ns float64, st pmem.Stats, total int) SubstratePoint {
 	return SubstratePoint{
 		Op: name, Mode: mode, Goroutines: g, NsPerOp: ns,
-		PWBsPerOp:       float64(st.PWBs-st.PWBsMerged-st.PWBsElided) / float64(total),
-		PSyncsPerOp:     float64(st.PSyncs) / float64(total),
-		PWBsElidedPerOp: float64(st.PWBsElided) / float64(total),
+		PWBsPerOp:   float64(st.PWBs-st.PWBsMerged) / float64(total),
+		PSyncsPerOp: float64(st.PSyncs) / float64(total),
 	}
 }
 
@@ -313,37 +305,31 @@ func measureCommitPath(name string, total, batchOps int,
 	return statPoint(name, mode, 1, ns, p.Snapshot().Sub(base), total)
 }
 
-// Flush-avoidance points: the contended tracking-hash update mix the
-// tentpole targets, measured with the feature off ("fast") and on
-// ("flushavoid") across the goroutine sweep. The mix is the paper's
-// update-intensive split (30% find, the rest even insert/delete) over a
-// small key range on a narrow map, so threads collide on buckets and the
-// tracking engine's helper, backtrack and repeated same-line persists —
-// exactly the flushes link-and-persist tagging and the per-thread memo
-// elide — dominate. BENCH_pmem.json pins the win as executed pwbs per
-// operation: mode:"flushavoid" must sit well below mode:"fast" at equal
-// goroutine counts (CheckFlushAvoid is the gate).
+// Tracking-hash points: the contended tracking-hash update mix across the
+// goroutine sweep. The mix is the paper's update-intensive split (30%
+// find, the rest even insert/delete) over a small key range on a narrow
+// map, so threads collide on buckets and the tracking engine's helper,
+// backtrack and repeated same-line persists dominate. The same mix, run
+// in lockstep, pins exact contended pwb counts (TestHashMixPWBGolden).
 const (
-	faHashBuckets  = 8
-	faHashKeyRange = 64
-	faHashFindPct  = 30
+	hashMixBuckets  = 8
+	hashMixKeyRange = 64
+	hashMixFindPct  = 30
 )
 
-func flushAvoidPoints(goroutines []int, opsPerPoint int) []SubstratePoint {
+func hashMixPoints(goroutines []int, opsPerPoint int) []SubstratePoint {
 	n := commitPathOps(opsPerPoint)
-	var pts []SubstratePoint
-	for _, fa := range []bool{false, true} {
-		for _, g := range goroutines {
-			pts = append(pts, runTrackingHashPoint(g, n, fa))
-		}
+	pts := make([]SubstratePoint, 0, len(goroutines))
+	for _, g := range goroutines {
+		pts = append(pts, runHashMixPoint(g, n))
 	}
 	return pts
 }
 
-// runTrackingHashPoint times total update-mix operations over a tracking
-// hash map at g goroutines, with or without flush avoidance.
-func runTrackingHashPoint(g, total int, flushAvoid bool) SubstratePoint {
-	p, m := newTrackingHash(g, flushAvoid)
+// runHashMixPoint times total update-mix operations over a tracking hash
+// map at g goroutines.
+func runHashMixPoint(g, total int) SubstratePoint {
+	p, m := newHashMix(g)
 	per := total / g
 	base := p.Snapshot()
 	var wg sync.WaitGroup
@@ -353,45 +339,38 @@ func runTrackingHashPoint(g, total int, flushAvoid bool) SubstratePoint {
 		go func(t int) {
 			defer wg.Done()
 			h := m.Handle(p.NewThread(t + 1))
-			next := faHashOps(t)
+			next := hashMixOps(t)
 			n := per
 			if t == 0 {
 				n += total - per*g
 			}
 			for i := 0; i < n; i++ {
-				runFAHashOp(h, next())
+				runHashMixOp(h, next())
 				runtime.Gosched()
 			}
 		}(t)
 	}
 	wg.Wait()
 	ns := float64(time.Since(start).Nanoseconds()) / float64(total)
-	mode := "fast"
-	if flushAvoid {
-		mode = "flushavoid"
-	}
-	return statPoint("tracking-hash-update", mode, g, ns, p.Snapshot().Sub(base), total)
+	return statPoint("tracking-hash-update", "fast", g, ns, p.Snapshot().Sub(base), total)
 }
 
-// newTrackingHash builds the narrow tracking hash map of the update mix
-// for g worker threads (ids 1..g).
-func newTrackingHash(g int, flushAvoid bool) (*pmem.Pool, *rhash.Map) {
+// newHashMix builds the narrow tracking hash map of the update mix for g
+// worker threads (ids 1..g).
+func newHashMix(g int) (*pmem.Pool, *rhash.Map) {
 	p := pmem.New(pmem.Config{Mode: pmem.ModeFast, CapacityWords: 1 << 21, MaxThreads: g + 1})
-	if flushAvoid {
-		p.SetFlushAvoid(true)
-	}
-	return p, rhash.New(p, faHashBuckets, g+1, 0)
+	return p, rhash.New(p, hashMixBuckets, g+1, 0)
 }
 
-// faHashOps returns worker t's (0-based) stream of update-mix operations.
+// hashMixOps returns worker t's (0-based) stream of update-mix operations.
 // The stream depends only on t, so every measurement of the mix, timed or
 // counted, issues the same operations.
-func faHashOps(t int) func() chaos.Op {
+func hashMixOps(t int) func() chaos.Op {
 	rng := rand.New(rand.NewSource(int64(0x9e37*t + 1)))
 	return func() chaos.Op {
-		key := rng.Int63n(faHashKeyRange) + 1
+		key := rng.Int63n(hashMixKeyRange) + 1
 		switch {
-		case rng.Intn(100) < faHashFindPct:
+		case rng.Intn(100) < hashMixFindPct:
 			return chaos.Op{Kind: chaos.KindFind, Key: key}
 		case rng.Intn(2) == 0:
 			return chaos.Op{Kind: chaos.KindInsert, Key: key}
@@ -401,7 +380,7 @@ func faHashOps(t int) func() chaos.Op {
 	}
 }
 
-func runFAHashOp(h *rhash.Handle, op chaos.Op) {
+func runHashMixOp(h *rhash.Handle, op chaos.Op) {
 	switch op.Kind {
 	case chaos.KindFind:
 		h.Find(op.Key)
@@ -410,97 +389,6 @@ func runFAHashOp(h *rhash.Handle, op chaos.Op) {
 	default:
 		h.Delete(op.Key)
 	}
-}
-
-// The flush-avoidance gate measures the update mix at every goroutine
-// count in faGatePWBs, with and without flush avoidance, counting the pwbs
-// executed rather than timing them. The threads run in lockstep
-// (chaos.Schedule.Lockstep): one at a time, passing the turn at each
-// persistence instruction, so every count is exact on every host and the
-// gate needs no noise margin. At each goroutine count the flush-avoided
-// run must execute at most the committed count — any increase is a
-// regression — and at least faMinCutPct percent fewer pwbs than the run
-// without flush avoidance. The timed mode:"flushavoid" points of the
-// substrate report are the artifact, not the gate: free-running
-// interleavings move their cut by several points from run to run
-// (EXPERIMENTS.md, "Flush avoidance").
-const (
-	// faGateOps is the op count of each gate measurement, split evenly
-	// over the goroutines: the tracking-hash point of a -substrate-ops
-	// 300000 run, the scale make bench-flushavoid runs at.
-	faGateOps = 3_000
-	// faMinCutPct is the least executed-pwbs cut, in percent, flush
-	// avoidance must show at every goroutine count of the gate.
-	faMinCutPct = 20
-)
-
-// faGatePWBs lists the goroutine counts the gate measures, each with the
-// committed number of pwbs its flush-avoided run executes.
-var faGatePWBs = []struct {
-	goroutines int
-	pwbs       uint64
-}{{1, 9_280}, {2, 10_327}, {4, 11_183}, {8, 12_724}, {16, 13_868}}
-
-// gateThread drives one tracking-hash handle through a lockstep gate
-// schedule. The mix never invokes a checkpoint (as in the timed points)
-// and the gate never crashes, so Recover is unreachable.
-type gateThread struct{ h *rhash.Handle }
-
-func (gateThread) Invoke()                    {}
-func (g gateThread) Run(op chaos.Op) uint64   { runFAHashOp(g.h, op); return 0 }
-func (gateThread) Recover(op chaos.Op) uint64 { panic("bench: flush-avoidance gate run crashed") }
-
-// gatePWBs runs faGateOps update-mix operations over g lockstep
-// goroutines and returns the number of pwbs executed.
-func gatePWBs(g int, flushAvoid bool) uint64 {
-	p, m := newTrackingHash(g, flushAvoid)
-	streams := make(map[int]func() chaos.Op, g)
-	s := chaos.NewSchedule(g, faGateOps/g, 0, func(_ *rand.Rand, tid, _ int) chaos.Op {
-		if streams[tid] == nil {
-			streams[tid] = faHashOps(tid - 1)
-		}
-		return streams[tid]()
-	})
-	s.Lockstep(p, nil)
-	base := p.Snapshot()
-	err := s.Resume(func(tid int) (chaos.Thread, error) {
-		return gateThread{m.Handle(p.NewThread(tid))}, nil
-	})
-	if err != nil {
-		panic(err)
-	}
-	st := p.Snapshot().Sub(base)
-	return st.PWBs - st.PWBsMerged - st.PWBsElided
-}
-
-// CheckFlushAvoid runs the flush-avoidance gate. It returns an error
-// naming the first goroutine count whose flush-avoided run executes more
-// pwbs than committed or cuts less than faMinCutPct percent of the run
-// without flush avoidance.
-func CheckFlushAvoid() error {
-	for _, c := range faGatePWBs {
-		g := c.goroutines
-		if err := checkFlushAvoid(g, c.pwbs, gatePWBs(g, false), gatePWBs(g, true)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// checkFlushAvoid applies the gate's two rules to the pwbs executed at g
-// goroutines without (fast) and with (fa) flush avoidance.
-func checkFlushAvoid(g int, committed, fast, fa uint64) error {
-	if fa > committed {
-		return fmt.Errorf(
-			"flush avoidance gate: tracking-hash-update g=%d executed %d pwbs, committed %d",
-			g, fa, committed)
-	}
-	if 100*fa > (100-faMinCutPct)*fast {
-		return fmt.Errorf(
-			"flush avoidance gate: tracking-hash-update g=%d executed %d pwbs vs %d without flush avoidance (%.1f%% cut, need >= %d%%)",
-			g, fa, fast, 100*(1-float64(fa)/float64(fast)), faMinCutPct)
-	}
-	return nil
 }
 
 // commitKeys keeps the commit-path structures small and the op mix an

@@ -285,18 +285,13 @@ type Scenario struct {
 	TargetUtilPct int
 	// ArrivalGapNs, when positive, fixes the open-loop mean inter-arrival
 	// gap instead of calibrating it from TargetUtilPct. A/B scenario pairs
-	// (e.g. flush avoidance off/on) use the same fixed gap so both sides
-	// face identical offered load — otherwise per-scenario calibration
-	// re-normalizes a service-time win into equal utilization and hides it
-	// from the tail.
+	// use the same fixed gap so both sides face identical offered load —
+	// otherwise per-scenario calibration re-normalizes a service-time win
+	// into equal utilization and hides it from the tail.
 	ArrivalGapNs int64
 	// Phases is the schedule, run in order over one pacer, so backlog
 	// carries across phase boundaries.
 	Phases []WorkloadPhase
-	// FlushAvoid enables pool-wide flush avoidance for the scenario
-	// (pmem.SetFlushAvoid): first-observer write-backs plus the per-thread
-	// flushed-line memo.
-	FlushAvoid bool
 }
 
 // WorkloadOptions configures a Workloads run.
@@ -343,9 +338,6 @@ type ScenarioReport struct {
 	Name string `json:"name"`
 	// Loop is "open" or "closed".
 	Loop string `json:"loop"`
-	// FlushAvoid reports whether the scenario ran with pool-wide flush
-	// avoidance on; phases may carry nonzero pwbs_elided_per_op only then.
-	FlushAvoid bool `json:"flush_avoid,omitempty"`
 	// Tenants echoes the tenant mix.
 	Tenants []TenantReport `json:"tenants"`
 	// TargetUtilPct is the calibrated open-loop utilization target
@@ -441,10 +433,6 @@ type PhaseReport struct {
 	MaxNs int64 `json:"max_ns"`
 	// PWBsPerOp is recorded write-backs per operation over the phase.
 	PWBsPerOp float64 `json:"pwbs_per_op"`
-	// PWBsElidedPerOp is the recorded write-backs flush avoidance skipped
-	// per operation (first-observer dedup plus flushed-line memo hits);
-	// nonzero only when the scenario ran with FlushAvoid.
-	PWBsElidedPerOp float64 `json:"pwbs_elided_per_op,omitempty"`
 	// PSyncsPerOp is executed psyncs per operation over the phase.
 	PSyncsPerOp float64 `json:"psyncs_per_op"`
 	// Classes breaks the latency distribution down by operation class.
@@ -532,9 +520,6 @@ func buildScenario(sc Scenario, threads int, seed int64) (*scenarioRun, error) {
 		CapacityWords: workloadPoolWords,
 		MaxThreads:    maxThreads,
 	})
-	if sc.FlushAvoid {
-		pool.SetFlushAvoid(true)
-	}
 	run := &scenarioRun{inst: &instance{pool: pool}, sc: sc}
 	factories := make([]func(int) opRunner, len(sc.Tenants))
 	for ti, t := range sc.Tenants {
@@ -640,7 +625,7 @@ func runScenario(sc Scenario, idx int, opts WorkloadOptions) (ScenarioReport, er
 	if err != nil {
 		return ScenarioReport{}, err
 	}
-	rep := ScenarioReport{Name: sc.Name, Loop: "closed", FlushAvoid: sc.FlushAvoid}
+	rep := ScenarioReport{Name: sc.Name, Loop: "closed"}
 	if sc.OpenLoop {
 		rep.Loop = "open"
 	}
@@ -761,10 +746,9 @@ func runScenario(sc Scenario, idx int, opts WorkloadOptions) (ScenarioReport, er
 			MeanNs:    all.MeanNs,
 			P50Ns:     all.P50Ns, P90Ns: all.P90Ns,
 			P99Ns: all.P99Ns, P99_9Ns: all.P99_9Ns,
-			MaxNs:           maxLat,
-			PWBsPerOp:       float64(delta.PWBs) / float64(ops),
-			PWBsElidedPerOp: float64(delta.PWBsElided) / float64(ops),
-			PSyncsPerOp:     float64(delta.PSyncs) / float64(ops),
+			MaxNs:       maxLat,
+			PWBsPerOp:   float64(delta.PWBs) / float64(ops),
+			PSyncsPerOp: float64(delta.PSyncs) / float64(ops),
 		}
 		if pr.Name == "" {
 			pr.Name = fmt.Sprintf("phase%d", pi+1)
@@ -833,8 +817,8 @@ func (r *WorkloadReport) MarshalIndentJSON() ([]byte, error) {
 // two mixes over the Tracking hash map, each uniform/zipfian point both
 // closed- and open-loop; a stall pair demonstrating coordinated omission; a
 // read→write→burst phase schedule; a multi-tenant list+hash mix; the
-// sharded kvstore at 16, 32 and 64 shards; and a read-heavy kvstore pair
-// with flush avoidance off and on.
+// sharded kvstore at 16, 32 and 64 shards; and a read-heavy kvstore point
+// at a fixed arrival gap.
 func DefaultWorkloadScenarios() []Scenario {
 	hash := Tenant{Algo: AlgoTrackingMap, KeyRange: 4096, Preload: 2048}
 	list := Tenant{Algo: AlgoTracking, KeyRange: 512, Preload: 256}
@@ -916,30 +900,19 @@ func DefaultWorkloadScenarios() []Scenario {
 			Phases:   []WorkloadPhase{{Name: "steady", Dist: zipf, FindPct: 50}},
 		})
 	}
-	// The flush-avoidance pair: the same read-heavy zipfian kvstore
-	// open-loop point with the substrate's flush avoidance off and on. Hot
-	// slots are written once and read many times, so first-observer
-	// persistence plus the flushed-line memo removes most Get-path and
-	// recovery-line write-backs; the pair pins the resulting p99 win in
-	// BENCH_workloads.json. Both sides run under the same fixed arrival
-	// gap (the baseline's ~75%-utilization calibration) so the comparison
-	// is equal offered load against a faster server, not equal utilization.
-	kvReadHeavy := func(name string, fa bool) Scenario {
-		return Scenario{
-			Name: name,
-			Tenants: []Tenant{
-				{Algo: AlgoKVStore, KeyRange: 4096, Preload: 2048, Shards: 32},
-			},
-			OpenLoop:     true,
-			ArrivalGapNs: 181,
-			FlushAvoid:   fa,
-			Phases:       []WorkloadPhase{{Name: "steady", Dist: zipf, FindPct: 90}},
-		}
-	}
-	out = append(out,
-		kvReadHeavy("kvstore-32shard-read-open", false),
-		kvReadHeavy("kvstore-32shard-read-open-flushavoid", true),
-	)
+	// The read-heavy zipfian kvstore open-loop point: hot slots are
+	// written once and read many times. It runs under a fixed arrival gap
+	// (a ~75%-utilization calibration), so a service-time change shows in
+	// its tail instead of being re-normalized away.
+	out = append(out, Scenario{
+		Name: "kvstore-32shard-read-open",
+		Tenants: []Tenant{
+			{Algo: AlgoKVStore, KeyRange: 4096, Preload: 2048, Shards: 32},
+		},
+		OpenLoop:     true,
+		ArrivalGapNs: 181,
+		Phases:       []WorkloadPhase{{Name: "steady", Dist: zipf, FindPct: 90}},
+	})
 	return out
 }
 
@@ -1041,16 +1014,9 @@ func ValidateWorkloadsJSON(data []byte) error {
 				return fmt.Errorf("workloads: scenario %q phase %q tail not populated",
 					sc.Name, ph.Name)
 			}
-			// Elision counters exist only with flush avoidance on: a
-			// nonzero count in a feature-off scenario means the counters
-			// are corrupt or the scenario is mislabeled.
-			if ph.PWBsElidedPerOp != 0 && !sc.FlushAvoid {
-				return fmt.Errorf("workloads: scenario %q phase %q has pwbs_elided_per_op %.3f with flush avoidance off",
-					sc.Name, ph.Name, ph.PWBsElidedPerOp)
-			}
-			if ph.PWBsElidedPerOp < 0 || ph.PWBsElidedPerOp > ph.PWBsPerOp {
-				return fmt.Errorf("workloads: scenario %q phase %q pwbs_elided_per_op %.3f out of range [0, %.3f]",
-					sc.Name, ph.Name, ph.PWBsElidedPerOp, ph.PWBsPerOp)
+			if ph.PWBsPerOp < 0 || ph.PSyncsPerOp < 0 {
+				return fmt.Errorf("workloads: scenario %q phase %q has negative persistence counts (pwbs_per_op %.3f, psyncs_per_op %.3f)",
+					sc.Name, ph.Name, ph.PWBsPerOp, ph.PSyncsPerOp)
 			}
 			var classOps uint64
 			for _, c := range ph.Classes {

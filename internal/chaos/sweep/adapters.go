@@ -269,7 +269,7 @@ func init() {
 		}),
 		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
 			"rlist/pwb-info-backtrack": provokeListBacktrack,
-			"rlist/pwb-info-observed":  provokeListFirstObserver,
+			"rlist/pwb-info-observed":  provokeListObserved,
 		},
 	})
 
@@ -310,7 +310,7 @@ func init() {
 		}),
 		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
 			"rbst/pwb-info-backtrack": provokeBSTBacktrack,
-			"rbst/pwb-info-observed":  provokeBSTFirstObserver,
+			"rbst/pwb-info-observed":  provokeBSTObserved,
 		},
 	})
 
@@ -358,7 +358,7 @@ func init() {
 		}),
 		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
 			"rhash/pwb-info-backtrack": provokeHashBacktrack,
-			"rhash/pwb-info-observed":  provokeHashFirstObserver,
+			"rhash/pwb-info-observed":  provokeHashObserved,
 		},
 	})
 
@@ -398,7 +398,7 @@ func init() {
 			return nil
 		},
 		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
-			"rqueue/pwb-info-observed": provokeQueueFirstObserver,
+			"rqueue/pwb-info-observed": provokeQueueObserved,
 		},
 		Unreachable: map[string]string{
 			"rqueue/pwb-info-backtrack": "every rqueue operation's AffectSet has a single entry, so its tagging loop can never fail at index >= 1",
@@ -441,7 +441,7 @@ func init() {
 			return nil
 		},
 		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
-			"rstack/pwb-info-observed": provokeStackFirstObserver,
+			"rstack/pwb-info-observed": provokeStackObserved,
 		},
 		Unreachable: map[string]string{
 			"rstack/pwb-info-backtrack": "every rstack operation's AffectSet has a single entry, so its tagging loop can never fail at index >= 1",

@@ -196,8 +196,5 @@ func init() {
 			}
 			return kvValidate(pool, s, res)
 		},
-		Unreachable: map[string]string{
-			"kvstore/pwb-slot-observed": "recorded only when a probe's first-observer read flushes a dirty slot word, which requires ModeFast with flush avoidance on; the sweep's strict pools never set the dirty tag (TestKVFirstObserverRace covers the fast-mode race)",
-		},
 	})
 }

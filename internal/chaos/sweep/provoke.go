@@ -512,23 +512,22 @@ func provokeHashBacktrack(pool *pmem.Pool, p *Provoker) error {
 	return expectKeys(m.Keys(ctx), []int64{3, 6, 7, 8, 12})
 }
 
-// The first-observer sites ("<prefix>/pwb-info-observed") record the
-// link-and-persist fast path of tracking.Help: a helper whose tagging CAS
-// finds the descriptor's own tag already installed re-issues the info
-// word's persist instead of re-tagging (see tracking.Engine.ObservedSite).
-// A solo crash-free run never helps a foreign descriptor, so no profiled
-// single-threaded workload reaches the branch — the scenarios below stage
-// the two-thread race deterministically: thread 1 crashes between its
-// durable tagging CAS and everything after it (the dirty store lands, the
-// owner's flush never follows), then thread 2's operation observes the
-// frozen tag, helps, and executes the first-observer persist, where the
-// sweep's target crash is armed.
+// The observed sites ("<prefix>/pwb-info-observed") record the branch of
+// tracking.Help where a helper's tagging CAS finds the descriptor's own
+// tag already installed: the helper re-persists the info word another
+// helper tagged instead of re-tagging. A solo crash-free run never helps a
+// foreign descriptor, so no profiled single-threaded workload reaches the
+// branch — the scenarios below stage the two-thread race
+// deterministically: thread 1 crashes between its durable tagging CAS and
+// everything after it, then thread 2's operation observes the frozen tag,
+// helps, and executes the observed persist, where the sweep's target
+// crash is armed.
 
-// provokeListFirstObserver scripts the first-observer scenario on rlist.
+// provokeListObserved scripts the observed-tag scenario on rlist.
 // With keys {10, 20, 30}: thread 1's Delete(20) is crashed at its first
 // tagging persist, leaving node10 durably tagged; thread 2's Find(10)
 // observes the tag and helps, re-persisting node10's info word.
-func provokeListFirstObserver(pool *pmem.Pool, p *Provoker) error {
+func provokeListObserved(pool *pmem.Pool, p *Provoker) error {
 	l, err := rlist.Attach(pool, 0)
 	if err != nil {
 		return err
@@ -574,12 +573,12 @@ func provokeListFirstObserver(pool *pmem.Pool, p *Provoker) error {
 	return expectKeys(l.Keys(ctx), []int64{10, 30})
 }
 
-// provokeBSTFirstObserver scripts the first-observer scenario on rbst.
+// provokeBSTObserved scripts the observed-tag scenario on rbst.
 // With keys {10, 20} (root -> I1(Inf1) -> I2(20) -> {leaf10, leaf20}):
 // thread 1's Delete(10) is crashed at its first tagging persist, leaving
 // gp = I1 durably tagged; thread 2's Delete(20) reaches leaf20 with the
 // same grandparent, observes the tag and helps, re-persisting I1's info.
-func provokeBSTFirstObserver(pool *pmem.Pool, p *Provoker) error {
+func provokeBSTObserved(pool *pmem.Pool, p *Provoker) error {
 	tr, err := rbst.Attach(pool, 0)
 	if err != nil {
 		return err
@@ -625,10 +624,10 @@ func provokeBSTFirstObserver(pool *pmem.Pool, p *Provoker) error {
 	return expectKeys(tr.Keys(ctx), nil)
 }
 
-// provokeHashFirstObserver scripts the first-observer scenario on rhash:
+// provokeHashObserved scripts the observed-tag scenario on rhash:
 // the rlist dance inside bucket 0 of the adapter's 4-bucket map, with keys
 // {3, 5, 8}: Delete(5) tags node3 and crashes; Find(3) observes and helps.
-func provokeHashFirstObserver(pool *pmem.Pool, p *Provoker) error {
+func provokeHashObserved(pool *pmem.Pool, p *Provoker) error {
 	m, err := rhash.Attach(pool, 0)
 	if err != nil {
 		return err
@@ -674,11 +673,11 @@ func provokeHashFirstObserver(pool *pmem.Pool, p *Provoker) error {
 	return expectKeys(m.Keys(ctx), []int64{3, 8})
 }
 
-// provokeQueueFirstObserver scripts the first-observer scenario on rqueue:
+// provokeQueueObserved scripts the observed-tag scenario on rqueue:
 // thread 1's Enqueue(100) is crashed at its tagging persist, leaving the
 // sentinel durably tagged; thread 2's Enqueue(200) observes the tag at its
 // own last-node read and helps, re-persisting the sentinel's info word.
-func provokeQueueFirstObserver(pool *pmem.Pool, p *Provoker) error {
+func provokeQueueObserved(pool *pmem.Pool, p *Provoker) error {
 	if err := p.Stage("rqueue/pwb-info-tag", 1, func() error {
 		q, err := rqueue.Attach(pool, 0)
 		if err != nil {
@@ -715,11 +714,11 @@ func provokeQueueFirstObserver(pool *pmem.Pool, p *Provoker) error {
 	return nil
 }
 
-// provokeStackFirstObserver scripts the first-observer scenario on rstack:
+// provokeStackObserved scripts the observed-tag scenario on rstack:
 // thread 1's Push(100) is crashed at its tagging persist, leaving the
 // sentinel durably tagged; thread 2's Push(200) observes the tag at its
 // own top read and helps, re-persisting the sentinel's info word.
-func provokeStackFirstObserver(pool *pmem.Pool, p *Provoker) error {
+func provokeStackObserved(pool *pmem.Pool, p *Provoker) error {
 	if err := p.Stage("rstack/pwb-info-tag", 1, func() error {
 		s, err := rstack.Attach(pool, 0)
 		if err != nil {

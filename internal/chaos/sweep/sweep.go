@@ -92,15 +92,6 @@ type Config struct {
 	// identical to an unbatched sweep. crashtest -sweep -batch-ops
 	// -compare is the CI gate that holds this invariant.
 	BatchOps int
-	// FlushAvoid, when true, installs link-and-persist flush avoidance
-	// (pmem.Pool.SetFlushAvoid) on every task pool. The sweep runs in
-	// ModeStrict, where flush avoidance is inert by construction: dirty
-	// tags are never set, StoreDirty/CASDirty degrade to plain stores and
-	// CASes, and every pwb still executes and captures at its record
-	// point, so the crash-state space, verdicts, and deterministic task
-	// metrics must be identical to a sweep without it. crashtest -sweep
-	// -flush-avoid -compare is the CI gate that holds this invariant.
-	FlushAvoid bool
 	// RecoveryWorkers, when positive, routes each task's re-attach and
 	// final validation through a parallel recovery engine with that many
 	// workers (structures that define parallel hooks only). 0 keeps the
@@ -219,7 +210,6 @@ type Report struct {
 	MaxHits      int               `json:"max_hits"`
 	Depth        int               `json:"depth"`
 	BatchOps     int               `json:"batch_ops,omitempty"`
-	FlushAvoid   bool              `json:"flush_avoid,omitempty"`
 	Structures   []StructureReport `json:"structures"`
 	Tasks        int               `json:"tasks"`
 	TasksRun     int               `json:"tasks_run"`
@@ -333,9 +323,6 @@ func (cfg *Config) newTaskPool(a *Adapter, threads int) *pmem.Pool {
 	})
 	if cfg.BatchOps > 0 {
 		pool.SetBatchPolicy(pmem.BatchConfig{MaxOps: cfg.BatchOps, MaxLines: 4 * cfg.BatchOps})
-	}
-	if cfg.FlushAvoid {
-		pool.SetFlushAvoid(true)
 	}
 	a.Setup(pool, threads+2)
 	return pool
@@ -618,7 +605,7 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{
 		Seed: cfg.Seed, Threads: cfg.Threads,
 		OpsPerThread: cfg.OpsPerThread, MaxHits: cfg.MaxHits, Depth: cfg.Depth,
-		BatchOps: cfg.BatchOps, FlushAvoid: cfg.FlushAvoid,
+		BatchOps: cfg.BatchOps,
 	}
 
 	// Phase 1: profile every structure and plan the task matrix.

@@ -43,10 +43,7 @@
 // table and the index agree — a live slot exists exactly when its key is
 // an index member (CheckInvariants asserts it, and recovery restores it
 // before clients resume) — so the slot probe alone answers membership.
-// Get's probe reads slot words with plain loads and masks the
-// link-and-persist dirty tag rather than clearing it, so a read never
-// pays a publisher's slot write-back; only a read that overlaps a write
-// section can see a tag, and its view is discarded anyway.
+// Get's probe reads slot words with plain loads and persists nothing.
 // Get reads the sequence word, probes, reads the value word, and re-reads
 // the sequence word; it returns only if the word was even and did not
 // move, and otherwise loads pool memory (so a crash propagates, as in the

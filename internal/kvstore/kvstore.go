@@ -176,13 +176,6 @@ type Store struct {
 	siteVal  pmem.Site
 	siteSlot pmem.Site
 	siteTTL  pmem.Site
-	// siteSlotObs records first-observer flushes of slot words: slots are
-	// link-and-persist words (see internal/pmem/flushavoid.go), so a probe
-	// that reads one still dirty-marked persists it on behalf of the
-	// publisher (Get's lookup masks the tag instead, see lookup). Recorded
-	// only in fast mode with flush avoidance on — the
-	// writer's own PWBFirst almost always wins the first-observer race.
-	siteSlotObs pmem.Site
 
 	tallies   []tally // indexed by thread id
 	evictions atomic.Uint64
@@ -194,7 +187,6 @@ func (s *Store) registerSites() {
 	s.siteVal = s.pool.RegisterSite(sitePrefix + "/pwb-val")
 	s.siteSlot = s.pool.RegisterSite(sitePrefix + "/pwb-slot")
 	s.siteTTL = s.pool.RegisterSite(sitePrefix + "/pwb-ttl")
-	s.siteSlotObs = s.pool.RegisterSite(sitePrefix + "/pwb-slot-observed")
 }
 
 // New builds a store in pool and commits it through cfg.RootSlot. Every
@@ -376,10 +368,7 @@ func (h *Handle) probe(sh *shard, key int64) (pos int, block pmem.Addr, free int
 	free = -1
 	for i := 0; i < s.slotCap; i++ {
 		j := (base + i) & (s.slotCap - 1)
-		// Slots are link-and-persist words: the masked read is required
-		// (a dirty-marked empty slot must still switch as slotEmpty), and
-		// catching one dirty makes this probe its first observer.
-		v := h.ctx.LoadAndPersist(s.siteSlotObs, s.slotAddr(sh, j))
+		v := h.ctx.Load(s.slotAddr(sh, j))
 		switch v {
 		case slotEmpty:
 			if free < 0 {
@@ -401,16 +390,15 @@ func (h *Handle) probe(sh *shard, key int64) (pos int, block pmem.Addr, free int
 }
 
 // lookup is Get's probe: it returns the block of key's live entry (Null
-// if absent). It reads slots with plain loads and masks the dirty tag
-// rather than clearing it, so a read writes no slot line and never pays
-// a publisher's first-observer write-back. A view torn by an overlapping
-// write section is discarded by Get's sequence check.
+// if absent). It reads slots with plain loads, so a read writes no slot
+// line. A view torn by an overlapping write section is discarded by Get's
+// sequence check.
 func (h *Handle) lookup(sh *shard, key int64) pmem.Addr {
 	s := h.s
 	base := s.probeBase(key)
 	for i := 0; i < s.slotCap; i++ {
 		j := (base + i) & (s.slotCap - 1)
-		switch v := h.ctx.Load(s.slotAddr(sh, j)) &^ pmem.DirtyBit; v {
+		switch v := h.ctx.Load(s.slotAddr(sh, j)); v {
 		case slotEmpty:
 			return pmem.Null
 		case slotTombstone:
@@ -441,21 +429,19 @@ func (h *Handle) newBlock(si int, key int64, ttl, val uint64) (pmem.Addr, error)
 	return b, nil
 }
 
-// publish commits block into slot j with one persisted store. The slot is
-// written through the link-and-persist discipline: under flush avoidance a
-// concurrent probe that reads it before the PWBFirst persists it instead.
+// publish commits block into slot j with one persisted store.
 func (h *Handle) publish(sh *shard, j int, block pmem.Addr) {
 	w := h.s.slotAddr(sh, j)
-	h.ctx.StoreDirty(w, uint64(block))
-	h.ctx.PWBFirst(h.s.siteSlot, w)
+	h.ctx.Store(w, uint64(block))
+	h.ctx.PWB(h.s.siteSlot, w)
 	h.ctx.PSync()
 }
 
 // tombstone durably retires slot j.
 func (h *Handle) tombstone(sh *shard, j int) {
 	w := h.s.slotAddr(sh, j)
-	h.ctx.StoreDirty(w, slotTombstone)
-	h.ctx.PWBFirst(h.s.siteSlot, w)
+	h.ctx.Store(w, slotTombstone)
+	h.ctx.PWB(h.s.siteSlot, w)
 	h.ctx.PSync()
 }
 
@@ -609,7 +595,7 @@ func (h *Handle) EvictExpired(now uint64) (int, error) {
 		sh := s.shards[si]
 		s.lock(h.ctx, sh)
 		for j := 0; j < s.slotCap; j++ {
-			v := h.ctx.LoadAndPersist(s.siteSlotObs, s.slotAddr(sh, j))
+			v := h.ctx.Load(s.slotAddr(sh, j))
 			if v == slotEmpty || v == slotTombstone {
 				continue
 			}
@@ -682,7 +668,7 @@ func (s *Store) ShardLiveSlots(ctx *pmem.ThreadCtx, si int) int {
 	sh := s.shards[si]
 	live := 0
 	for j := 0; j < s.slotCap; j++ {
-		if v := ctx.LoadAndPersist(s.siteSlotObs, s.slotAddr(sh, j)); v != slotEmpty && v != slotTombstone {
+		if v := ctx.Load(s.slotAddr(sh, j)); v != slotEmpty && v != slotTombstone {
 			live++
 		}
 	}
@@ -710,7 +696,7 @@ func (s *Store) CheckInvariants(ctx *pmem.ThreadCtx, quiescent bool) error {
 		seen := make(map[int64]bool)
 		live := 0
 		for j := 0; j < s.slotCap; j++ {
-			v := ctx.LoadAndPersist(s.siteSlotObs, s.slotAddr(sh, j))
+			v := ctx.Load(s.slotAddr(sh, j))
 			if v == slotEmpty || v == slotTombstone {
 				continue
 			}

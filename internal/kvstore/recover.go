@@ -118,7 +118,7 @@ func (s *Store) recoverShard(ctx *pmem.ThreadCtx, si int) (reconciled int, err e
 	dirty := false
 	for j := 0; j < s.slotCap; j++ {
 		w := s.slotAddr(sh, j)
-		v := ctx.LoadAndPersist(s.siteSlotObs, w)
+		v := ctx.Load(w)
 		if v == slotEmpty || v == slotTombstone {
 			continue
 		}

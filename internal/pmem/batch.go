@@ -240,11 +240,6 @@ func (ctx *ThreadCtx) drainWC(sync bool) {
 		for _, l := range ctx.wcLines {
 			stall += ctx.chargePWB(l)
 		}
-		if ctx.faOn {
-			// A drain is a psync-like boundary for the flushed-line memo:
-			// the failure-free window the memo describes closes with it.
-			ctx.memoClear()
-		}
 	}
 	ctx.wcLines = ctx.wcLines[:0]
 	// An ambient epoch whose policy has been removed closes at its next

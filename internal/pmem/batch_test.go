@@ -41,6 +41,53 @@ func TestBatchMergesDuplicateCharges(t *testing.T) {
 	}
 }
 
+// TestCounterConservation pins the accounting Stats documents: every
+// recorded write-back is either executed or merged, never both —
+// executed + merged == recorded — over a seeded ModeFast stream of PWB,
+// PWBRange and PSync calls that opens and closes write-combining batches,
+// with no NoSite traffic inside the measured window.
+func TestCounterConservation(t *testing.T) {
+	p := newFast(t)
+	ctx := p.NewThread(0)
+	s := p.RegisterSite("op")
+	const words = 64
+	base := ctx.AllocWords(words)
+
+	snap := p.Snapshot()
+	rng := rand.New(rand.NewSource(7))
+	batched := false
+	for op := 0; op < 2000; op++ {
+		w := base + Addr(rng.Intn(words))*WordSize
+		switch rng.Intn(8) {
+		case 0, 1, 2:
+			ctx.PWB(s, w)
+		case 3, 4:
+			ctx.PSync()
+		case 5, 6:
+			ctx.PWBRange(s, base, 1+rng.Intn(8))
+		case 7:
+			if batched {
+				ctx.EndBatch()
+			} else {
+				ctx.BeginBatch(BatchConfig{MaxLines: 8, MaxOps: 4})
+			}
+			batched = !batched
+		}
+	}
+	if batched {
+		ctx.EndBatch()
+	}
+	ctx.PSync()
+	st := p.Snapshot().Sub(snap)
+	if st.PWBsMerged == 0 {
+		t.Fatal("the stream never merged a flush; the test lost its teeth")
+	}
+	if got := st.PWBsExecuted + st.PWBsMerged; got != st.PWBs || st.PWBsElided != 0 {
+		t.Fatalf("executed %d + merged %d = %d (elided %d), want recorded %d",
+			st.PWBsExecuted, st.PWBsMerged, got, st.PWBsElided, st.PWBs)
+	}
+}
+
 func TestBatchGroupPSync(t *testing.T) {
 	p := newFast(t)
 	ctx := p.NewThread(0)

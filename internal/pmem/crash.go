@@ -81,10 +81,6 @@ func (p *Pool) crashThread(ctx *ThreadCtx, pol CrashPolicy) {
 	ctx.wcOps = 0
 	ctx.batchDepth = 0
 	ctx.autoOpened = false
-	// The flushed-line memo describes a failure-free window; a crash ends
-	// it by definition (strict pools never populate it, but the reset keeps
-	// crashThread total).
-	ctx.memoClear()
 	if len(pending) == 0 {
 		return
 	}

@@ -56,13 +56,6 @@ type ThreadCtx struct {
 	autoBatch  BatchConfig
 	autoOpened bool // the open epoch came from the ambient policy
 
-	// Flush-avoidance state, owner-only (see flushavoid.go). faOn is the
-	// generation-cached "pool flush avoidance is on AND the pool is
-	// ModeFast" flag; memo is the direct-mapped recently-flushed-line
-	// cache (entry encoding: line index + 1, zero = empty).
-	faOn bool
-	memo [memoSlots]uint32
-
 	// Counters. The owner updates each with one uncontended atomic add
 	// (its line stays exclusive in the owner's cache); Stats snapshots
 	// read them while the run is in flight, hence the atomics. The pad
@@ -76,7 +69,6 @@ type ThreadCtx struct {
 	pwbsMerged   atomic.Uint64 // of those, duplicates merged (charges eliminated)
 	psyncsMerged atomic.Uint64 // psyncs absorbed into a group sync
 	batchDrains  atomic.Uint64 // write-combining drains executed
-	pwbsElided   atomic.Uint64 // flush-avoidance: charges skipped (clean word / memo hit)
 	pwbsExecuted atomic.Uint64 // ModeFast write-back charges that actually spun
 	_            [64]byte
 }
@@ -93,7 +85,6 @@ func (p *Pool) NewThread(tid int) *ThreadCtx {
 	ctx.pwbPerSite = make([]atomic.Uint64, len(p.sites))
 	ctx.sink = p.telemetry
 	ctx.autoBatch = p.batchPolicy
-	ctx.faOn = p.flushAvoid && p.mode == ModeFast
 	p.ctxs = append(p.ctxs, ctx)
 	p.mu.Unlock()
 	return ctx
@@ -260,11 +251,6 @@ func (ctx *ThreadCtx) StoreDurable(s Site, a Addr, v uint64) {
 	case ModeFast:
 		p.storeWord(wi, v)
 		stall = ctx.chargePWB(wi / LineWords)
-		if ctx.faOn {
-			// The word was stored and flushed as one action: the line is
-			// freshly written back, so memoize it like any executed charge.
-			ctx.memoInsert(wi / LineWords)
-		}
 	}
 	if ctx.siteOn(s) {
 		ctx.countPWB(s)
@@ -335,31 +321,8 @@ func (ctx *ThreadCtx) PWB(s Site, a Addr) {
 		uint(wi-1) >= uint(len(p.words)-1) {
 		wi = p.slowpathCheck(a)
 	}
-	if !ctx.siteOn(s) {
-		return
-	}
-	ctx.countPWB(s)
-	line := wi / LineWords
-	stall := 0
-	if p.mode == ModeStrict {
-		// Strict mode never defers: capture at the record point keeps the
-		// crash-state space identical with batching on or off (batch.go).
-		ctx.captureLine(line)
-		if ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen()) {
-			ctx.recordWCLine(line)
-		}
-	} else if ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen()) {
-		ctx.deferPWB(line)
-	} else if ctx.faOn {
-		stall = ctx.memoCharge(line)
-	} else {
-		stall = ctx.chargePWB(line)
-	}
-	if ctx.sink != nil {
-		ctx.telePWB(s, stall)
-	}
-	if p.ctlFast()&ctlSiteArm != 0 {
-		ctx.siteHit(s)
+	if ctx.siteOn(s) {
+		ctx.recordPWB(s, wi/LineWords)
 	}
 }
 
@@ -377,26 +340,37 @@ func (ctx *ThreadCtx) PWBRange(s Site, a Addr, words int) {
 	first := p.wordIndex(a) / LineWords
 	last := p.wordIndex(a+Addr((words-1)*WordSize)) / LineWords
 	for line := first; line <= last; line++ {
-		ctx.countPWB(s)
-		stall := 0
-		if p.mode == ModeStrict {
-			ctx.captureLine(line)
-			if ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen()) {
-				ctx.recordWCLine(line)
-			}
-		} else if ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen()) {
-			ctx.deferPWB(line)
-		} else if ctx.faOn {
-			stall = ctx.memoCharge(line)
-		} else {
-			stall = ctx.chargePWB(line)
+		ctx.recordPWB(s, line)
+	}
+}
+
+// recordPWB is the one code path of a recorded write-back of line at an
+// enabled site s: the site count, the write-back itself, the telemetry
+// report and the crash-site countdown. Strict mode never defers: capture
+// at the record point keeps the crash-state space identical with batching
+// on or off, and an open epoch only books the line (batch.go). Fast mode
+// defers the charge into an open epoch or pays it now.
+func (ctx *ThreadCtx) recordPWB(s Site, line int) {
+	p := ctx.pool
+	ctx.countPWB(s)
+	batched := ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen())
+	stall := 0
+	switch {
+	case p.mode == ModeStrict:
+		ctx.captureLine(line)
+		if batched {
+			ctx.recordWCLine(line)
 		}
-		if ctx.sink != nil {
-			ctx.telePWB(s, stall)
-		}
-		if p.ctlFast()&ctlSiteArm != 0 {
-			ctx.siteHit(s)
-		}
+	case batched:
+		ctx.deferPWB(line)
+	default:
+		stall = ctx.chargePWB(line)
+	}
+	if ctx.sink != nil {
+		ctx.telePWB(s, stall)
+	}
+	if p.ctlFast()&ctlSiteArm != 0 {
+		ctx.siteHit(s)
 	}
 }
 
@@ -538,11 +512,6 @@ func (ctx *ThreadCtx) PSync() {
 		// write-combining bookkeeping: everything captured is now durable.
 		ctx.drainWC(false)
 	case ModeFast:
-		if ctx.faOn {
-			// The failure-free window closes: later duplicate flushes of a
-			// line must execute again, so the flushed-line memo drops.
-			ctx.memoClear()
-		}
 		spin(p.cost.PSyncCost)
 		ctx.spun.Add(uint64(p.cost.PSyncCost))
 		if ctx.sink != nil {

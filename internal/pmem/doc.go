@@ -55,6 +55,15 @@
 //     writer of one (an allocating thread, a crash trigger, a site
 //     reconfiguration) does not invalidate the others in every cache.
 //
+// # Mode discipline
+//
+// Every persist instruction (PWB, PWBRange, StoreDurable) has one code
+// path, and its record point (site count, telemetry report, crash-site
+// countdown) runs in every mode. ModeStrict captures the line at the
+// record point; ModeFast defers the charge into an open write-combining
+// epoch or pays it at once. No mode skips a recorded write-back, so
+// Stats.PWBs - Stats.PWBsMerged is what executed.
+//
 // # Cross-operation batching
 //
 // A thread may open a write-combining epoch (BeginBatch/EndBatch), or a

@@ -99,15 +99,6 @@ type Pool struct {
 	// unaligned-overflow and out-of-range at once); reading a scalar
 	// field costs the inliner less than len() on the slice.
 	wordLimit uint
-	// lapLimit folds the crash-control gate into the address gate for
-	// LoadAndPersist's x86-TSO fast path: it equals wordLimit while
-	// crashCtl is zero and drops to zero whenever any control bit is
-	// armed, so `wi-1 < lapLimit` is a single compare that rejects bad
-	// addresses AND diverts every access to the checked slow path while
-	// a crash, countdown or site arm is pending. Maintained by
-	// setCrashCtl/clearCrashCtl (and the inlined countdown-crash store in
-	// Load); read plainly like crashCtl, with the same TSO argument.
-	lapLimit uint64
 
 	// Strict mode state.
 	durable []uint64 // durable view
@@ -163,10 +154,6 @@ type Pool struct {
 	// batchPolicy is the ambient write-combining policy (zero when none),
 	// under mu; threads consult their generation-cached copy (batch.go).
 	batchPolicy BatchConfig
-	// flushAvoid enables link-and-persist elision and the per-thread
-	// flushed-line memo, under mu; threads consult their generation-cached
-	// copy (flushavoid.go). Effective only in ModeFast.
-	flushAvoid bool
 }
 
 // New creates a Pool. It panics on an invalid configuration; a simulation
@@ -189,7 +176,6 @@ func New(cfg Config) *Pool {
 		words: make([]uint64, capWords),
 	}
 	p.wordLimit = uint(capWords) - 1
-	p.lapLimit = uint64(capWords) - 1
 	switch cfg.Mode {
 	case ModeStrict:
 		p.durable = make([]uint64, capWords)
@@ -461,13 +447,8 @@ func (p *Pool) checkCrashSlow() {
 }
 
 // setCrashCtl and clearCrashCtl update crashCtl bits with CAS loops
-// (this module's Go version has no atomic Or/And). They also keep
-// lapLimit in step: the LoadAndPersist fast gate closes BEFORE any
-// control bit becomes visible and reopens only once every bit is clear.
-// Arming and disarming happen on the harness side of a run (quiescent or
-// single-threaded), so the two fields need no joint atomicity.
+// (this module's Go version has no atomic Or/And).
 func (p *Pool) setCrashCtl(bit uint32) {
-	atomic.StoreUint64(&p.lapLimit, 0)
 	for {
 		old := atomic.LoadUint32(&p.crashCtl)
 		if old&bit != 0 || atomic.CompareAndSwapUint32(&p.crashCtl, old, old|bit) {
@@ -480,11 +461,8 @@ func (p *Pool) clearCrashCtl(bit uint32) {
 	for {
 		old := atomic.LoadUint32(&p.crashCtl)
 		if old&bit == 0 || atomic.CompareAndSwapUint32(&p.crashCtl, old, old&^bit) {
-			break
+			return
 		}
-	}
-	if atomic.LoadUint32(&p.crashCtl) == 0 {
-		atomic.StoreUint64(&p.lapLimit, uint64(p.wordLimit))
 	}
 }
 

@@ -133,7 +133,6 @@ func (ctx *ThreadCtx) refreshSites() {
 	ctx.siteBits = append(ctx.siteBits[:0], p.enabledBits...)
 	ctx.sink = p.telemetry
 	ctx.autoBatch = p.batchPolicy
-	ctx.faOn = p.flushAvoid && p.mode == ModeFast
 	ctx.siteGen = p.genLocked
 	p.mu.Unlock()
 }
@@ -147,26 +146,21 @@ type Stats struct {
 	PFences    uint64
 	SpinUnits  uint64 // ModeFast: total simulated persistence latency charged
 
-	// Write-combining batch counters (batch.go) and flush-avoidance
-	// counters (flushavoid.go). PWBs counts every *recorded* write-back
-	// (batched, elided or not — the record point is invariant under both
-	// features); the charges that actually executed number
-	// PWBs - PWBsMerged - PWBsElided, and in ModeFast windows free of
-	// NoSite traffic PWBsExecuted equals exactly that (the invariant
-	// executed + merged + elided == recorded, pinned by
-	// TestFlushAvoidCounterExclusivity). A write-back lands in at most one
-	// of Merged/Elided: an open batch clears the dirty tag and owns the
-	// dedup accounting, so elision never double-counts a merged flush.
-	// PSyncs likewise counts executed syncs only, so a batched run shows
-	// PSyncs shrinking as PSyncsMerged grows. In ModeStrict the
-	// deferred/merged counters are advisory (they measure the merge
-	// opportunity; no charge exists to eliminate) and the elision counters
-	// stay zero (the dirty tag is never set).
+	// Write-combining batch counters (batch.go). PWBs counts every
+	// *recorded* write-back (batched or not — the record point is
+	// invariant under batching); the charges that actually executed number
+	// PWBs - PWBsMerged, and in ModeFast windows free of NoSite traffic
+	// PWBsExecuted equals exactly that. PSyncs likewise counts executed
+	// syncs only, so a batched run shows PSyncs shrinking as PSyncsMerged
+	// grows. In ModeStrict the deferred/merged counters are advisory (they
+	// measure the merge opportunity; no charge exists to eliminate).
 	PWBsDeferred uint64 // write-backs recorded into a write-combining buffer
 	PWBsMerged   uint64 // of those, duplicate lines merged (charges eliminated)
 	PSyncsMerged uint64 // psyncs absorbed into a group sync
 	BatchDrains  uint64 // write-combining drains executed
-	PWBsElided   uint64 // flush avoidance: charges skipped (clean word / memo hit)
+	// PWBsElided is always zero: no write-back is skipped. It stays
+	// because benchmark/metrics.go still sums and reports it.
+	PWBsElided   uint64
 	PWBsExecuted uint64 // ModeFast charges that actually spun (includes NoSite)
 }
 
@@ -198,7 +192,6 @@ func (p *Pool) Snapshot() Stats {
 		st.PWBsMerged += ctx.pwbsMerged.Load()
 		st.PSyncsMerged += ctx.psyncsMerged.Load()
 		st.BatchDrains += ctx.batchDrains.Load()
-		st.PWBsElided += ctx.pwbsElided.Load()
 		st.PWBsExecuted += ctx.pwbsExecuted.Load()
 	}
 	return st
@@ -226,7 +219,6 @@ func (st Stats) Sub(base Stats) Stats {
 		PWBsMerged:   sub(st.PWBsMerged, base.PWBsMerged),
 		PSyncsMerged: sub(st.PSyncsMerged, base.PSyncsMerged),
 		BatchDrains:  sub(st.BatchDrains, base.BatchDrains),
-		PWBsElided:   sub(st.PWBsElided, base.PWBsElided),
 		PWBsExecuted: sub(st.PWBsExecuted, base.PWBsExecuted),
 	}
 	for k, v := range st.PWBsBySite {

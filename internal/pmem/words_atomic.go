@@ -37,25 +37,6 @@ func (ctx *ThreadCtx) Load(a Addr) uint64 {
 	return atomic.LoadUint64(&p.words[wi])
 }
 
-// LoadAndPersist is Load for a dirty-discipline word (see flushavoid.go
-// and the x86-TSO variant in words_relaxed.go): the first observer of a
-// dirty-tagged word clears the tag and pays the write-back; clean words
-// read at plain-Load cost.
-// Every rare case — bad address, pending crash, dirty word — funnels
-// through the single lapSlow call site so the fast path stays within the
-// inlining budget, mirroring the x86-TSO variant.
-func (ctx *ThreadCtx) LoadAndPersist(s Site, a Addr) uint64 {
-	p := ctx.pool
-	wi := uint64(a)>>3 | uint64(a)<<61
-	if wi-1 < uint64(p.wordLimit) && atomic.LoadUint32(&p.crashCtl) == 0 {
-		v := atomic.LoadUint64(&p.words[wi])
-		if v&DirtyBit == 0 {
-			return v
-		}
-	}
-	return ctx.lapSlow(s, a)
-}
-
 func (p *Pool) storeWord(wi int, v uint64) { atomic.StoreUint64(&p.words[wi], v) }
 
 func (p *Pool) casWord(wi int, old, new uint64) bool {

@@ -71,36 +71,6 @@ func (ctx *ThreadCtx) Load(a Addr) uint64 {
 	return p.words[wi]
 }
 
-// LoadAndPersist is Load for a dirty-discipline word (one written through
-// StoreDirty/CASDirty, see flushavoid.go): a clean word is a plain load —
-// zero persistence work — while a word still carrying the dirty tag makes
-// this reader its first observer, so the tag is cleared, the line charged
-// and recorded at site s, and the logical (untagged) value returned. In
-// ModeStrict and with flush avoidance off the tag never exists, so this
-// is exactly Load plus one predictable compare.
-//
-// Every rare case — bad address, pending crash, dirty word — funnels
-// through the single lapSlow call site. The outlined-call fallback keeps
-// this function above the inlining budget no matter how the fast path is
-// shaped (a call costs the inliner 57 of the 80-node allowance), so the
-// fast path is instead tuned for minimal non-inlined cost: lapLimit folds
-// the crash-control gate into the address gate (one compare), the body
-// performs no other branches, and nosplit drops the stack-growth
-// prologue. See BenchmarkLoadAndPersist for the regression guard against
-// plain Load.
-//
-//go:nosplit
-func (ctx *ThreadCtx) LoadAndPersist(s Site, a Addr) uint64 {
-	p := ctx.pool
-	wi := uint64(a)>>3 | uint64(a)<<61
-	if wi-1 < p.lapLimit {
-		if v := p.words[wi]; v&DirtyBit == 0 {
-			return v
-		}
-	}
-	return ctx.lapSlow(s, a)
-}
-
 func (p *Pool) storeWord(wi int, v uint64) { p.words[wi] = v }
 
 func (p *Pool) casWord(wi int, old, new uint64) bool {

@@ -187,15 +187,11 @@ func checkKey(key int64) {
 // down.
 func (h *Handle) search(key int64) (gp, p, l pmem.Addr, gpInfo, pInfo uint64) {
 	c := h.ctx
-	// Info words are link-and-persist words: a descent that catches one
-	// still dirty-marked persists it as its first observer (recorded at
-	// the engine's observed site); durable ones read at plain-load cost.
-	obs := h.tree.eng.ObservedSite()
 	l = h.tree.root
 	for c.Load(l+offKind) == kindInternal {
 		gp, p = p, l
 		gpInfo = pInfo
-		pInfo = c.LoadAndPersist(obs, l+offInfo)
+		pInfo = c.Load(l + offInfo)
 		if key < int64(c.Load(l+offKey)) {
 			l = pmem.Addr(c.Load(l + offLeft))
 		} else {
@@ -332,10 +328,8 @@ func (h *Handle) Find(key int64) bool {
 		}
 		found := int64(c.Load(l+offKey)) == key
 		// Linearize at re-reading p's info: if it changed since the
-		// descent, the observed leaf may be stale — retry. The re-read is
-		// a first-observer read like the descent's, so a dirty-marked but
-		// logically unchanged info word does not force a spurious retry.
-		if c.LoadAndPersist(h.tree.eng.ObservedSite(), p+offInfo) != pInfo {
+		// descent, the observed leaf may be stale — retry.
+		if c.Load(p+offInfo) != pInfo {
 			continue
 		}
 		return found

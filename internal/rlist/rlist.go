@@ -215,18 +215,13 @@ func checkKey(key int64) {
 // access to each (Algorithm 3, lines 35-44).
 func (h *Handle) search(key int64) (pred, curr pmem.Addr, predInfo, currInfo uint64) {
 	c := h.ctx
-	// Info words follow the substrate's link-and-persist discipline: a
-	// traversal that catches one still dirty-marked becomes its first
-	// observer and persists it (recorded at the engine's observed site);
-	// already-durable info words read at plain-load cost.
-	obs := h.list.eng.ObservedSite()
 	curr = h.list.head
-	currInfo = c.LoadAndPersist(obs, curr+offInfo)
+	currInfo = c.Load(curr + offInfo)
 	for keyOf(c.Load(curr+offKey)) < key {
 		pred = curr
 		predInfo = currInfo
 		curr = pmem.Addr(c.Load(curr + offNext))
-		currInfo = c.LoadAndPersist(obs, curr+offInfo)
+		currInfo = c.Load(curr + offInfo)
 	}
 	return pred, curr, predInfo, currInfo
 }

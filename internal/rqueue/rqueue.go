@@ -168,9 +168,7 @@ func (h *Handle) Enqueue(value uint64) {
 
 	for {
 		last := h.findLast()
-		// First-observer read of a link-and-persist info word (see
-		// tracking.Engine.ObservedSite).
-		lastInfo := c.LoadAndPersist(h.q.eng.ObservedSite(), last+offInfo)
+		lastInfo := c.Load(last + offInfo)
 		if tracking.IsTagged(lastInfo) {
 			h.th.Help(tracking.DescOf(lastInfo))
 			continue
@@ -204,7 +202,7 @@ func (h *Handle) Dequeue() (value uint64, ok bool) {
 
 	for {
 		sent := pmem.Addr(c.Load(h.q.headAddr))
-		sentInfo := c.LoadAndPersist(h.q.eng.ObservedSite(), sent+offInfo)
+		sentInfo := c.Load(sent + offInfo)
 		if tracking.IsTagged(sentInfo) {
 			h.th.Help(tracking.DescOf(sentInfo))
 			continue

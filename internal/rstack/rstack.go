@@ -152,9 +152,7 @@ func (h *Handle) readTop() (top pmem.Addr, info uint64) {
 	c := h.ctx
 	top = pmem.Addr(c.Load(h.s.topAddr))
 	for {
-		// First-observer read of a link-and-persist info word (see
-		// tracking.Engine.ObservedSite).
-		info = c.LoadAndPersist(h.s.eng.ObservedSite(), top+offInfo)
+		info = c.Load(top + offInfo)
 		again := pmem.Addr(c.Load(h.s.topAddr))
 		if again == top {
 			return top, info

@@ -258,8 +258,8 @@ func (s Snapshot) FormatTrace(n int) []string {
 // snapshot: current schema tag, no unknown fields, internally consistent
 // histograms (ascending non-empty buckets summing to the count, ordered
 // quantiles), monotone trace sequence numbers, and consistent
-// flush-avoidance gauges (elision counts only with the feature on). This
-// is the contract the telemetry-smoke CI gate enforces on benchrunner
+// write-back gauges (merges never exceed recorded write-backs). This is
+// the contract the telemetry-smoke CI gate enforces on benchrunner
 // output.
 func ValidateSnapshotJSON(data []byte) error {
 	dec := json.NewDecoder(bytes.NewReader(data))
@@ -319,19 +319,9 @@ func ValidateSnapshotJSON(data []byte) error {
 		}
 		gauge[g.Name] = g.Value
 	}
-	// Flush-avoidance accounting: elision (and the dirty-tag machinery
-	// that produces it) exists only with the feature on, so an elision
-	// count in a feature-off snapshot means the counters are corrupt or
-	// the harness mislabeled the run.
-	if gauge["pmem-pwbs-elided"] > 0 && gauge["pmem-flush-avoid"] == 0 {
-		return fmt.Errorf("telemetry: pmem-pwbs-elided = %d with flush avoidance off (pmem-flush-avoid = 0)",
-			gauge["pmem-pwbs-elided"])
-	}
-	if rec, ok := gauge["pmem-pwbs-recorded"]; ok {
-		if spent := gauge["pmem-pwbs-merged"] + gauge["pmem-pwbs-elided"]; spent > rec {
-			return fmt.Errorf("telemetry: pmem-pwbs-merged + pmem-pwbs-elided = %d exceed pmem-pwbs-recorded = %d",
-				spent, rec)
-		}
+	if rec, ok := gauge["pmem-pwbs-recorded"]; ok && gauge["pmem-pwbs-merged"] > rec {
+		return fmt.Errorf("telemetry: pmem-pwbs-merged = %d exceeds pmem-pwbs-recorded = %d",
+			gauge["pmem-pwbs-merged"], rec)
 	}
 	for i := 1; i < len(s.Events); i++ {
 		if s.Events[i].Seq <= s.Events[i-1].Seq {

@@ -22,11 +22,9 @@ func Untagged(d pmem.Addr) uint64 { return uint64(d) &^ 1 }
 // IsTagged reports whether an info-field value is tagged.
 func IsTagged(v uint64) bool { return v&1 == 1 }
 
-// DescOf extracts the descriptor address from an info-field value. Both
-// low bits are masked: bit 0 is the tag, and bit 1 may transiently carry
-// the substrate's link-and-persist dirty marker (pmem.DirtyBit) on an
-// info word read outside the dirty-discipline accessors.
-func DescOf(v uint64) pmem.Addr { return pmem.Addr(v &^ 3) }
+// DescOf extracts the descriptor address from an info-field value by
+// masking the tag bit.
+func DescOf(v uint64) pmem.Addr { return pmem.Addr(v &^ 1) }
 
 // AffectEntry is one element of an operation's AffectSet.
 type AffectEntry struct {
@@ -134,12 +132,11 @@ type engineSites struct {
 	update  pmem.Site // pwb(updated field) (line 51)
 	result  pmem.Site // pwb(opInfo→result) (line 53)
 	cleanup pmem.Site // pwb(nd→info) in the cleanup phase (line 57)
-	// observed is the first-observer flush of an info word some other
-	// helper already tagged (Help finds res == tag) or a traversal read
-	// encounters still dirty: the link-and-persist discipline moves the
-	// write-back of a not-yet-durable info word to whoever sees it first.
-	// Never recorded in crash-free solo runs (no helping happens), which
-	// keeps the other sites' strict profiles unchanged.
+	// observed is a helper re-persisting a tag another helper installed:
+	// Help's tagging CAS finds res == tag and still flushes the word,
+	// since the installer's own pwb may not have executed yet. Never
+	// recorded in crash-free solo runs (no helping happens), which keeps
+	// the other sites' strict profiles unchanged.
 	observed pmem.Site
 }
 
@@ -156,12 +153,6 @@ func registerSites(pool *pmem.Pool, prefix string) engineSites {
 		observed: pool.RegisterSite(prefix + "/pwb-info-observed"),
 	}
 }
-
-// ObservedSite returns the engine's first-observer flush site: structures
-// pass it to pmem.LoadAndPersist on their info-word traversal reads, so a
-// read that catches a not-yet-durable info word records its write-back
-// against this code line.
-func (e *Engine) ObservedSite() pmem.Site { return e.sites.observed }
 
 // New creates an Engine with a fresh recovery table for maxThreads threads
 // and persists the table. The caller should store TableAddr in a root slot
@@ -431,22 +422,19 @@ func (t *Thread) Help(d pmem.Addr) {
 	tag, untag := Tagged(d), Untagged(d)
 
 	// Tagging phase: install the tagged descriptor in every AffectSet
-	// node, in order. Info words follow the link-and-persist discipline:
-	// the CAS installs the value dirty-marked, and the flush that follows
-	// executes only for the word's first observer. A helper that finds the
-	// tag already installed (res == tag) records its flush at the observed
-	// site — it is re-persisting another helper's write, the exact
-	// redundant pwb the flush-avoidance machinery elides.
+	// node, in order. A helper that finds the tag already installed
+	// (res == tag) records its flush at the observed site: it is
+	// re-persisting another helper's write.
 	for i := 0; i < nA; i++ {
 		field, observed, _ := t.affectEntry(d, i)
-		res, ok := c.CASDirty(field, observed, tag)
+		res, ok := c.CASV(field, observed, tag)
 		switch {
 		case ok:
-			c.PWBFirst(s.tag, field)
+			c.PWB(s.tag, field)
 		case res == tag:
-			c.PWBFirst(s.observed, field)
+			c.PWB(s.observed, field)
 		default:
-			c.PWBFirst(s.tag, field)
+			c.PWB(s.tag, field)
 			if t.Result(d) != Bottom {
 				// The operation already took effect and released this
 				// entry: a late visit. Finish its cleanup instead of
@@ -462,8 +450,8 @@ func (t *Thread) Help(d pmem.Addr) {
 			// interrupted by a crash.
 			for j := i - 1; j >= 0; j-- {
 				pf, _, _ := t.affectEntry(d, j)
-				c.CASDirty(pf, tag, untag)
-				c.PWBFirst(s.back, pf)
+				c.CASV(pf, tag, untag)
+				c.PWB(s.back, pf)
 			}
 			c.PSync()
 			return
@@ -492,16 +480,16 @@ func (t *Thread) Help(d pmem.Addr) {
 	// from the structure keep their tag forever.
 	for i := 0; i < nN; i++ {
 		nf := t.newEntry(d, nA, nW, i)
-		c.CASDirty(nf, tag, untag)
-		c.PWBFirst(s.cleanup, nf)
+		c.CASV(nf, tag, untag)
+		c.PWB(s.cleanup, nf)
 	}
 	for i := nA - 1; i >= 0; i-- {
 		field, _, doUntag := t.affectEntry(d, i)
 		if !doUntag {
 			continue
 		}
-		c.CASDirty(field, tag, untag)
-		c.PWBFirst(s.cleanup, field)
+		c.CASV(field, tag, untag)
+		c.PWB(s.cleanup, field)
 	}
 	c.PSync()
 }
@@ -522,8 +510,8 @@ func (t *Thread) lateCleanup(d pmem.Addr, nA, nW, nN int) {
 	tag, untag := Tagged(d), Untagged(d)
 	for i := 0; i < nN; i++ {
 		nf := t.newEntry(d, nA, nW, i)
-		if _, ok := c.CASDirty(nf, tag, untag); ok {
-			c.PWBFirst(s.cleanup, nf)
+		if _, ok := c.CASV(nf, tag, untag); ok {
+			c.PWB(s.cleanup, nf)
 		}
 	}
 	for i := nA - 1; i >= 0; i-- {
@@ -531,8 +519,8 @@ func (t *Thread) lateCleanup(d pmem.Addr, nA, nW, nN int) {
 		if !doUntag {
 			continue
 		}
-		if _, ok := c.CASDirty(field, tag, untag); ok {
-			c.PWBFirst(s.cleanup, field)
+		if _, ok := c.CASV(field, tag, untag); ok {
+			c.PWB(s.cleanup, field)
 		}
 	}
 	c.PSync()
