@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-ab bench-gate bench-pmem bench-recovery bench-batching bench-workloads kvstore-smoke sweep docs-lint telemetry-smoke ci
+.PHONY: all build test race bench-ab bench-gate bench-pmem bench-workloads kvstore-smoke sweep docs-lint telemetry-smoke ci
 
 all: build
 
@@ -32,27 +32,8 @@ bench-gate:
 # result; regressions here silently distort every structure benchmark, so
 # CI keeps a trajectory of BENCH_pmem.json.
 bench-pmem:
-	$(GO) run ./cmd/benchrunner -substrate -threads 1,2,4,8,16 -batch-ops 8 -out BENCH_pmem.json
+	$(GO) run ./cmd/benchrunner -substrate -threads 1,2,4,8,16 -out BENCH_pmem.json
 	@cat BENCH_pmem.json
-
-# bench-batching smokes the cross-operation batching layer: a short batched
-# substrate run (mode:"batched" points must show executed flush/sync counts
-# dropping), then a depth-1 batched crash-site sweep compared against the
-# committed coverage baseline — strict-mode batching must not change a
-# single verdict (see "Cross-operation batching" in DESIGN.md).
-bench-batching:
-	$(GO) run ./cmd/benchrunner -substrate -threads 1,2 -substrate-ops 300000 -batch-ops 8
-	$(GO) run ./cmd/crashtest -sweep -structure all -depth 1 -seed 1 -batch-ops 8 \
-		-budget 120s -compare crash_coverage.json
-
-# bench-recovery is the recovery-latency smoke: small sizes, one trial,
-# schema-validated BENCH_recovery.json (the benchrunner validates before
-# writing). The full-size run that produced the checked-in artifact uses
-# the defaults: `go run ./cmd/benchrunner -recovery -out BENCH_recovery.json`.
-bench-recovery:
-	$(GO) run ./cmd/benchrunner -recovery -recovery-sizes 1024,4096 \
-		-recovery-workers 1,2,4 -recovery-trials 1 -out BENCH_recovery.json
-	@cat BENCH_recovery.json
 
 # sweep runs the deterministic crash-site sweep over every recoverable
 # structure and records the coverage matrix (see docs/crash-model.md).
@@ -98,8 +79,6 @@ ci:
 	$(MAKE) docs-lint
 	$(MAKE) bench-gate
 	$(MAKE) bench-pmem
-	$(MAKE) bench-recovery
-	$(MAKE) bench-batching
 	$(MAKE) bench-workloads
 	$(MAKE) kvstore-smoke
 	$(MAKE) telemetry-smoke

@@ -25,12 +25,6 @@ func main() {
 		list       = flag.Bool("list", false, "list available experiments")
 		substrate  = flag.Bool("substrate", false, "measure the pmem substrate microbenchmarks instead of a figure")
 		subOps     = flag.Int("substrate-ops", 0, "operations per substrate data point (0: default)")
-		batchOps   = flag.Int("batch-ops", 0, "ambient write-combining policy, ops per group sync: adds mode:\"batched\" substrate points, applies to figure runs (0: off)")
-		recMode    = flag.Bool("recovery", false, "measure post-crash recovery latency instead of a figure")
-		recSizes   = flag.String("recovery-sizes", "4096,32768", "comma-separated structure sizes for -recovery")
-		recWorkers = flag.String("recovery-workers", "1,2,4,8", "comma-separated engine worker counts for -recovery")
-		recTrials  = flag.Int("recovery-trials", 3, "trials per recovery data point")
-		recThreads = flag.Int("recovery-threads", 8, "crashed application threads for -recovery")
 		workloads  = flag.Bool("workloads", false, "run the open/closed-loop workload scenario matrix instead of a figure")
 		wlOps      = flag.Int("workload-ops", 0, "operations per workload phase (0: default)")
 		wlThreads  = flag.Int("workload-threads", 0, "modeled servers per workload scenario (0: default)")
@@ -48,18 +42,14 @@ func main() {
 		return
 	}
 
-	var ths []int
-	for _, part := range strings.Split(*threads, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			fmt.Fprintf(os.Stderr, "bad thread count %q\n", part)
-			os.Exit(2)
-		}
-		ths = append(ths, n)
+	ths, err := parseInts(*threads)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "bad -threads: %v\n", err)
+		os.Exit(2)
 	}
 
 	if *substrate {
-		rep := bench.SubstrateBatch(ths, *subOps, *batchOps)
+		rep := bench.Substrate(ths, *subOps)
 		data, err := json.MarshalIndent(rep, "", "  ")
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -118,65 +108,13 @@ func main() {
 		return
 	}
 
-	if *recMode {
-		sizes, err := parseInts(*recSizes)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -recovery-sizes: %v\n", err)
-			os.Exit(2)
-		}
-		workers, err := parseInts(*recWorkers)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "bad -recovery-workers: %v\n", err)
-			os.Exit(2)
-		}
-		opts := bench.RecoveryOptions{
-			Sizes: sizes, Workers: workers,
-			Trials: *recTrials, Threads: *recThreads, Seed: *seed,
-		}
-		var reg *telemetry.Registry
-		if *teleOut != "" {
-			reg = telemetry.NewRegistry(telemetry.Config{RingSize: 1024})
-			opts.Telemetry = reg
-		}
-		rep, err := bench.Recovery(opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := bench.ValidateRecoveryJSON(data); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if *out != "" {
-			if err := os.WriteFile(*out, data, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		} else {
-			os.Stdout.Write(data)
-		}
-		if reg != nil {
-			if err := writeTelemetry(reg, *teleOut); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-		}
-		return
-	}
 	if *experiment == "" {
 		fmt.Fprintln(os.Stderr, "usage: benchrunner -experiment fig3a [-threads 1,2,4] [-duration 500ms]\n"+
 			"       benchrunner -substrate [-threads 1,2,4,8,16] [-out BENCH_pmem.json]\n"+
-			"       benchrunner -recovery [-recovery-sizes 4096,32768] [-recovery-workers 1,2,4,8] [-out BENCH_recovery.json]\n"+
 			"       benchrunner -workloads [-seed 1] [-workload-ops 12000] [-out BENCH_workloads.json]")
 		os.Exit(2)
 	}
-	opts := bench.Options{Threads: ths, Duration: *duration, Seed: *seed, BatchOps: *batchOps}
+	opts := bench.Options{Threads: ths, Duration: *duration, Seed: *seed}
 
 	var reg *telemetry.Registry
 	if *teleOut != "" {

@@ -54,7 +54,6 @@ func main() {
 		sweepThreads = flag.Int("sweep-threads", 0, "sweep: worker threads inside each task (0 = per-structure minimum, fully deterministic)")
 		recWorkers   = flag.Int("recovery-workers", 0, "sweep: parallel recovery-engine workers per task (0 = serial recovery)")
 		compare      = flag.String("compare", "", "sweep: baseline coverage report; exit nonzero on any verdict or metric drift")
-		batchOps     = flag.Int("batch-ops", 0, "sweep: ambient write-combining policy, ops per group-sync epoch (0 = unbatched; strict-mode batching must not change verdicts)")
 	)
 	flag.Parse()
 
@@ -66,7 +65,7 @@ func main() {
 	}
 	if *sweepMode {
 		os.Exit(runSweep(*structure, *seed, *ops, *maxHits, *depth, *workers,
-			*sweepThreads, *recWorkers, *batchOps, *budget, *report, *resume, *compare))
+			*sweepThreads, *recWorkers, *budget, *report, *resume, *compare))
 	}
 	os.Exit(runRandomized(*structure, *seed, *threads, *ops, *crashes, *rounds, *keyRange, *mean))
 }
@@ -149,7 +148,7 @@ func runRandomized(structure string, seed int64, threads, ops, crashes, rounds i
 }
 
 // runSweep is the deterministic crash-site sweep mode.
-func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepThreads, recWorkers, batchOps int,
+func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepThreads, recWorkers int,
 	budget time.Duration, report, resume, compare string) int {
 	names, err := structuresFor(structure, true)
 	if err != nil {
@@ -166,7 +165,6 @@ func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepT
 		Depth:           depth,
 		Workers:         workers,
 		RecoveryWorkers: recWorkers,
-		BatchOps:        batchOps,
 		Budget:          budget,
 		ProgressPath:    resume,
 		Log: func(format string, args ...any) {

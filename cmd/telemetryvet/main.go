@@ -4,8 +4,7 @@
 //   - repro-telemetry/1: a telemetry snapshot — well-formed JSON with no
 //     unknown fields, internally consistent per-site counters and latency
 //     histograms (ordered p50 ≤ p90 ≤ p99 ≤ p99.9), a monotone event
-//     trace, and consistent write-back gauges (pmem-pwbs-merged can never
-//     exceed pmem-pwbs-recorded).
+//     trace, and uniquely named, sorted gauges.
 //   - repro-workloads/1: a workload-scenario report — ordered quantiles per
 //     phase and class, class counts summing to the phase's operations, a
 //     calibrated arrival gap on every open-loop scenario, and

@@ -99,11 +99,6 @@ type Config struct {
 	// paper measures it, so every figure run pins it; the library default
 	// is tracking.Default. The other Tracking structures keep the default.
 	TrackingProfile tracking.Profile
-	// BatchOps, when positive, installs an ambient write-combining policy
-	// on the pool (pmem.SetBatchPolicy): up to BatchOps operations share
-	// one group psync and duplicate line flushes merge across them. The
-	// opt-in batched-op mode; 0 keeps the per-instruction cost model.
-	BatchOps int
 	// Telemetry, when non-nil, observes the run: the registry is attached
 	// to the pool as its persistence sink (after preloading, so it sees
 	// only the measured phase), every operation's latency is recorded into
@@ -136,10 +131,8 @@ type instance struct {
 	pool   *pmem.Pool
 	runner func(tid int) opRunner
 
-	// Every ThreadCtx handed to a runner, so the harness can Retire them
-	// after the measured phase: a batched run may hold deferred flush
-	// charges and a pending group sync when the stop flag trips, and those
-	// must drain into the final Stats snapshot.
+	// Every ThreadCtx handed to a runner, so the workload engine can find
+	// the context behind a runner (see runnerCtx).
 	mu   sync.Mutex
 	ctxs []*pmem.ThreadCtx
 }
@@ -151,16 +144,6 @@ func (inst *instance) newThread(tid int) *pmem.ThreadCtx {
 	inst.ctxs = append(inst.ctxs, ctx)
 	inst.mu.Unlock()
 	return ctx
-}
-
-// retireAll drains every tracked context's write-combining buffer. A no-op
-// per context when nothing is deferred (every unbatched run).
-func (inst *instance) retireAll() {
-	inst.mu.Lock()
-	defer inst.mu.Unlock()
-	for _, ctx := range inst.ctxs {
-		ctx.Retire()
-	}
 }
 
 // build constructs the algorithm under test on a fresh fast-mode pool.
@@ -251,12 +234,6 @@ func (r *romulusRunner) Find(key int64) bool { return r.l.Find(r.ctx, key) }
 func applySiteConfig(pool *pmem.Pool, cfg Config) {
 	if cfg.DisablePsync {
 		pool.SetPsyncEnabled(false)
-	}
-	if cfg.BatchOps > 0 {
-		pool.SetBatchPolicy(pmem.BatchConfig{
-			MaxOps:   cfg.BatchOps,
-			MaxLines: 4 * cfg.BatchOps,
-		})
 	}
 	if cfg.DisableAllPWBs {
 		pool.SetAllSitesEnabled(false)
@@ -400,18 +377,10 @@ func Run(cfg Config) (Result, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	// Drain any write-combining buffers left open by a batched run before
-	// snapshotting, so deferred charges and the trailing group sync are
-	// accounted to the measured phase.
-	inst.retireAll()
-
 	st := inst.pool.Snapshot().Sub(base)
 
-	// Publish the write-back accounting as gauges: telemetryvet enforces
-	// that merges never exceed the recorded write-backs.
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.SetGauge("pmem-pwbs-recorded", st.PWBs)
-		cfg.Telemetry.SetGauge("pmem-pwbs-merged", st.PWBsMerged)
 	}
 
 	ops := total.Load()

@@ -61,9 +61,6 @@ type Options struct {
 	// measured (the paper measures at several counts; one representative
 	// count keeps run time manageable).
 	CategorizeThreads int
-	// BatchOps, when positive, runs every measured data point under the
-	// ambient write-combining policy (see Config.BatchOps).
-	BatchOps int
 	// Telemetry, when non-nil, observes every measured data point of the
 	// experiment (see Config.Telemetry). Calibration runs — the
 	// categorization sweeps behind Figures 3e-6 — stay unobserved so the
@@ -97,7 +94,6 @@ func throughputSweep(name string, tmpl Config, o Options) (Series, error) {
 		cfg.Threads = th
 		cfg.Duration = o.Duration
 		cfg.Seed = o.Seed
-		cfg.BatchOps = o.BatchOps
 		cfg.Telemetry = o.Telemetry
 		res, err := Run(cfg)
 		if err != nil {
@@ -117,7 +113,6 @@ func counterSweep(name string, tmpl Config, o Options, pick func(Result) float64
 		cfg.Threads = th
 		cfg.Duration = o.Duration
 		cfg.Seed = o.Seed
-		cfg.BatchOps = o.BatchOps
 		cfg.Telemetry = o.Telemetry
 		res, err := Run(cfg)
 		if err != nil {

@@ -10,17 +10,15 @@ package bench
 // exist as testing.B benchmarks in internal/pmem/bench_test.go; this
 // exported harness is for trend tracking from CI.
 //
-// Two families of points are emitted:
+// Three families of points are emitted:
 //
 //   - raw substrate operations (load/store/cas/pwb/psync/...) across a
-//     goroutine sweep, plus "batched" variants of the flush-heavy ones
-//     when a write-combining policy is requested; and
+//     goroutine sweep;
 //   - structure commit paths at one goroutine — the redolog combiner, the
 //     Romulus transaction commit, and the recoverable queue/stack op
-//     loops — unbatched ("fast") versus under the ambient batch policy
-//     ("batched"), with the executed flush and sync counts per operation
-//     alongside wall-clock, so the win of cross-operation batching is
-//     quantified in both instructions and nanoseconds.
+//     loops — with the executed flush and sync counts per operation
+//     alongside wall-clock; and
+//   - the contended tracking-hash update mix across the goroutine sweep.
 
 import (
 	"math/rand"
@@ -41,12 +39,11 @@ import (
 // concurrency level.
 type SubstratePoint struct {
 	Op         string  `json:"op"`
-	Mode       string  `json:"mode"` // "fast", "strict" or "batched"
+	Mode       string  `json:"mode"` // "fast" or "strict"
 	Goroutines int     `json:"goroutines"`
 	NsPerOp    float64 `json:"ns_per_op"`
-	// PWBsPerOp and PSyncsPerOp are the *executed* persistence charges per
-	// operation (recorded pwbs minus write-combining merges; syncs that
-	// actually ran). Omitted when the operation issues none.
+	// PWBsPerOp and PSyncsPerOp are the executed persistence instructions
+	// per operation. Omitted when the operation issues none.
 	PWBsPerOp   float64 `json:"pwbs_per_op,omitempty"`
 	PSyncsPerOp float64 `json:"psyncs_per_op,omitempty"`
 }
@@ -56,11 +53,8 @@ type SubstratePoint struct {
 type SubstrateReport struct {
 	// SpinUnitNs is the measured wall-clock cost of one abstract spin
 	// unit, relating the fast-mode cost model to nanoseconds on this host.
-	SpinUnitNs float64 `json:"spin_unit_ns"`
-	// BatchOps is the ambient write-combining policy the "batched" points
-	// ran under (operations per group sync); 0 when none were measured.
-	BatchOps int              `json:"batch_ops,omitempty"`
-	Points   []SubstratePoint `json:"points"`
+	SpinUnitNs float64          `json:"spin_unit_ns"`
+	Points     []SubstratePoint `json:"points"`
 }
 
 // substrateLanes matches the bench_test.go working set: each goroutine
@@ -70,10 +64,9 @@ const substrateLanes = 16
 
 // substrateOp is one benchmarkable substrate operation.
 type substrateOp struct {
-	name  string
-	mode  pmem.Mode
-	batch bool // run under the ambient write-combining policy
-	body  func(ctx *pmem.ThreadCtx, s pmem.Site, base pmem.Addr, n int)
+	name string
+	mode pmem.Mode
+	body func(ctx *pmem.ThreadCtx, s pmem.Site, base pmem.Addr, n int)
 }
 
 func laneOf(base pmem.Addr, i int) pmem.Addr {
@@ -97,13 +90,24 @@ func substrateOps() []substrateOp {
 				ctx.CAS(base, uint64(i), uint64(i+1))
 			}
 		}},
-		{name: "pwb", mode: pmem.ModeFast, body: pwbLoop},
+		{name: "pwb", mode: pmem.ModeFast, body: func(ctx *pmem.ThreadCtx, s pmem.Site, base pmem.Addr, n int) {
+			for i := 0; i < n; i++ {
+				ctx.PWB(s, laneOf(base, i))
+			}
+		}},
 		{name: "psync", mode: pmem.ModeFast, body: func(ctx *pmem.ThreadCtx, _ pmem.Site, base pmem.Addr, n int) {
 			for i := 0; i < n; i++ {
 				ctx.PSync()
 			}
 		}},
-		{name: "flushop", mode: pmem.ModeFast, body: flushOpLoop},
+		{name: "flushop", mode: pmem.ModeFast, body: func(ctx *pmem.ThreadCtx, s pmem.Site, base pmem.Addr, n int) {
+			for i := 0; i < n; i++ {
+				a := laneOf(base, i)
+				ctx.Store(a, uint64(i))
+				ctx.PWB(s, a)
+				ctx.PSync()
+			}
+		}},
 		{name: "strict-pwb", mode: pmem.ModeStrict, body: func(ctx *pmem.ThreadCtx, s pmem.Site, base pmem.Addr, n int) {
 			for i := 0; i < n; i++ {
 				ctx.PWB(s, laneOf(base, i))
@@ -116,61 +120,22 @@ func substrateOps() []substrateOp {
 	}
 }
 
-func pwbLoop(ctx *pmem.ThreadCtx, s pmem.Site, base pmem.Addr, n int) {
-	for i := 0; i < n; i++ {
-		ctx.PWB(s, laneOf(base, i))
-	}
-}
-
-func flushOpLoop(ctx *pmem.ThreadCtx, s pmem.Site, base pmem.Addr, n int) {
-	for i := 0; i < n; i++ {
-		a := laneOf(base, i)
-		ctx.Store(a, uint64(i))
-		ctx.PWB(s, a)
-		ctx.PSync()
-	}
-}
-
-// batchedOps are the flush-heavy raw operations re-run under the ambient
-// write-combining policy: "pwb" shows pure duplicate-line merging (the
-// lane set fits the buffer, so only the first flush of each lane is ever
-// charged), "flushop" shows group-psync amortization on an op loop whose
-// lines are mostly distinct.
-func batchedOps() []substrateOp {
-	return []substrateOp{
-		{name: "pwb", mode: pmem.ModeFast, batch: true, body: pwbLoop},
-		{name: "flushop", mode: pmem.ModeFast, batch: true, body: flushOpLoop},
-	}
-}
-
 // Substrate measures every substrate operation at each concurrency level,
-// opsPerPoint operations per data point (0 picks a default), without any
-// batched points. Equivalent to SubstrateBatch(goroutines, opsPerPoint, 0).
+// opsPerPoint operations per data point (0 picks a default).
 func Substrate(goroutines []int, opsPerPoint int) SubstrateReport {
-	return SubstrateBatch(goroutines, opsPerPoint, 0)
-}
-
-// SubstrateBatch additionally measures, when batchOps > 0, the batched
-// variants of the flush-heavy operations and the batched structure commit
-// paths, under an ambient policy of batchOps operations per group sync.
-func SubstrateBatch(goroutines []int, opsPerPoint, batchOps int) SubstrateReport {
 	if len(goroutines) == 0 {
 		goroutines = []int{1, 2, 4, 8, 16}
 	}
 	if opsPerPoint <= 0 {
 		opsPerPoint = 2_000_000
 	}
-	rep := SubstrateReport{SpinUnitNs: pmem.CalibrateSpin(), BatchOps: batchOps}
-	ops := substrateOps()
-	if batchOps > 0 {
-		ops = append(ops, batchedOps()...)
-	}
-	for _, op := range ops {
+	rep := SubstrateReport{SpinUnitNs: pmem.CalibrateSpin()}
+	for _, op := range substrateOps() {
 		for _, g := range goroutines {
-			rep.Points = append(rep.Points, runSubstrateOp(op, g, opsPerPoint, batchOps))
+			rep.Points = append(rep.Points, runSubstrateOp(op, g, opsPerPoint))
 		}
 	}
-	rep.Points = append(rep.Points, commitPathPoints(opsPerPoint, batchOps)...)
+	rep.Points = append(rep.Points, commitPathPoints(opsPerPoint)...)
 	rep.Points = append(rep.Points, hashMixPoints(goroutines, opsPerPoint)...)
 	return rep
 }
@@ -182,21 +147,11 @@ func modeName(m pmem.Mode) string {
 	return "fast"
 }
 
-// batchPolicy is the ambient policy every batched measurement installs:
-// batchOps operations per group sync, a line buffer sized to hold a few
-// operations' worth of distinct lines.
-func batchPolicy(batchOps int) pmem.BatchConfig {
-	return pmem.BatchConfig{MaxOps: batchOps, MaxLines: 4 * batchOps}
-}
-
 // runSubstrateOp partitions total operations over g goroutines, each with
 // a private ThreadCtx and line-aligned region, and times the whole batch.
-func runSubstrateOp(op substrateOp, g, total, batchOps int) SubstratePoint {
+func runSubstrateOp(op substrateOp, g, total int) SubstratePoint {
 	p := pmem.New(pmem.Config{Mode: op.mode, CapacityWords: 1 << 16, MaxThreads: g + 1})
 	s := p.RegisterSite("substrate/" + op.name)
-	if op.batch {
-		p.SetBatchPolicy(batchPolicy(batchOps))
-	}
 	ctxs := make([]*pmem.ThreadCtx, g)
 	bases := make([]pmem.Addr, g)
 	for t := 0; t < g; t++ {
@@ -216,27 +171,19 @@ func runSubstrateOp(op substrateOp, g, total, batchOps int) SubstratePoint {
 				n += total - per*g
 			}
 			op.body(ctxs[t], s, bases[t], n)
-			if op.batch {
-				// The trailing drain is part of the batched cost.
-				ctxs[t].Retire()
-			}
 		}(t)
 	}
 	wg.Wait()
 	ns := float64(time.Since(start).Nanoseconds()) / float64(total)
-	mode := modeName(op.mode)
-	if op.batch {
-		mode = "batched"
-	}
-	return statPoint(op.name, mode, g, ns, p.Snapshot().Sub(base), total)
+	return statPoint(op.name, modeName(op.mode), g, ns, p.Snapshot().Sub(base), total)
 }
 
 // statPoint folds a stats delta into a SubstratePoint, reporting executed
-// (post-merge) persistence charges per operation.
+// persistence instructions per operation.
 func statPoint(name, mode string, g int, ns float64, st pmem.Stats, total int) SubstratePoint {
 	return SubstratePoint{
 		Op: name, Mode: mode, Goroutines: g, NsPerOp: ns,
-		PWBsPerOp:   float64(st.PWBs-st.PWBsMerged) / float64(total),
+		PWBsPerOp:   float64(st.PWBs) / float64(total),
 		PSyncsPerOp: float64(st.PSyncs) / float64(total),
 	}
 }
@@ -256,13 +203,12 @@ func commitPathOps(opsPerPoint int) int {
 }
 
 // commitPathPoints measures the end-to-end structure commit paths at one
-// goroutine: always unbatched, and additionally under the ambient
-// write-combining policy when batchOps > 0.
-func commitPathPoints(opsPerPoint, batchOps int) []SubstratePoint {
+// goroutine.
+func commitPathPoints(opsPerPoint int) []SubstratePoint {
 	n := commitPathOps(opsPerPoint)
 	paths := []struct {
 		name  string
-		setup func(p *pmem.Pool, ctx *pmem.ThreadCtx, batchOps int) func(i, total int)
+		setup func(p *pmem.Pool, ctx *pmem.ThreadCtx) func(i int)
 	}{
 		{"redolog-commit", setupRedologCommit},
 		{"romulus-commit", setupRomulusCommit},
@@ -271,38 +217,25 @@ func commitPathPoints(opsPerPoint, batchOps int) []SubstratePoint {
 	}
 	var pts []SubstratePoint
 	for _, path := range paths {
-		pts = append(pts, measureCommitPath(path.name, n, 0, path.setup))
-		if batchOps > 0 {
-			pts = append(pts, measureCommitPath(path.name, n, batchOps, path.setup))
-		}
+		pts = append(pts, measureCommitPath(path.name, n, path.setup))
 	}
 	return pts
 }
 
-// measureCommitPath builds one structure on a fresh fast-mode pool,
-// optionally installs the ambient batch policy, and times total single-
-// thread operations (construction and preloading excluded from both the
-// clock and the counters).
-func measureCommitPath(name string, total, batchOps int,
-	setup func(p *pmem.Pool, ctx *pmem.ThreadCtx, batchOps int) func(i, total int)) SubstratePoint {
+// measureCommitPath builds one structure on a fresh fast-mode pool and
+// times total single-thread operations (construction and preloading
+// excluded from both the clock and the counters).
+func measureCommitPath(name string, total int, setup func(p *pmem.Pool, ctx *pmem.ThreadCtx) func(i int)) SubstratePoint {
 	p := pmem.New(pmem.Config{Mode: pmem.ModeFast, CapacityWords: 1 << 21, MaxThreads: 2})
 	ctx := p.NewThread(1)
-	body := setup(p, ctx, batchOps)
-	if batchOps > 0 {
-		p.SetBatchPolicy(batchPolicy(batchOps))
-	}
+	body := setup(p, ctx)
 	base := p.Snapshot()
 	start := time.Now()
 	for i := 0; i < total; i++ {
-		body(i, total)
+		body(i)
 	}
-	ctx.Retire()
 	ns := float64(time.Since(start).Nanoseconds()) / float64(total)
-	mode := "fast"
-	if batchOps > 0 {
-		mode = "batched"
-	}
-	return statPoint(name, mode, 1, ns, p.Snapshot().Sub(base), total)
+	return statPoint(name, "fast", 1, ns, p.Snapshot().Sub(base), total)
 }
 
 // Tracking-hash points: the contended tracking-hash update mix across the
@@ -396,10 +329,10 @@ func runHashMixOp(h *rhash.Handle, op chaos.Op) {
 // not the traversal.
 const commitKeys = 128
 
-func setupRedologCommit(p *pmem.Pool, ctx *pmem.ThreadCtx, _ int) func(i, total int) {
+func setupRedologCommit(p *pmem.Pool, ctx *pmem.ThreadCtx) func(i int) {
 	s := redolog.New(p, 4096, 2, 0)
 	h := s.Handle(ctx)
-	return func(i, _ int) {
+	return func(i int) {
 		k := int64(i % commitKeys)
 		if i&1 == 0 {
 			h.Insert(k)
@@ -409,41 +342,24 @@ func setupRedologCommit(p *pmem.Pool, ctx *pmem.ThreadCtx, _ int) func(i, total 
 	}
 }
 
-// setupRomulusCommit drives the TM list per-op when unbatched and in
-// ApplyGroup groups of batchOps under the policy — the group commit runs
-// one lock/state cycle and one write-combining epoch for the whole group.
-func setupRomulusCommit(p *pmem.Pool, ctx *pmem.ThreadCtx, batchOps int) func(i, total int) {
+func setupRomulusCommit(p *pmem.Pool, ctx *pmem.ThreadCtx) func(i int) {
 	tm := romulus.NewTM(p, 1<<16, 2, 0)
 	l := romulus.NewList(tm, p.NewThread(0))
-	if batchOps <= 0 {
-		return func(i, _ int) {
-			k := int64(i % commitKeys)
-			seq := tm.Invoke(ctx)
-			if i&1 == 0 {
-				l.Insert(ctx, seq, k)
-			} else {
-				l.Delete(ctx, seq, k)
-			}
-		}
-	}
-	pending := make([]romulus.GroupOp, 0, batchOps)
-	return func(i, total int) {
-		pending = append(pending, romulus.GroupOp{
-			Seq:    tm.Invoke(ctx),
-			Key:    int64(i % commitKeys),
-			Delete: i&1 == 1,
-		})
-		if len(pending) == batchOps || i == total-1 {
-			l.ApplyGroup(ctx, pending)
-			pending = pending[:0]
+	return func(i int) {
+		k := int64(i % commitKeys)
+		seq := tm.Invoke(ctx)
+		if i&1 == 0 {
+			l.Insert(ctx, seq, k)
+		} else {
+			l.Delete(ctx, seq, k)
 		}
 	}
 }
 
-func setupRQueueOps(p *pmem.Pool, ctx *pmem.ThreadCtx, _ int) func(i, total int) {
+func setupRQueueOps(p *pmem.Pool, ctx *pmem.ThreadCtx) func(i int) {
 	q := rqueue.New(p, 2, 0)
 	h := q.Handle(ctx)
-	return func(i, _ int) {
+	return func(i int) {
 		if i&1 == 0 {
 			h.Enqueue(uint64(i))
 		} else {
@@ -452,10 +368,10 @@ func setupRQueueOps(p *pmem.Pool, ctx *pmem.ThreadCtx, _ int) func(i, total int)
 	}
 }
 
-func setupRStackOps(p *pmem.Pool, ctx *pmem.ThreadCtx, _ int) func(i, total int) {
+func setupRStackOps(p *pmem.Pool, ctx *pmem.ThreadCtx) func(i int) {
 	s := rstack.New(p, 2, 0)
 	h := s.Handle(ctx)
-	return func(i, _ int) {
+	return func(i int) {
 		if i&1 == 0 {
 			h.Push(uint64(i))
 		} else {

@@ -83,15 +83,6 @@ type Config struct {
 	ProgressPath string
 	// PoolWords sizes each task's pool (default 1<<20).
 	PoolWords int
-	// BatchOps, when positive, installs an ambient write-combining policy
-	// (pmem.Pool.SetBatchPolicy) on every task pool, batching that many
-	// operations per group-sync epoch. The sweep runs in ModeStrict, where
-	// batching is bookkeeping-only by construction: write-backs are
-	// captured at the record point and psyncs commit immediately, so the
-	// crash-state space, verdicts, and deterministic task metrics must be
-	// identical to an unbatched sweep. crashtest -sweep -batch-ops
-	// -compare is the CI gate that holds this invariant.
-	BatchOps int
 	// RecoveryWorkers, when positive, routes each task's re-attach and
 	// final validation through a parallel recovery engine with that many
 	// workers (structures that define parallel hooks only). 0 keeps the
@@ -209,7 +200,6 @@ type Report struct {
 	OpsPerThread int               `json:"ops_per_thread"`
 	MaxHits      int               `json:"max_hits"`
 	Depth        int               `json:"depth"`
-	BatchOps     int               `json:"batch_ops,omitempty"`
 	Structures   []StructureReport `json:"structures"`
 	Tasks        int               `json:"tasks"`
 	TasksRun     int               `json:"tasks_run"`
@@ -321,9 +311,6 @@ func (cfg *Config) newTaskPool(a *Adapter, threads int) *pmem.Pool {
 		CapacityWords: cfg.PoolWords,
 		MaxThreads:    threads + 2,
 	})
-	if cfg.BatchOps > 0 {
-		pool.SetBatchPolicy(pmem.BatchConfig{MaxOps: cfg.BatchOps, MaxLines: 4 * cfg.BatchOps})
-	}
 	a.Setup(pool, threads+2)
 	return pool
 }
@@ -605,7 +592,6 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{
 		Seed: cfg.Seed, Threads: cfg.Threads,
 		OpsPerThread: cfg.OpsPerThread, MaxHits: cfg.MaxHits, Depth: cfg.Depth,
-		BatchOps: cfg.BatchOps,
 	}
 
 	// Phase 1: profile every structure and plan the task matrix.

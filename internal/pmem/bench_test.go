@@ -140,25 +140,6 @@ func BenchmarkPWB(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchedPWB is the same flush loop inside one write-combining
-// epoch (the default bounds hold the whole lane set, so after the first
-// pass over the lanes every flush merges): the per-operation cost left is
-// the record point plus the dedup scan, which is the overhead batching
-// itself adds on top of an eliminated charge.
-func BenchmarkBatchedPWB(b *testing.B) {
-	for _, g := range benchGoroutines {
-		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
-			runSubstrateBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, s Site, base Addr, n int) {
-				ctx.BeginBatch(BatchConfig{})
-				for i := 0; i < n; i++ {
-					ctx.PWB(s, laneAddr(base, i))
-				}
-				ctx.EndBatch()
-			})
-		})
-	}
-}
-
 // BenchmarkStrictPWB is the same flush loop under the exact durable view,
 // with a PSync every 64 flushes to bound the pending write-back queue.
 func BenchmarkStrictPWB(b *testing.B) {

@@ -74,13 +74,6 @@ func (p *Pool) crashThread(ctx *ThreadCtx, pol CrashPolicy) {
 	pending := ctx.pending
 	ctx.pending = nil
 	ctx.epochStart = 0
-	// The crash consumes any open write-combining epoch with the thread:
-	// in strict mode the buffer was bookkeeping only (every recorded line
-	// is in pending, adjudicated below), so nothing durable is lost.
-	ctx.wcLines = nil
-	ctx.wcOps = 0
-	ctx.batchDepth = 0
-	ctx.autoOpened = false
 	if len(pending) == 0 {
 		return
 	}

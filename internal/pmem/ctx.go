@@ -44,18 +44,6 @@ type ThreadCtx struct {
 	teleTouched []Site      // sites with a non-zero telePend entry
 	teleBuf     []SiteStall // reusable argument buffer for TelemetryPSync
 
-	// Write-combining batch state, owner-only (see batch.go). batchDepth
-	// counts BeginBatch nesting (0 = no open epoch); wcLines holds the
-	// distinct lines recorded in the open epoch; wcOps the deferred group
-	// psyncs; autoBatch is the generation-cached copy of the pool's
-	// ambient batch policy.
-	batchDepth int
-	batchCfg   BatchConfig
-	wcLines    []int
-	wcOps      int
-	autoBatch  BatchConfig
-	autoOpened bool // the open epoch came from the ambient policy
-
 	// Counters. The owner updates each with one uncontended atomic add
 	// (its line stays exclusive in the owner's cache); Stats snapshots
 	// read them while the run is in flight, hence the atomics. The pad
@@ -65,10 +53,6 @@ type ThreadCtx struct {
 	psyncs       atomic.Uint64
 	pfences      atomic.Uint64
 	spun         atomic.Uint64 // total simulated spin units charged
-	pwbsDeferred atomic.Uint64 // write-backs recorded into the WC buffer
-	pwbsMerged   atomic.Uint64 // of those, duplicates merged (charges eliminated)
-	psyncsMerged atomic.Uint64 // psyncs absorbed into a group sync
-	batchDrains  atomic.Uint64 // write-combining drains executed
 	pwbsExecuted atomic.Uint64 // ModeFast write-back charges that actually spun
 	_            [64]byte
 }
@@ -84,7 +68,6 @@ func (p *Pool) NewThread(tid int) *ThreadCtx {
 	p.mu.Lock()
 	ctx.pwbPerSite = make([]atomic.Uint64, len(p.sites))
 	ctx.sink = p.telemetry
-	ctx.autoBatch = p.batchPolicy
 	p.ctxs = append(p.ctxs, ctx)
 	p.mu.Unlock()
 	return ctx
@@ -346,24 +329,15 @@ func (ctx *ThreadCtx) PWBRange(s Site, a Addr, words int) {
 
 // recordPWB is the one code path of a recorded write-back of line at an
 // enabled site s: the site count, the write-back itself, the telemetry
-// report and the crash-site countdown. Strict mode never defers: capture
-// at the record point keeps the crash-state space identical with batching
-// on or off, and an open epoch only books the line (batch.go). Fast mode
-// defers the charge into an open epoch or pays it now.
+// report and the crash-site countdown. Neither mode defers: strict mode
+// captures the line at the record point, fast mode pays its charge there.
 func (ctx *ThreadCtx) recordPWB(s Site, line int) {
 	p := ctx.pool
 	ctx.countPWB(s)
-	batched := ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen())
 	stall := 0
-	switch {
-	case p.mode == ModeStrict:
+	if p.mode == ModeStrict {
 		ctx.captureLine(line)
-		if batched {
-			ctx.recordWCLine(line)
-		}
-	case batched:
-		ctx.deferPWB(line)
-	default:
+	} else {
 		stall = ctx.chargePWB(line)
 	}
 	if ctx.sink != nil {
@@ -485,19 +459,10 @@ func (ctx *ThreadCtx) PSync() {
 		// The "no psync" experiments remove the instruction from the
 		// code; in ModeStrict we still commit pending write-backs so
 		// that correctness tests cannot be run in a silently broken
-		// configuration (the flag is a benchmarking device). The same
-		// invariant extends to batching: a strict-mode commit leaves
-		// nothing deferred, so the write-combining bookkeeping drains
-		// with it (a disabled psync must never strand buffered lines).
+		// configuration (the flag is a benchmarking device).
 		if p.mode == ModeStrict {
 			ctx.commitPending()
-			ctx.drainWC(false)
 		}
-		return
-	}
-	if p.mode == ModeFast &&
-		(ctx.batchDepth > 0 || (ctx.autoBatch.Active() && ctx.autoBatchOpen())) {
-		ctx.deferPSync()
 		return
 	}
 	ctx.psyncs.Add(1)
@@ -508,9 +473,6 @@ func (ctx *ThreadCtx) PSync() {
 		} else {
 			ctx.commitPending()
 		}
-		// An explicit strict-mode psync drains the record-only
-		// write-combining bookkeeping: everything captured is now durable.
-		ctx.drainWC(false)
 	case ModeFast:
 		spin(p.cost.PSyncCost)
 		ctx.spun.Add(uint64(p.cost.PSyncCost))

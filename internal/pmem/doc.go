@@ -60,28 +60,15 @@
 // Every persist instruction (PWB, PWBRange, StoreDurable) has one code
 // path, and its record point (site count, telemetry report, crash-site
 // countdown) runs in every mode. ModeStrict captures the line at the
-// record point; ModeFast defers the charge into an open write-combining
-// epoch or pays it at once. No mode skips a recorded write-back, so
-// Stats.PWBs - Stats.PWBsMerged is what executed.
+// record point; ModeFast pays its charge there. No mode defers, merges or
+// skips a recorded write-back, so Stats.PWBs is what executed, and PSync
+// takes effect where it is issued in both modes.
 //
-// # Cross-operation batching
-//
-// A thread may open a write-combining epoch (BeginBatch/EndBatch), or a
-// pool may install an ambient one (SetBatchPolicy). Inside an epoch,
-// ModeFast defers flush charges into a per-thread buffer that merges
-// duplicate lines across operations and absorbs the epoch's psyncs into
-// one group sync; ModeStrict defers nothing — write-backs are still
-// captured at PWB time and committed at PSync time — so the reachable
-// durable states are unchanged (see batch.go for the full invariant set).
-//
-// Batching composes with the psync switch in one fixed order: a disabled
-// PSync (SetPsyncEnabled(false)) never joins or extends an epoch, and in
-// strict mode it still commits the pending write-backs immediately and
-// resets the thread's write-combining bookkeeping — durability is never
-// deferred just because a batch is open. In fast mode the deferred line
-// charges still drain at epoch close; only the sync cost disappears.
-// TestBatchedPsyncDisabledStillDrainsInStrictMode and its fast-mode twin
-// pin this down.
+// One rule ties the modes to the psync switch: a disabled PSync
+// (SetPsyncEnabled(false)) is not counted, but in strict mode it still
+// commits the thread's pending write-backs, so correctness tests never run
+// in a silently broken configuration.
+// TestPsyncDisabledStillCommitsInStrictMode pins this down.
 //
 // # Crash and site APIs
 //

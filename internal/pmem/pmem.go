@@ -140,8 +140,6 @@ type Pool struct {
 	_            [64]byte
 	siteGen      atomic.Uint64 // site-table generation, see sites.go
 	_            [64]byte
-	batchDebug   atomic.Bool // retire-with-open-batch panics (batch.go)
-	_            [64]byte
 
 	mu          sync.Mutex
 	ctxs        []*ThreadCtx
@@ -151,9 +149,6 @@ type Pool struct {
 	// telemetry is the attached sink (nil when detached), under mu;
 	// threads consult their generation-cached copy (see telemetry.go).
 	telemetry TelemetrySink
-	// batchPolicy is the ambient write-combining policy (zero when none),
-	// under mu; threads consult their generation-cached copy (batch.go).
-	batchPolicy BatchConfig
 }
 
 // New creates a Pool. It panics on an invalid configuration; a simulation

@@ -353,6 +353,46 @@ func TestPsyncDisabledStillCommitsInStrictMode(t *testing.T) {
 	}
 }
 
+// TestCounterConservation pins the accounting Stats documents: every
+// recorded write-back executes — executed + merged == recorded, with
+// nothing ever merged, deferred or elided — over a seeded ModeFast stream
+// of PWB, PWBRange and PSync calls, with no NoSite traffic inside the
+// measured window.
+func TestCounterConservation(t *testing.T) {
+	p := newFast(t)
+	ctx := p.NewThread(0)
+	s := p.RegisterSite("op")
+	const words = 64
+	base := ctx.AllocWords(words)
+
+	snap := p.Snapshot()
+	rng := rand.New(rand.NewSource(7))
+	for op := 0; op < 2000; op++ {
+		w := base + Addr(rng.Intn(words))*WordSize
+		switch rng.Intn(7) {
+		case 0, 1, 2:
+			ctx.PWB(s, w)
+		case 3, 4:
+			ctx.PSync()
+		case 5, 6:
+			ctx.PWBRange(s, base, 1+rng.Intn(8))
+		}
+	}
+	ctx.PSync()
+	st := p.Snapshot().Sub(snap)
+	if st.PWBs == 0 || st.PWBsExecuted == 0 {
+		t.Fatal("the stream recorded or executed no write-back; the test lost its teeth")
+	}
+	if got := st.PWBsExecuted + st.PWBsMerged; got != st.PWBs || st.PWBsElided != 0 {
+		t.Fatalf("executed %d + merged %d = %d (elided %d), want recorded %d",
+			st.PWBsExecuted, st.PWBsMerged, got, st.PWBsElided, st.PWBs)
+	}
+	if st.PWBsDeferred != 0 || st.PWBsMerged != 0 || st.PSyncsMerged != 0 || st.BatchDrains != 0 {
+		t.Fatalf("deferred/merged/psyncs merged/drains = %d/%d/%d/%d, want all 0",
+			st.PWBsDeferred, st.PWBsMerged, st.PSyncsMerged, st.BatchDrains)
+	}
+}
+
 func TestFastModeHeat(t *testing.T) {
 	p := newFast(t)
 	s := p.RegisterSite("hot")

@@ -132,7 +132,6 @@ func (ctx *ThreadCtx) refreshSites() {
 	p.mu.Lock()
 	ctx.siteBits = append(ctx.siteBits[:0], p.enabledBits...)
 	ctx.sink = p.telemetry
-	ctx.autoBatch = p.batchPolicy
 	ctx.siteGen = p.genLocked
 	p.mu.Unlock()
 }
@@ -146,20 +145,14 @@ type Stats struct {
 	PFences    uint64
 	SpinUnits  uint64 // ModeFast: total simulated persistence latency charged
 
-	// Write-combining batch counters (batch.go). PWBs counts every
-	// *recorded* write-back (batched or not — the record point is
-	// invariant under batching); the charges that actually executed number
-	// PWBs - PWBsMerged, and in ModeFast windows free of NoSite traffic
-	// PWBsExecuted equals exactly that. PSyncs likewise counts executed
-	// syncs only, so a batched run shows PSyncs shrinking as PSyncsMerged
-	// grows. In ModeStrict the deferred/merged counters are advisory (they
-	// measure the merge opportunity; no charge exists to eliminate).
-	PWBsDeferred uint64 // write-backs recorded into a write-combining buffer
-	PWBsMerged   uint64 // of those, duplicate lines merged (charges eliminated)
-	PSyncsMerged uint64 // psyncs absorbed into a group sync
-	BatchDrains  uint64 // write-combining drains executed
-	// PWBsElided is always zero: no write-back is skipped. It stays
-	// because benchmark/metrics.go still sums and reports it.
+	// PWBsDeferred, PWBsMerged, PSyncsMerged, BatchDrains and PWBsElided
+	// are always zero: no write-back or sync is deferred, merged or
+	// skipped, so PWBs is what executed. They stay because
+	// benchmark/metrics.go still sums and reports them.
+	PWBsDeferred uint64
+	PWBsMerged   uint64
+	PSyncsMerged uint64
+	BatchDrains  uint64
 	PWBsElided   uint64
 	PWBsExecuted uint64 // ModeFast charges that actually spun (includes NoSite)
 }
@@ -188,10 +181,6 @@ func (p *Pool) Snapshot() Stats {
 		st.PSyncs += ctx.psyncs.Load()
 		st.PFences += ctx.pfences.Load()
 		st.SpinUnits += ctx.spun.Load()
-		st.PWBsDeferred += ctx.pwbsDeferred.Load()
-		st.PWBsMerged += ctx.pwbsMerged.Load()
-		st.PSyncsMerged += ctx.psyncsMerged.Load()
-		st.BatchDrains += ctx.batchDrains.Load()
 		st.PWBsExecuted += ctx.pwbsExecuted.Load()
 	}
 	return st
@@ -215,10 +204,6 @@ func (st Stats) Sub(base Stats) Stats {
 		PSyncs:       sub(st.PSyncs, base.PSyncs),
 		PFences:      sub(st.PFences, base.PFences),
 		SpinUnits:    sub(st.SpinUnits, base.SpinUnits),
-		PWBsDeferred: sub(st.PWBsDeferred, base.PWBsDeferred),
-		PWBsMerged:   sub(st.PWBsMerged, base.PWBsMerged),
-		PSyncsMerged: sub(st.PSyncsMerged, base.PSyncsMerged),
-		BatchDrains:  sub(st.BatchDrains, base.BatchDrains),
 		PWBsExecuted: sub(st.PWBsExecuted, base.PWBsExecuted),
 	}
 	for k, v := range st.PWBsBySite {

@@ -93,7 +93,6 @@ func registerSites(pool *pmem.Pool) sites {
 
 // Set is a persistent, detectable sorted-set built on a redo log.
 type Set struct {
-	pool       *pmem.Pool
 	logBase    pmem.Addr
 	tailAddr   pmem.Addr
 	annBase    pmem.Addr
@@ -144,7 +143,7 @@ func New(pool *pmem.Pool, capacity, maxThreads, rootSlot int) *Set {
 	boot.PSync()
 
 	return &Set{
-		pool: pool, logBase: logBase, tailAddr: tailLine, annBase: annBase,
+		logBase: logBase, tailAddr: tailLine, annBase: annBase,
 		invokeBase: invokeBase, capacity: capacity, maxThreads: maxThreads,
 		ckptAddr: ckptLine, bufA: bufA, bufB: bufB,
 		s:       registerSites(pool),
@@ -164,7 +163,6 @@ func Attach(pool *pmem.Pool, rootSlot int) (*Set, error) {
 		return nil, fmt.Errorf("redolog: root slot %d holds no set", rootSlot)
 	}
 	s := &Set{
-		pool:       pool,
 		logBase:    pmem.Addr(boot.Load(header + hdrLog)),
 		tailAddr:   pmem.Addr(boot.Load(header + hdrTail)),
 		annBase:    pmem.Addr(boot.Load(header + hdrAnn)),
@@ -215,15 +213,6 @@ func Attach(pool *pmem.Pool, rootSlot int) (*Set, error) {
 // checkpoint serializes the replica and response table into the inactive
 // buffer and atomically publishes it. Caller holds the combiner lock.
 func (s *Set) checkpoint(c *pmem.ThreadCtx, tail uint64) {
-	// With batching opted in, one write-combining epoch per checkpoint:
-	// the serialized replica and per-thread table are flushed range-wise,
-	// and the buffer-switch publish supplies the single group sync. Called
-	// from inside run()'s combine epoch this simply joins it (batches
-	// nest).
-	if bp := s.pool.BatchPolicy(); bp.Active() {
-		c.BeginBatch(bp)
-		defer c.EndBatch()
-	}
 	old := c.Load(s.ckptAddr)
 	bufIdx := uint64(0)
 	buf := s.bufA
@@ -330,18 +319,7 @@ func (h *Handle) run(seq, op uint64, key int64) uint64 {
 		return s.results[tid] // someone combined for us (not in the
 		// mutex variant, but kept for protocol clarity)
 	}
-	// Combine: append every announced-but-unapplied operation. When the
-	// pool has opted into batching, the whole append phase runs as one
-	// write-combining epoch: consecutive log entries (entLen words each)
-	// share cache lines, so in the fast-mode cost model the per-entry
-	// flushes merge and the tail publish's sync becomes the group sync of
-	// the epoch. Strict-mode durability is unaffected (batching never
-	// defers strict captures or commits); with no policy installed the
-	// combiner's cost profile is exactly the unbatched one.
-	if bp := s.pool.BatchPolicy(); bp.Active() {
-		c.BeginBatch(bp)
-		defer c.EndBatch()
-	}
+	// Combine: append every announced-but-unapplied operation.
 	tail := int(c.Load(s.tailAddr))
 	appended := 0
 	for t := 0; t < s.maxThreads; t++ {

@@ -229,31 +229,6 @@ func (tm *TM) Update(ctx *pmem.ThreadCtx, fn func(tx *Tx)) {
 	tm.commit(ctx, fn)
 }
 
-// UpdateGroup runs fns as one durable group commit: a single state cycle
-// (mutating -> copying -> idle) covers every fn, so the three state-word
-// syncs and the per-line flushes of both copies amortize over the group,
-// and the whole protocol runs inside one write-combining epoch (ops of a
-// group that touch the same lines merge their flushes). Crash atomicity
-// is per group — a crash before the commit point rolls back every fn,
-// after it rolls every fn forward — which detectable recovery handles
-// unchanged: each fn records its (seq, result) via RecordResult inside
-// the same transaction, so recovery sees either all of the group's
-// responses or none of them.
-func (tm *TM) UpdateGroup(ctx *pmem.ThreadCtx, fns ...func(tx *Tx)) {
-	if len(fns) == 0 {
-		return
-	}
-	tm.mu.Lock()
-	defer tm.mu.Unlock()
-	ctx.BeginBatch(pmem.BatchConfig{})
-	defer ctx.EndBatch()
-	tm.commit(ctx, func(tx *Tx) {
-		for _, fn := range fns {
-			fn(tx)
-		}
-	})
-}
-
 // commit executes the two-copy update protocol for fn's write set. The
 // caller holds the writer lock.
 func (tm *TM) commit(ctx *pmem.ThreadCtx, fn func(tx *Tx)) {
@@ -426,48 +401,6 @@ func (l *List) Delete(ctx *pmem.ThreadCtx, seq uint64, key int64) bool {
 		tx.RecordResult(ctx.TID(), seq, b2u(res))
 	})
 	return res
-}
-
-// GroupOp is one list operation of a batched group commit. Seq is the
-// operation's invocation sequence number (from TM.Invoke); Res receives
-// the operation's result.
-type GroupOp struct {
-	Seq    uint64
-	Key    int64
-	Delete bool // delete instead of insert
-	Res    bool
-}
-
-// ApplyGroup commits ops in order as one UpdateGroup: one state cycle and
-// one write-combining epoch cover the whole group, amortizing the
-// protocol's three syncs over len(ops) operations. Each op's response is
-// recorded transactionally under its own sequence number, exactly as the
-// per-op Insert/Delete paths record theirs.
-func (l *List) ApplyGroup(ctx *pmem.ThreadCtx, ops []GroupOp) {
-	if len(ops) == 0 {
-		return
-	}
-	fns := make([]func(tx *Tx), len(ops))
-	for i := range ops {
-		op := &ops[i]
-		fns[i] = func(tx *Tx) {
-			pred, curr := l.window(tx, op.Key)
-			if op.Delete {
-				if op.Res = int64(tx.Read(curr+lKey)) == op.Key; op.Res {
-					tx.Write(pred+lNext, tx.Read(curr+lNext))
-				}
-			} else {
-				if op.Res = int64(tx.Read(curr+lKey)) != op.Key; op.Res {
-					nd := tx.Alloc(lLen)
-					tx.Write(nd+lKey, keyBits(op.Key))
-					tx.Write(nd+lNext, uint64(curr))
-					tx.Write(pred+lNext, uint64(nd))
-				}
-			}
-			tx.RecordResult(ctx.TID(), op.Seq, b2u(op.Res))
-		}
-	}
-	l.tm.UpdateGroup(ctx, fns...)
 }
 
 // Find reports membership. Read-only transactions are not recorded; their

@@ -233,112 +233,3 @@ func TestAttachEmptySlot(t *testing.T) {
 		t.Fatal("AttachTM on empty slot succeeded")
 	}
 }
-
-// TestUpdateGroup commits several list operations as one group and checks
-// that the result set, the recorded responses, and the amortized sync
-// count all come out right: one state cycle (three psyncs) covers the
-// whole group instead of three per operation.
-func TestUpdateGroup(t *testing.T) {
-	pool, tm, l := newListTM(t, pmem.ModeStrict)
-	ctx := pool.NewThread(1)
-
-	base := pool.Snapshot()
-	var seq uint64
-	var results []bool
-	var fns []func(tx *Tx)
-	for _, key := range []int64{4, 2, 4} { // second 4 must fail
-		key := key
-		i := len(results)
-		results = append(results, false)
-		seq = tm.Invoke(ctx)
-		opSeq := seq
-		fns = append(fns, func(tx *Tx) {
-			pred, curr := l.window(tx, key)
-			res := false
-			if int64(tx.Read(curr+lKey)) != key {
-				nd := tx.Alloc(lLen)
-				tx.Write(nd+lKey, keyBits(key))
-				tx.Write(nd+lNext, uint64(curr))
-				tx.Write(pred+lNext, uint64(nd))
-				res = true
-			}
-			results[i] = res
-			tx.RecordResult(ctx.TID(), opSeq, b2u(res))
-		})
-	}
-	tm.UpdateGroup(ctx, fns...)
-	d := pool.Snapshot().Sub(base)
-
-	if !results[0] || !results[1] || results[2] {
-		t.Fatalf("group results = %v, want [true true false]", results)
-	}
-	if keys := l.Keys(ctx); len(keys) != 2 || keys[0] != 2 || keys[1] != 4 {
-		t.Fatalf("keys after group = %v, want [2 4]", keys)
-	}
-	// The last op's response is recorded under its sequence number.
-	if res, ok := tm.CommittedResult(ctx, seq); !ok || res != 0 {
-		t.Fatalf("CommittedResult(%d) = %d,%v, want 0,true", seq, res, ok)
-	}
-	// One state cycle for the whole group: 3 psyncs (+1 durable invoke per
-	// op happens outside Update and issues none), not 3 per op.
-	if d.PSyncs != 3 {
-		t.Fatalf("group committed with %d psyncs, want 3", d.PSyncs)
-	}
-}
-
-// TestUpdateGroupEmpty: an empty group must be a no-op, not a state cycle.
-func TestUpdateGroupEmpty(t *testing.T) {
-	pool, tm, _ := newListTM(t, pmem.ModeStrict)
-	ctx := pool.NewThread(1)
-	base := pool.Snapshot()
-	tm.UpdateGroup(ctx)
-	if d := pool.Snapshot().Sub(base); d.PSyncs != 0 || d.PWBs != 0 {
-		t.Fatalf("empty group issued persistence work: %+v", d)
-	}
-}
-
-// TestApplyGroupModelEquivalence chunks a random op stream into groups and
-// checks results and final content against a model set.
-func TestApplyGroupModelEquivalence(t *testing.T) {
-	pool, tm, l := newListTM(t, pmem.ModeStrict)
-	ctx := pool.NewThread(1)
-	model := map[int64]bool{}
-	rng := rand.New(rand.NewSource(7))
-	for round := 0; round < 30; round++ {
-		ops := make([]GroupOp, 1+rng.Intn(6))
-		for i := range ops {
-			ops[i] = GroupOp{
-				Seq:    tm.Invoke(ctx),
-				Key:    rng.Int63n(12),
-				Delete: rng.Intn(2) == 0,
-			}
-		}
-		l.ApplyGroup(ctx, ops)
-		for i := range ops {
-			op := ops[i]
-			want := model[op.Key] == op.Delete // insert succeeds iff absent, delete iff present
-			if op.Res != want {
-				t.Fatalf("round %d op %d (%+v): res=%v want %v", round, i, op, op.Res, want)
-			}
-			if op.Delete {
-				delete(model, op.Key)
-			} else {
-				model[op.Key] = true
-			}
-		}
-	}
-	var want []int64
-	for k := range model {
-		want = append(want, k)
-	}
-	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-	got := l.Keys(ctx)
-	if len(got) != len(want) {
-		t.Fatalf("keys = %v, want %v", got, want)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("keys = %v, want %v", got, want)
-		}
-	}
-}
