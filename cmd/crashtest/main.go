@@ -52,7 +52,6 @@ func main() {
 		budget       = flag.Duration("budget", 0, "sweep: wall-clock budget (0 = unlimited)")
 		resume       = flag.String("resume", "", "sweep: progress file for resumable runs")
 		sweepThreads = flag.Int("sweep-threads", 0, "sweep: worker threads inside each task (0 = per-structure minimum, fully deterministic)")
-		recWorkers   = flag.Int("recovery-workers", 0, "sweep: parallel recovery-engine workers per task (0 = serial recovery)")
 		compare      = flag.String("compare", "", "sweep: baseline coverage report; exit nonzero on any verdict or metric drift")
 	)
 	flag.Parse()
@@ -65,7 +64,7 @@ func main() {
 	}
 	if *sweepMode {
 		os.Exit(runSweep(*structure, *seed, *ops, *maxHits, *depth, *workers,
-			*sweepThreads, *recWorkers, *budget, *report, *resume, *compare))
+			*sweepThreads, *budget, *report, *resume, *compare))
 	}
 	os.Exit(runRandomized(*structure, *seed, *threads, *ops, *crashes, *rounds, *keyRange, *mean))
 }
@@ -148,7 +147,7 @@ func runRandomized(structure string, seed int64, threads, ops, crashes, rounds i
 }
 
 // runSweep is the deterministic crash-site sweep mode.
-func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepThreads, recWorkers int,
+func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepThreads int,
 	budget time.Duration, report, resume, compare string) int {
 	names, err := structuresFor(structure, true)
 	if err != nil {
@@ -157,16 +156,15 @@ func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepT
 	}
 	start := time.Now()
 	rep, err := sweep.Run(sweep.Config{
-		Structures:      names,
-		Seed:            seed,
-		Threads:         sweepThreads,
-		OpsPerThread:    ops,
-		MaxHits:         maxHits,
-		Depth:           depth,
-		Workers:         workers,
-		RecoveryWorkers: recWorkers,
-		Budget:          budget,
-		ProgressPath:    resume,
+		Structures:   names,
+		Seed:         seed,
+		Threads:      sweepThreads,
+		OpsPerThread: ops,
+		MaxHits:      maxHits,
+		Depth:        depth,
+		Workers:      workers,
+		Budget:       budget,
+		ProgressPath: resume,
 		Log: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},

@@ -12,7 +12,7 @@
 // its recovery function (RecoverPut, RecoverDelete, RecoverGet), the store
 // is recovered whole — reconciliation plus leak GC fanned per shard — and
 // the final contents are audited against the exactly-once oracle. A short
-// epilogue shows the TTL/eviction and CAS paths on the survived store.
+// epilogue shows the TTL/eviction and overwrite paths on the survived store.
 //
 // Every random choice derives from Seed 2026 through splitmix64: the
 // operation stream is a pure function of (seed, thread, index), so the
@@ -190,8 +190,8 @@ func main() {
 	fmt.Println("audit passed: every operation took effect exactly once, despite the crashes")
 
 	// Epilogue on the survived store: sessions with a deadline are evicted
-	// in bulk through the allocator's free-stacks, and CAS updates a value
-	// only from the exact state the caller read.
+	// in bulk through the allocator's free-stacks, and an overwrite Put
+	// swaps a live key's value for a fully persisted replacement block.
 	h := s.Handle(pool.NewThread(1))
 	const deadline = 100
 	for i := int64(0); i < 8; i++ {
@@ -210,11 +210,11 @@ func main() {
 	key := keys[int(splitmix64(seed+1))%len(keys)]
 	old, _ := h.Get(key)
 	h.Invoke()
-	swapped, err := h.CAS(key, old, old+2)
+	absent, err := h.Put(key, old+2, kvstore.NoExpiry)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("cas on key %d from %d: swapped=%v\n", key, old, swapped)
+	fmt.Printf("overwrite of key %d from %d: absent=%v\n", key, old, absent)
 
 	reg := telemetry.NewRegistry(telemetry.Config{})
 	s.PublishTelemetry(reg)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/pmem"
 	"repro/internal/rbst"
-	"repro/internal/recovery"
 	"repro/internal/rexchanger"
 	"repro/internal/rhash"
 	"repro/internal/rlist"
@@ -50,16 +49,6 @@ type Adapter struct {
 	// exactly-once oracle for the structure's semantics (and, for sets, a
 	// linearizability pass when the history fits the checker's bounds).
 	Validate func(pool *pmem.Pool, res *chaos.Result) error
-	// ReattachParallel, when non-nil, is Reattach with the structure's
-	// volatile-view reconstruction fanned across the recovery engine's
-	// workers; the sweep uses it when Config.RecoveryWorkers > 0. nil means
-	// the structure's attach is trivially cheap and stays serial.
-	ReattachParallel func(pool *pmem.Pool, eng *recovery.Engine) (chaos.ThreadFactory, error)
-	// ValidateParallel, when non-nil, is Validate with the invariant scan
-	// partitioned across the recovery engine's workers. The verdict must be
-	// identical to Validate's on every pool state (the parallel-sweep CI
-	// gate asserts this).
-	ValidateParallel func(pool *pmem.Pool, eng *recovery.Engine, res *chaos.Result) error
 	// Scripted maps site labels that profiled workloads cannot reach to
 	// deterministic provocation scenarios that do (see provoke.go). The
 	// sweep crashes at such a site through its scenario instead of a
@@ -192,41 +181,6 @@ func setValidate(view func(pool *pmem.Pool) (setView, error)) func(*pmem.Pool, *
 	}
 }
 
-// setViewPar is setView with the audit fanned across a recovery engine.
-type setViewPar struct {
-	keys  func(eng *recovery.Engine) ([]int64, error)
-	check func(eng *recovery.Engine) error
-}
-
-// setValidatePar builds a ValidateParallel from an engine-aware view. The
-// oracle passes (alternation, linearizability, sequential) are unchanged —
-// only the structure scan parallelizes.
-func setValidatePar(view func(pool *pmem.Pool) (setViewPar, error)) func(*pmem.Pool, *recovery.Engine, *chaos.Result) error {
-	return func(pool *pmem.Pool, eng *recovery.Engine, res *chaos.Result) error {
-		v, err := view(pool)
-		if err != nil {
-			return err
-		}
-		if err := v.check(eng); err != nil {
-			return err
-		}
-		keys, err := v.keys(eng)
-		if err != nil {
-			return err
-		}
-		if err := chaos.CheckSetAlternation(res.Logs, chaos.SetClassifier, keys); err != nil {
-			return err
-		}
-		if err := chaos.CheckSetLinearizable(res.Logs); err != nil {
-			return err
-		}
-		if len(res.Logs) == 1 {
-			return chaos.CheckSetSequential(res.Logs[0])
-		}
-		return nil
-	}
-}
-
 // uniqueValue encodes a value no two (thread, op-index) pairs share, small
 // enough for every structure's value space.
 func uniqueValue(tid, i int) int64 { return int64(tid)<<32 | int64(i+1) }
@@ -253,18 +207,6 @@ func init() {
 			return setView{
 				keys:  l.Keys,
 				check: func(c *pmem.ThreadCtx) error { return l.CheckInvariants(c, true) },
-			}, nil
-		}),
-		ValidateParallel: setValidatePar(func(pool *pmem.Pool) (setViewPar, error) {
-			l, err := rlist.Attach(pool, 0)
-			if err != nil {
-				return setViewPar{}, err
-			}
-			return setViewPar{
-				keys: func(eng *recovery.Engine) ([]int64, error) {
-					return l.Keys(pool.NewThread(eng.BaseTID())), nil
-				},
-				check: func(eng *recovery.Engine) error { return l.CheckInvariantsParallel(eng, true) },
 			}, nil
 		}),
 		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
@@ -296,18 +238,6 @@ func init() {
 				check: func(c *pmem.ThreadCtx) error { return tr.CheckInvariants(c, true) },
 			}, nil
 		}),
-		ValidateParallel: setValidatePar(func(pool *pmem.Pool) (setViewPar, error) {
-			tr, err := rbst.Attach(pool, 0)
-			if err != nil {
-				return setViewPar{}, err
-			}
-			return setViewPar{
-				keys: func(eng *recovery.Engine) ([]int64, error) {
-					return tr.Keys(pool.NewThread(eng.BaseTID())), nil
-				},
-				check: func(eng *recovery.Engine) error { return tr.CheckInvariantsParallel(eng, true) },
-			}, nil
-		}),
 		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
 			"rbst/pwb-info-backtrack": provokeBSTBacktrack,
 			"rbst/pwb-info-observed":  provokeBSTObserved,
@@ -335,25 +265,6 @@ func init() {
 			return setView{
 				keys:  m.Keys,
 				check: func(c *pmem.ThreadCtx) error { return m.CheckInvariants(c, true) },
-			}, nil
-		}),
-		ReattachParallel: func(pool *pmem.Pool, eng *recovery.Engine) (chaos.ThreadFactory, error) {
-			m, err := rhash.AttachParallel(pool, 0, eng)
-			if err != nil {
-				return nil, err
-			}
-			return func(tid int) (chaos.Thread, error) {
-				return setThread{h: m.Handle(pool.NewThread(tid))}, nil
-			}, nil
-		},
-		ValidateParallel: setValidatePar(func(pool *pmem.Pool) (setViewPar, error) {
-			m, err := rhash.Attach(pool, 0)
-			if err != nil {
-				return setViewPar{}, err
-			}
-			return setViewPar{
-				keys:  m.KeysParallel,
-				check: func(eng *recovery.Engine) error { return m.CheckInvariantsParallel(eng, true) },
 			}, nil
 		}),
 		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
@@ -478,27 +389,7 @@ func init() {
 			if err != nil {
 				return err
 			}
-			return rmmValidate(pool, a, nil, res)
-		},
-		ReattachParallel: func(pool *pmem.Pool, eng *recovery.Engine) (chaos.ThreadFactory, error) {
-			a, err := rmm.AttachParallel(pool, 0, eng)
-			if err != nil {
-				return nil, err
-			}
-			return rmmFactory(pool, a), nil
-		},
-		// The parallel path fans the read-only phases (free-stack rebuild,
-		// in-use count) across the engine; the durable-writing RecoverGC
-		// stays serial in BOTH paths so the task's persistence metrics are
-		// identical and the -compare gate can hold serial ≡ parallel to
-		// byte equality. RecoverGCParallel's own serial-equivalence is
-		// pinned by the rmm package's 100-seed durable-byte tests.
-		ValidateParallel: func(pool *pmem.Pool, eng *recovery.Engine, res *chaos.Result) error {
-			a, err := rmm.AttachParallel(pool, 0, eng)
-			if err != nil {
-				return err
-			}
-			return rmmValidate(pool, a, eng, res)
+			return rmmValidate(pool, a, res)
 		},
 	})
 
@@ -763,10 +654,8 @@ func (t rmmThread) Recover(op chaos.Op) uint64 {
 // reclaim all crash leaks without restoring a single mark (a restored
 // mark would mean a published block whose bitmap bit never committed —
 // a broken persist order), and the rebuilt allocator must satisfy its
-// volatile/durable invariants. With an engine, the read-only phases ran
-// parallel (AttachParallel upstream, InUseParallel here); the verdict
-// and the persistence-instruction counts are identical either way.
-func rmmValidate(pool *pmem.Pool, a *rmm.Allocator, eng *recovery.Engine, res *chaos.Result) error {
+// volatile/durable invariants.
+func rmmValidate(pool *pmem.Pool, a *rmm.Allocator, res *chaos.Result) error {
 	boot := pool.NewThread(0)
 	for tidIdx, log := range res.Logs {
 		for i, rec := range log {
@@ -809,15 +698,7 @@ func rmmValidate(pool *pmem.Pool, a *rmm.Allocator, eng *recovery.Engine, res *c
 	if st.MarksRestored != 0 {
 		return fmt.Errorf("%d published blocks had no durable bitmap bit (persist order broken)", st.MarksRestored)
 	}
-	inUse := 0
-	if eng != nil {
-		if inUse, err = a.InUseParallel(eng); err != nil {
-			return err
-		}
-	} else {
-		inUse = a.InUse(boot)
-	}
-	if inUse != len(live) {
+	if inUse := a.InUse(boot); inUse != len(live) {
 		return fmt.Errorf("post-GC in-use %d, want %d live slots (leak reclamation failed)", inUse, len(live))
 	}
 	return a.CheckInvariants(boot)

@@ -6,7 +6,6 @@ import (
 	"repro/internal/chaos"
 	"repro/internal/kvstore"
 	"repro/internal/pmem"
-	"repro/internal/recovery"
 )
 
 // The kvstore adapter sweeps the sharded key/value store's own persist
@@ -28,9 +27,6 @@ const (
 	kvChunkBlocks   = 8
 	kvMaxChunks     = 4
 	kvKeyRange      = 48
-	// kvThreadHeadroom reserves tracking-table ids above the sweep's own
-	// threads for parallel recovery-engine workers.
-	kvThreadHeadroom = 8
 	// kvOpFailed is the log sentinel for an operation the store rejected
 	// (ErrFull or an allocator fault) — validation turns it into a
 	// violation.
@@ -48,7 +44,7 @@ func kvValueFor(key int64) uint64 { return uint64(key)*0x9e3779b97f4a7c15 + 1 }
 func kvSetup(pool *pmem.Pool, maxThreads int) {
 	_, err := kvstore.New(pool, kvstore.Config{
 		Shards: kvShards, Buckets: kvBuckets, SlotsPerShard: kvSlotsPerShard,
-		MaxThreads:  maxThreads + kvThreadHeadroom,
+		MaxThreads:  maxThreads,
 		ChunkBlocks: kvChunkBlocks, MaxChunks: kvMaxChunks,
 	})
 	if err != nil {
@@ -173,24 +169,6 @@ func init() {
 		GenOp: chaos.SetGenOp(kvKeyRange), KeyedGen: chaos.SetGenOp,
 		Validate: func(pool *pmem.Pool, res *chaos.Result) error {
 			s, err := kvstore.Recover(pool, 0)
-			if err != nil {
-				return err
-			}
-			return kvValidate(pool, s, res)
-		},
-		// Whole-store recovery fans out per shard; serial and parallel leave
-		// byte-identical durable state and issue identical persistence
-		// instruction counts (the kvstore package pins this over 100 seeded
-		// crash states), so the -compare gate holds across both paths.
-		ReattachParallel: func(pool *pmem.Pool, eng *recovery.Engine) (chaos.ThreadFactory, error) {
-			s, err := kvstore.RecoverParallel(pool, 0, eng)
-			if err != nil {
-				return nil, err
-			}
-			return kvFactory(pool, s), nil
-		},
-		ValidateParallel: func(pool *pmem.Pool, eng *recovery.Engine, res *chaos.Result) error {
-			s, err := kvstore.RecoverParallel(pool, 0, eng)
 			if err != nil {
 				return err
 			}

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/chaos"
 	"repro/internal/pmem"
-	"repro/internal/recovery"
 	"repro/internal/telemetry"
 )
 
@@ -83,13 +82,6 @@ type Config struct {
 	ProgressPath string
 	// PoolWords sizes each task's pool (default 1<<20).
 	PoolWords int
-	// RecoveryWorkers, when positive, routes each task's re-attach and
-	// final validation through a parallel recovery engine with that many
-	// workers (structures that define parallel hooks only). 0 keeps the
-	// serial paths. Task verdicts and deterministic metrics are identical
-	// either way: the engine's phases are read-only with respect to the
-	// pool's persistence counters and crash triggers.
-	RecoveryWorkers int
 	// Log, when non-nil, receives human-readable progress lines.
 	Log func(format string, args ...any)
 }
@@ -485,24 +477,7 @@ func runSweepTask(a *Adapter, t sweepTask, cfg *Config) TaskResult {
 		sched.Lockstep(pool, reg)
 	}
 
-	// Optional parallel recovery engine: worker thread ids sit just above
-	// the task's application ids (the pool enforces MaxThreads only for
-	// tracking-engine threads, which the engine's read-only workers never
-	// become). Attach and validation are load-only, so the engine cannot
-	// fire armed crash triggers or perturb the task's persistence counters.
-	var eng *recovery.Engine
-	if cfg.RecoveryWorkers > 0 && (a.ReattachParallel != nil || a.ValidateParallel != nil) {
-		eng = recovery.New(recovery.Config{
-			Workers: cfg.RecoveryWorkers, BaseTID: threads + 2, Telemetry: reg,
-		})
-	}
-	reattach := func() (chaos.ThreadFactory, error) {
-		if eng != nil && a.ReattachParallel != nil {
-			return a.ReattachParallel(pool, eng)
-		}
-		return a.Reattach(pool)
-	}
-	factory, err := reattach()
+	factory, err := a.Reattach(pool)
 	if err != nil {
 		return fail(err)
 	}
@@ -534,20 +509,14 @@ func runSweepTask(a *Adapter, t sweepTask, cfg *Config) TaskResult {
 		pool.Crash(policyFor(t.adversary, advRng))
 		pool.Recover()
 		res.Crashes++
-		if factory, err = reattach(); err != nil {
+		if factory, err = a.Reattach(pool); err != nil {
 			return fail(err)
 		}
 	}
 	pool.SetCrashAtSite(pmem.NoSite, 0)
 
 	out := &chaos.Result{Crashes: res.Crashes, Logs: sched.Logs()}
-	var verr error
-	if eng != nil && a.ValidateParallel != nil {
-		verr = a.ValidateParallel(pool, eng, out)
-	} else {
-		verr = a.Validate(pool, out)
-	}
-	if verr != nil {
+	if verr := a.Validate(pool, out); verr != nil {
 		res.Violation = verr.Error()
 	}
 	finishTaskTelemetry(reg, &res)

@@ -34,8 +34,8 @@
 // tracking checkpoint is the membership linearization point; (3)
 // TTL-stamp — persist the expiry tick into the block. Delete linearizes
 // at the rhash Delete, then tombstones the slot durably and frees the
-// block (bit-clear durable before reuse). Overwrites and CAS build a
-// fully-persisted replacement block and commit it with a single-word slot
+// block (bit-clear durable before reuse). An overwrite builds a
+// fully-persisted replacement block and commits it with a single-word slot
 // swap; an overwrite Put reports false without an index call, because a
 // live slot seen inside the write section means the key is a member.
 //
@@ -49,10 +49,10 @@
 // move, and otherwise loads pool memory (so a crash propagates, as in the
 // writers' spin) and retries. This is safe because every write to a
 // shard's slots and value blocks happens inside that shard's write
-// section: Put, Delete, CAS, EvictExpired, RecoverPut, RecoverDelete and
-// RecoverCAS all take the lock, store recovery repairs slots before any
-// handle exists, and blocks are reused only through the shard's own
-// allocator, which those same sections drive. A read that overlapped a
+// section: Put, Delete, EvictExpired, RecoverPut and RecoverDelete all
+// take the lock, store recovery repairs slots before any handle exists,
+// and blocks are reused only through the shard's own allocator, which
+// those same sections drive. A read that overlapped a
 // write section may be torn, but a torn read only ever sees slot
 // sentinels or block addresses (valid pool words), and the probe is
 // bounded by the slot capacity; the re-read of the sequence word then
@@ -76,12 +76,11 @@
 // index-delete and tombstone), rejects duplicate or foreign slots, and
 // runs rmm.RecoverGC with the surviving blocks as roots so crash-leaked
 // blocks return to the free-stacks. Per-operation exactly-once results
-// are then available through RecoverPut / RecoverGet / RecoverDelete /
-// RecoverCAS. Other threads may have operated on the key by the time a
-// recovery function runs, so RecoverPut and RecoverDelete touch the value
-// plane only when their index operation never took effect, and then
-// re-execute the whole operation. RecoverCAS is value-witnessed and
-// therefore exact only when old != new; see its comment.
+// are then available through RecoverPut / RecoverGet / RecoverDelete.
+// Other threads may have operated on the key by the time a recovery
+// function runs, so RecoverPut and RecoverDelete touch the value plane
+// only when their index operation never took effect, and then re-execute
+// the whole operation.
 //
 // The tracking engine is shared by every shard (site prefix "rhash",
 // the same machinery rhash itself uses): a thread runs one recoverable

@@ -153,9 +153,9 @@ type shard struct {
 // thread id write it, so counting an operation writes no line another
 // thread touches on its own path; the gauges sum the tallies.
 type tally struct {
-	puts, gets, deletes, casOps atomic.Uint64
-	shardOps                    []atomic.Uint64           // completed operations per shard
-	_                           [pmem.LineBytes - 56]byte // 4 words + a slice header
+	puts, gets, deletes atomic.Uint64
+	shardOps            []atomic.Uint64           // completed operations per shard
+	_                   [pmem.LineBytes - 48]byte // 3 words + a slice header
 }
 
 // Store is the volatile handle to an attached or freshly built store.
@@ -342,7 +342,7 @@ func (h *Handle) count(c *atomic.Uint64, si int) {
 
 // Invoke performs the system-side failure-atomic invocation step of the
 // thread's next recoverable operation (tracking CP := 0). Harnesses call
-// it before Put/Get/Delete/CAS; see the chaos package.
+// it before Put/Get/Delete; see the chaos package.
 func (h *Handle) Invoke() { h.th.Invoke() }
 
 func (h *Handle) idx(si int) *rhash.Handle {
@@ -557,33 +557,6 @@ func (h *Handle) delete(si int, sh *shard, key int64) (bool, error) {
 	return present, nil
 }
 
-// CAS replaces key's value with new iff it currently equals old,
-// reporting whether the swap happened. The swap commits with a single
-// persisted slot store pointing at a fully-persisted replacement block.
-func (h *Handle) CAS(key int64, old, new uint64) (bool, error) {
-	s := h.s
-	si := s.shardOf(key)
-	sh := s.shards[si]
-	s.lock(h.ctx, sh)
-	defer s.unlock(sh)
-	pos, block, _ := h.probe(sh, key)
-	if block == pmem.Null || h.ctx.Load(block+bVal*pmem.WordSize) != old {
-		h.count(&h.t.casOps, si)
-		return false, nil
-	}
-	ttl := h.ctx.Load(block + bTTL*pmem.WordSize)
-	nb, err := h.newBlock(si, key, ttl, new)
-	if err != nil {
-		return false, err
-	}
-	h.publish(sh, pos, nb) // commit point
-	if err := h.am(si).Free(block); err != nil {
-		return false, err
-	}
-	h.count(&h.t.casOps, si)
-	return true, nil
-}
-
 // EvictExpired removes every key whose TTL stamp is a positive tick at or
 // below now, running the full delete protocol per key so freed blocks
 // flow back through the allocator's free-stacks. It returns the number of
@@ -652,13 +625,12 @@ func (s *Store) ShardOps(si int) uint64 {
 }
 
 // opCounts sums the per-thread tallies by operation kind.
-func (s *Store) opCounts() (puts, gets, deletes, casOps uint64) {
+func (s *Store) opCounts() (puts, gets, deletes uint64) {
 	for i := range s.tallies {
 		t := &s.tallies[i]
 		puts += t.puts.Load()
 		gets += t.gets.Load()
 		deletes += t.deletes.Load()
-		casOps += t.casOps.Load()
 	}
 	return
 }

@@ -51,19 +51,6 @@ func TestBasicOps(t *testing.T) {
 	if v, ok := h.Get(7); !ok || v != 1234 {
 		t.Fatalf("get after overwrite = (%d, %v)", v, ok)
 	}
-	// CAS succeeds from the current value only.
-	h.Invoke()
-	if ok, err := h.CAS(7, 999, 5); err != nil || ok {
-		t.Fatalf("stale cas = (%v, %v), want (false, nil)", ok, err)
-	}
-	h.Invoke()
-	if ok, err := h.CAS(7, 1234, 5); err != nil || !ok {
-		t.Fatalf("cas = (%v, %v), want (true, nil)", ok, err)
-	}
-	h.Invoke()
-	if v, ok := h.Get(7); !ok || v != 5 {
-		t.Fatalf("get after cas = (%d, %v)", v, ok)
-	}
 	// Delete removes exactly once.
 	h.Invoke()
 	if present, err := h.Delete(13); err != nil || !present {

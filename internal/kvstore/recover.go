@@ -209,7 +209,9 @@ func Recover(pool *pmem.Pool, rootSlot int) (*Store, error) {
 // RecoverParallel is Recover with the per-shard repair fanned out across
 // the engine's workers (PhaseAttach). Shards touch disjoint durable
 // words and run the same code serial or parallel, so the durable state
-// and persistence-instruction totals match Recover exactly.
+// and persistence-instruction totals match Recover exactly. The frozen
+// end-to-end benchmark is its caller; TestRecoverSerialParallelIdentical
+// pins it against Recover byte for byte over 100 seeded crash states.
 func RecoverParallel(pool *pmem.Pool, rootSlot int, eng *recovery.Engine) (*Store, error) {
 	base := pool.Snapshot()
 	s, _, err := attachStore(pool, rootSlot, eng.BaseTID())
@@ -285,42 +287,6 @@ func (h *Handle) RecoverDelete(key int64) (bool, error) {
 	return h.delete(si, sh, key)
 }
 
-// RecoverCAS is CAS's value-witnessed recovery function: if the durable
-// value equals new, the swap committed before the crash; if it equals
-// old, the swap never committed and is re-executed; any other value means
-// the precondition already failed. The witness cannot distinguish the
-// two when old == new — that degenerate CAS is a no-op either way, but
-// its reported result after a crash may be a false positive; callers
-// needing exactness there should use Put.
-func (h *Handle) RecoverCAS(key int64, old, new uint64) (bool, error) {
-	s := h.s
-	si := s.shardOf(key)
-	sh := s.shards[si]
-	s.lock(h.ctx, sh)
-	defer s.unlock(sh)
-	pos, block, _ := h.probe(sh, key)
-	if block == pmem.Null {
-		return false, nil
-	}
-	v := h.ctx.Load(block + bVal*pmem.WordSize)
-	if v == new {
-		return true, nil
-	}
-	if v != old {
-		return false, nil
-	}
-	ttl := h.ctx.Load(block + bTTL*pmem.WordSize)
-	nb, err := h.newBlock(si, key, ttl, new)
-	if err != nil {
-		return false, err
-	}
-	h.publish(sh, pos, nb)
-	if err := h.am(si).Free(block); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // AuditPostRecovery verifies the allocator-level recovery contract on a
 // freshly recovered, quiescent store: no bitmap bit had to be restored
 // (blocks are durable before they are published), and each shard's
@@ -345,12 +311,11 @@ func (s *Store) AuditPostRecovery(ctx *pmem.ThreadCtx) error {
 // per-shard throughput surface) and the deterministic recovery-cost
 // stats of the last Recover/RecoverParallel.
 func (s *Store) PublishTelemetry(reg *telemetry.Registry) {
-	puts, gets, deletes, casOps := s.opCounts()
+	puts, gets, deletes := s.opCounts()
 	reg.SetGauge("kvstore-shards", uint64(s.nShards))
 	reg.SetGauge("kvstore-puts", puts)
 	reg.SetGauge("kvstore-gets", gets)
 	reg.SetGauge("kvstore-deletes", deletes)
-	reg.SetGauge("kvstore-cas", casOps)
 	reg.SetGauge("kvstore-evictions", s.evictions.Load())
 	var live, total int64
 	for si, sh := range s.shards {

@@ -30,7 +30,6 @@ import (
 	"math"
 
 	"repro/internal/pmem"
-	"repro/internal/recovery"
 	"repro/internal/tracking"
 )
 
@@ -426,64 +425,4 @@ func (t *Tree) checkWalk(ctx *pmem.ThreadCtx, a pmem.Addr, lo, hi int64, depth i
 	default:
 		return fmt.Errorf("rbst: node %#x has invalid kind %d", uint64(a), kind)
 	}
-}
-
-// checkFrontierEntry is one unexpanded subtree of CheckInvariantsParallel.
-type checkFrontierEntry struct {
-	a      pmem.Addr
-	lo, hi int64
-	depth  int
-}
-
-// CheckInvariantsParallel is CheckInvariants with disjoint subtrees
-// audited concurrently. A breadth-first expansion near the root — which
-// audits every expanded node exactly as the serial walk does — grows a
-// frontier of independent subtrees until there are a few per worker; the
-// engine then audits the frontier subtrees in parallel. Each subtree keeps
-// its own duplicate-detection map, which is sound because sibling subtree
-// key ranges are disjoint: a cross-subtree duplicate necessarily lands
-// outside one subtree's range and fails that range check.
-func (t *Tree) CheckInvariantsParallel(eng *recovery.Engine, quiescent bool) error {
-	spine := t.pool.NewThread(eng.BaseTID())
-	queue := []checkFrontierEntry{{a: t.root, lo: math.MinInt64, hi: math.MaxInt64}}
-	var leaves []checkFrontierEntry
-	target := 4 * eng.Workers()
-	for len(queue) > 0 && len(queue)+len(leaves) < target {
-		e := queue[0]
-		queue = queue[1:]
-		if e.a == pmem.Null {
-			return fmt.Errorf("rbst: nil child pointer at depth %d", e.depth)
-		}
-		if e.depth > 512 {
-			return fmt.Errorf("rbst: depth exceeds 512 (cycle?)")
-		}
-		kind := spine.Load(e.a + offKind)
-		key := int64(spine.Load(e.a + offKey))
-		if key < e.lo || key > e.hi {
-			return fmt.Errorf("rbst: key %d outside range [%d,%d]", key, e.lo, e.hi)
-		}
-		switch kind {
-		case kindLeaf:
-			// Leaves are re-audited by the parallel phase (with per-subtree
-			// duplicate maps, sound per the range-disjointness argument).
-			leaves = append(leaves, e)
-		case kindInternal:
-			if quiescent {
-				if info := spine.Load(e.a + offInfo); tracking.IsTagged(info) {
-					return fmt.Errorf("rbst: reachable internal node %d tagged at quiescence (info %#x)", key, info)
-				}
-			}
-			queue = append(queue,
-				checkFrontierEntry{a: pmem.Addr(spine.Load(e.a + offLeft)), lo: e.lo, hi: key - 1, depth: e.depth + 1},
-				checkFrontierEntry{a: pmem.Addr(spine.Load(e.a + offRight)), lo: key, hi: e.hi, depth: e.depth + 1})
-		default:
-			return fmt.Errorf("rbst: node %#x has invalid kind %d", uint64(e.a), kind)
-		}
-	}
-	frontier := append(leaves, queue...)
-	return eng.For(t.pool, recovery.PhaseVerify, len(frontier),
-		func(ctx *pmem.ThreadCtx, i int) error {
-			e := frontier[i]
-			return t.checkWalk(ctx, e.a, e.lo, e.hi, e.depth, quiescent, map[int64]bool{})
-		}, nil)
 }

@@ -83,10 +83,7 @@ func TestAttachParallelMatchesSerial(t *testing.T) {
 		}
 
 		keysS := mS.Keys(ctx)
-		keysP, err := mP.KeysParallel(eng)
-		if err != nil {
-			t.Fatalf("seed %d: KeysParallel: %v", seed, err)
-		}
+		keysP := mP.Keys(poolP.NewThread(2))
 		if len(keysS) != len(keysP) {
 			t.Fatalf("seed %d: %d keys (serial) vs %d (parallel)", seed, len(keysS), len(keysP))
 		}

@@ -314,30 +314,12 @@ func (m *Map) CheckInvariants(ctx *pmem.ThreadCtx, quiescent bool) error {
 
 // CheckInvariantsParallel is CheckInvariants with the buckets partitioned
 // across the engine's workers. Buckets are disjoint lists, so per-bucket
-// checks are independent.
+// checks are independent. The frozen end-to-end benchmark is its caller;
+// TestAttachParallelMatchesSerial pins its verdicts against
+// CheckInvariants over 100 seeded crash states.
 func (m *Map) CheckInvariantsParallel(eng *recovery.Engine, quiescent bool) error {
 	return eng.For(m.pool, recovery.PhaseVerify, len(m.buckets),
 		func(ctx *pmem.ThreadCtx, i int) error {
 			return m.checkBucket(ctx, i, quiescent)
 		}, nil)
-}
-
-// KeysParallel is Keys with the buckets partitioned across the engine's
-// workers; the result is in the same bucket order as Keys. Like Keys it
-// assumes the buckets pass CheckInvariants (no cycle guard).
-func (m *Map) KeysParallel(eng *recovery.Engine) ([]int64, error) {
-	perBucket := make([][]int64, len(m.buckets))
-	err := eng.For(m.pool, recovery.PhaseVerify, len(m.buckets),
-		func(ctx *pmem.ThreadCtx, i int) error {
-			perBucket[i] = m.buckets[i].Keys(ctx)
-			return nil
-		}, nil)
-	if err != nil {
-		return nil, err
-	}
-	var out []int64
-	for _, ks := range perBucket {
-		out = append(out, ks...)
-	}
-	return out, nil
 }

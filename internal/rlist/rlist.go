@@ -28,7 +28,6 @@ import (
 	"math"
 
 	"repro/internal/pmem"
-	"repro/internal/recovery"
 	"repro/internal/tracking"
 )
 
@@ -497,91 +496,5 @@ func (l *List) CheckInvariants(ctx *pmem.ThreadCtx, quiescent bool) error {
 		if curr == pmem.Null {
 			return fmt.Errorf("rlist: next pointer fell off the list after key %d", prev)
 		}
-	}
-}
-
-// checkSegNodes is the segment granularity of CheckInvariantsParallel.
-const checkSegNodes = 256
-
-// CheckInvariantsParallel is CheckInvariants with the per-node audits
-// partitioned across the engine's workers. A list is inherently sequential
-// to enumerate, so a cheap serial spine walk (one next-pointer load per
-// node) first splits it into segments of checkSegNodes nodes; the per-node
-// key-order and tag audits — two further loads per node — then run
-// concurrently, one segment per work item. Each segment closes its order
-// check against the first key of the following segment, so the union of
-// segment checks equals the serial walk's checks.
-func (l *List) CheckInvariantsParallel(eng *recovery.Engine, quiescent bool) error {
-	maxSteps := l.pool.AllocatedWords()
-	spine := l.pool.NewThread(eng.BaseTID())
-	starts := []pmem.Addr{l.head}
-	curr := l.head
-	for steps := 0; ; steps++ {
-		if steps > maxSteps {
-			return fmt.Errorf("rlist: traversal exceeded %d steps (cycle?)", maxSteps)
-		}
-		next := pmem.Addr(spine.Load(curr + offNext))
-		if next == pmem.Null {
-			// curr is the tail (its next is never written) or a broken
-			// link; the owning segment's walk reports the latter.
-			break
-		}
-		curr = next
-		if steps%checkSegNodes == checkSegNodes-1 {
-			starts = append(starts, curr)
-		}
-	}
-	return eng.For(l.pool, recovery.PhaseVerify, len(starts),
-		func(ctx *pmem.ThreadCtx, i int) error {
-			end := pmem.Null
-			if i+1 < len(starts) {
-				end = starts[i+1]
-			}
-			return l.checkSegment(ctx, starts[i], end, quiescent, maxSteps)
-		}, nil)
-}
-
-// checkSegment audits nodes from start up to (not including) end, or to
-// the tail when end is Null. The start node's key order was already closed
-// by the previous segment's fence check (or start is the head sentinel,
-// which the serial walk also exempts); its tag is audited here. The end
-// node's key closes this segment's order check; its tag belongs to the
-// next segment.
-func (l *List) checkSegment(ctx *pmem.ThreadCtx, start, end pmem.Addr, quiescent bool, maxSteps int) error {
-	curr := start
-	k := keyOf(ctx.Load(curr + offKey))
-	prev := k
-	if quiescent {
-		if info := ctx.Load(curr + offInfo); tracking.IsTagged(info) {
-			return fmt.Errorf("rlist: reachable node %d tagged at quiescence (info %#x)", k, info)
-		}
-	}
-	if k == math.MaxInt64 {
-		return nil // the segment starting at the tail has nothing to walk
-	}
-	for steps := 0; ; steps++ {
-		if steps > maxSteps {
-			return fmt.Errorf("rlist: traversal exceeded %d steps (cycle?)", maxSteps)
-		}
-		curr = pmem.Addr(ctx.Load(curr + offNext))
-		if curr == pmem.Null {
-			return fmt.Errorf("rlist: next pointer fell off the list after key %d", prev)
-		}
-		k = keyOf(ctx.Load(curr + offKey))
-		if k <= prev {
-			return fmt.Errorf("rlist: keys out of order: %d after %d", k, prev)
-		}
-		if curr == end {
-			return nil
-		}
-		if quiescent {
-			if info := ctx.Load(curr + offInfo); tracking.IsTagged(info) {
-				return fmt.Errorf("rlist: reachable node %d tagged at quiescence (info %#x)", k, info)
-			}
-		}
-		if k == math.MaxInt64 {
-			return nil
-		}
-		prev = k
 	}
 }

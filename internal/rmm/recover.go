@@ -223,7 +223,9 @@ func AttachParallel(pool *pmem.Pool, rootSlot int, eng *recovery.Engine) (*Alloc
 }
 
 // InUseParallel counts allocated blocks with the bitmap words partitioned
-// across the engine's workers (diagnostic, word-at-a-time).
+// across the engine's workers (diagnostic, word-at-a-time). The frozen
+// end-to-end benchmark is its caller; TestRecoverGCSerialParallelIdentical
+// and TestGrowableSerialParallelIdentical pin its count against InUse.
 func (a *Allocator) InUseParallel(eng *recovery.Engine) (int, error) {
 	var total atomic.Int64
 	err := eng.For(a.pool, recovery.PhaseVerify, a.totalBitmapWords(),
