@@ -12,7 +12,7 @@
 // table address); the header points at a shard directory with one cache
 // line per shard carrying the shard's rhash bucket-table address, its
 // value-slot-table address, and the word its private rmm allocator
-// publishes its own header through (rmm.NewGrowableAt / rmm.AttachAt).
+// publishes its own header through (rmm.NewGrowableAt / rmm.RecoverAt).
 // Construction persists everything the directory reaches and only then
 // publishes the header address into the root slot with a single
 // persisted store — the commit point. A crash mid-construction leaves
@@ -70,12 +70,14 @@
 // code is shared) re-attaches the header and tracking engine, settles
 // every interrupted index operation (tracking.Engine.HelpInFlight: each
 // has then taken effect or never will), then per shard: re-attaches the
-// embedded rhash and the shard allocator, tombstones every live slot
-// whose key is not in the index (a Put that crashed between
-// value-publish and index-insert, or a Delete that crashed between
-// index-delete and tombstone), rejects duplicate or foreign slots, and
-// runs rmm.RecoverGC with the surviving blocks as roots so crash-leaked
-// blocks return to the free-stacks. Per-operation exactly-once results
+// embedded rhash and the shard allocator's header (rmm.RecoverAt),
+// tombstones every live slot whose key is not in the index (a Put that
+// crashed between value-publish and index-insert, or a Delete that
+// crashed between index-delete and tombstone), rejects duplicate or
+// foreign slots, and runs RecoverGC with the surviving blocks as roots,
+// which builds the free-stacks once and returns crash-leaked blocks to
+// them. The reconciliation keeps one flat key table per recovery worker,
+// cleared per shard, so restart allocates per shard, not per key. Per-operation exactly-once results
 // are then available through RecoverPut / RecoverGet / RecoverDelete.
 // Other threads may have operated on the key by the time a recovery
 // function runs, so RecoverPut and RecoverDelete touch the value plane

@@ -610,7 +610,7 @@ func (h *Handle) Flush() {
 func (s *Store) Keys(ctx *pmem.ThreadCtx) []int64 {
 	var keys []int64
 	for _, sh := range s.shards {
-		keys = append(keys, sh.idx.Keys(ctx)...)
+		keys = sh.idx.AppendKeys(ctx, keys)
 	}
 	return keys
 }
@@ -654,6 +654,8 @@ func (s *Store) ShardLiveSlots(ctx *pmem.ThreadCtx, si int) int {
 // allocator's durable state is self-consistent. Quiescent has the rhash
 // meaning (no in-flight operations).
 func (s *Store) CheckInvariants(ctx *pmem.ThreadCtx, quiescent bool) error {
+	var tab keyTable
+	var keys []int64
 	for si, sh := range s.shards {
 		if err := sh.idx.CheckInvariants(ctx, quiescent); err != nil {
 			return fmt.Errorf("kvstore: shard %d index: %w", si, err)
@@ -661,11 +663,15 @@ func (s *Store) CheckInvariants(ctx *pmem.ThreadCtx, quiescent bool) error {
 		if err := sh.alloc.CheckInvariants(ctx); err != nil {
 			return fmt.Errorf("kvstore: shard %d allocator: %w", si, err)
 		}
-		member := make(map[int64]bool)
-		for _, k := range sh.idx.Keys(ctx) {
-			member[k] = true
+		keys = sh.idx.AppendKeys(ctx, keys[:0])
+		tab.reset(len(keys))
+		members := 0
+		for _, k := range keys {
+			if st := tab.at(k); *st&keyMember == 0 {
+				*st |= keyMember
+				members++
+			}
 		}
-		seen := make(map[int64]bool)
 		live := 0
 		for j := 0; j < s.slotCap; j++ {
 			v := ctx.Load(s.slotAddr(sh, j))
@@ -681,16 +687,17 @@ func (s *Store) CheckInvariants(ctx *pmem.ThreadCtx, quiescent bool) error {
 			if s.shardOf(k) != si {
 				return fmt.Errorf("kvstore: shard %d slot %d: key %d routes to shard %d", si, j, k, s.shardOf(k))
 			}
-			if seen[k] {
+			st := tab.at(k)
+			if *st&keySeen != 0 {
 				return fmt.Errorf("kvstore: shard %d: key %d has two live slots", si, k)
 			}
-			seen[k] = true
-			if !member[k] {
+			*st |= keySeen
+			if *st&keyMember == 0 {
 				return fmt.Errorf("kvstore: shard %d: live slot key %d not in index", si, k)
 			}
 		}
-		if live != len(member) {
-			return fmt.Errorf("kvstore: shard %d: %d live slots vs %d index members", si, live, len(member))
+		if live != members {
+			return fmt.Errorf("kvstore: shard %d: %d live slots vs %d index members", si, live, members)
 		}
 	}
 	return nil

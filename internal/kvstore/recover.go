@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/pmem"
 	"repro/internal/recovery"
@@ -75,46 +76,142 @@ func attachStore(pool *pmem.Pool, rootSlot, tid int) (*Store, *pmem.ThreadCtx, e
 	return s, boot, nil
 }
 
+// Key-table cell states. keyUsed marks an occupied cell; the other bits
+// record what recovery or the audit learned about the cell's key.
+const (
+	keyUsed   uint8 = 1 << iota
+	keyMember       // an index member
+	keySeen         // a live slot already holds it
+)
+
+// keyTable is a flat open-addressed key → state table (linear probing,
+// power-of-two capacity, at most half full). It is cleared, not
+// reallocated, for each shard, so a whole-store pass allocates it once
+// and its size tracks the largest shard rather than the key count.
+type keyTable struct {
+	keys  []int64
+	state []uint8
+	n     int
+	shift uint // 64 - log2(len(keys))
+}
+
+// reset empties the table and sizes it for at least n keys; later inserts
+// grow it, so n is a hint, not a bound.
+func (t *keyTable) reset(n int) {
+	c := 16
+	for c < 2*n {
+		c <<= 1
+	}
+	if len(t.keys) < c {
+		t.alloc(c)
+		return
+	}
+	clear(t.state)
+	t.n = 0
+}
+
+func (t *keyTable) alloc(c int) {
+	t.keys, t.state, t.n = make([]int64, c), make([]uint8, c), 0
+	t.shift = uint(64 - bits.TrailingZeros(uint(c)))
+}
+
+// at returns the state cell of key k, inserting k (state keyUsed) if it is
+// absent. The pointer is valid until the next call.
+func (t *keyTable) at(k int64) *uint8 {
+	if 2*(t.n+1) > len(t.keys) {
+		t.grow()
+	}
+	mask := len(t.keys) - 1
+	for i := int(uint64(k) * 0x9e3779b97f4a7c15 >> t.shift); ; i = (i + 1) & mask {
+		if t.state[i] == 0 {
+			t.keys[i], t.state[i] = k, keyUsed
+			t.n++
+			return &t.state[i]
+		}
+		if t.keys[i] == k {
+			return &t.state[i]
+		}
+	}
+}
+
+func (t *keyTable) grow() {
+	keys, state := t.keys, t.state
+	t.alloc(2 * len(keys))
+	for i, st := range state {
+		if st != 0 {
+			*t.at(keys[i]) = st
+		}
+	}
+}
+
+// recoverScratch is one recovery worker's volatile working memory, reused
+// across the shards it repairs: the key table and the index-key buffer.
+type recoverScratch struct {
+	tab  keyTable
+	keys []int64
+}
+
 // recoverShard re-attaches shard si and makes it consistent: the embedded
 // index and the shard allocator are validated and rebuilt, every live
 // slot whose key the index does not contain is durably tombstoned (a put
 // that crashed before its index insert, or a delete that crashed after
 // its index delete), foreign or duplicate slots are rejected as
 // corruption, and RecoverGC rewrites the allocator's bitmaps to exactly
-// the surviving blocks. All durable words touched belong to shard si, and
-// the per-shard instruction sequence does not depend on which worker runs
-// it — which is why serial and parallel recovery produce byte-identical
-// durable state.
-func (s *Store) recoverShard(ctx *pmem.ThreadCtx, si int) (reconciled int, err error) {
-	pool := s.pool
+// the surviving blocks and builds its free-stacks. All durable words
+// touched belong to shard si, and the per-shard instruction sequence does
+// not depend on which worker runs it — which is why serial and parallel
+// recovery produce byte-identical durable state.
+func (s *Store) recoverShard(ctx *pmem.ThreadCtx, si int, sc *recoverScratch) (reconciled int, err error) {
 	entry := s.dirEntry(si)
 	table := pmem.Addr(ctx.Load(entry + deIndex*pmem.WordSize))
 	slots := pmem.Addr(ctx.Load(entry + deSlots*pmem.WordSize))
-	if !pool.ValidWords(slots, s.slotCap) {
+	if !s.pool.ValidWords(slots, s.slotCap) {
 		return 0, fmt.Errorf("kvstore: shard %d: slot table %#x outside pool", si, uint64(slots))
 	}
 	m, err := rhash.AttachEmbedded(s.eng, ctx, table, s.nBuckets)
 	if err != nil {
 		return 0, fmt.Errorf("kvstore: shard %d: %w", si, err)
 	}
-	alloc, err := rmm.AttachAt(ctx, entry+deAlloc*pmem.WordSize)
+	sh := &shard{idx: m, slots: slots}
+	// reconcileShard's errors already name the shard and slot; only
+	// RecoverAt's own attach and rebuild errors need the shard prefix.
+	var reconcileErr error
+	alloc, err := rmm.RecoverAt(ctx, entry+deAlloc*pmem.WordSize,
+		func(alloc *rmm.Allocator, visit func(pmem.Addr) error) error {
+			reconciled, reconcileErr = s.reconcileShard(ctx, si, sh, alloc, visit, sc)
+			return reconcileErr
+		})
+	if reconcileErr != nil {
+		return 0, reconcileErr
+	}
 	if err != nil {
 		return 0, fmt.Errorf("kvstore: shard %d: %w", si, err)
 	}
-	sh := &shard{idx: m, alloc: alloc, slots: slots}
-	// One map sized to the index holds both facts per key: an index member
-	// (keyMember) and a live slot already seen (keySeen).
-	const (
-		keyMember uint8 = 1 << iota
-		keySeen
-	)
-	keys := m.Keys(ctx)
-	state := make(map[int64]uint8, len(keys))
-	for _, k := range keys {
-		state[k] = keyMember
+	if st := alloc.Stats(); st.MarksRestored != 0 {
+		return 0, fmt.Errorf("kvstore: shard %d: %d blocks were published before their bitmap bit", si, st.MarksRestored)
 	}
-	members := len(state)
-	roots := make([]pmem.Addr, 0, members)
+	sh.alloc = alloc
+	s.shards[si] = sh
+	return reconciled, nil
+}
+
+// reconcileShard is recoverShard's slot pass and the mark of its
+// RecoverGC: one key-table entry per index member and per live-slot key,
+// live slots that are not consistent members tombstoned in slot order,
+// and the consistent slots' blocks visited as the reachable set. Marks
+// are volatile until RecoverGC's rebuild, which an error here prevents.
+func (s *Store) reconcileShard(ctx *pmem.ThreadCtx, si int, sh *shard, alloc *rmm.Allocator,
+	visit func(pmem.Addr) error, sc *recoverScratch) (reconciled int, err error) {
+	sc.keys = sh.idx.AppendKeys(ctx, sc.keys[:0])
+	sc.tab.reset(len(sc.keys))
+	members := 0
+	for _, k := range sc.keys {
+		if st := sc.tab.at(k); *st&keyMember == 0 {
+			*st |= keyMember
+			members++
+		}
+	}
+	consistent := 0
 	dirty := false
 	for j := 0; j < s.slotCap; j++ {
 		w := s.slotAddr(sh, j)
@@ -127,19 +224,22 @@ func (s *Store) recoverShard(ctx *pmem.ThreadCtx, si int) (reconciled int, err e
 			return 0, fmt.Errorf("kvstore: shard %d slot %d: block %#x not owned by shard allocator", si, j, v)
 		}
 		k := int64(ctx.Load(b + bKey*pmem.WordSize))
-		st := state[k]
-		if st&keySeen != 0 {
+		st := sc.tab.at(k)
+		if *st&keySeen != 0 {
 			return 0, fmt.Errorf("kvstore: shard %d: key %d has two live slots", si, k)
 		}
-		state[k] = st | keySeen
-		if st&keyMember == 0 || s.shardOf(k) != si {
+		*st |= keySeen
+		if *st&keyMember == 0 || s.shardOf(k) != si {
 			ctx.Store(w, slotTombstone)
 			ctx.PWB(s.siteSlot, w)
 			dirty = true
 			reconciled++
 			continue
 		}
-		roots = append(roots, b)
+		if err := visit(b); err != nil {
+			return 0, fmt.Errorf("kvstore: shard %d: %w", si, err)
+		}
+		consistent++
 	}
 	if dirty {
 		ctx.PSync()
@@ -147,23 +247,9 @@ func (s *Store) recoverShard(ctx *pmem.ThreadCtx, si int) (reconciled int, err e
 	// The commit protocol publishes a key's slot durably before its index
 	// insert linearizes, so an index member without a live slot means the
 	// store's durable state was corrupted outside the protocol.
-	if len(roots) != members {
-		return 0, fmt.Errorf("kvstore: shard %d: %d index members vs %d consistent slots", si, members, len(roots))
+	if consistent != members {
+		return 0, fmt.Errorf("kvstore: shard %d: %d index members vs %d consistent slots", si, members, consistent)
 	}
-	if err := alloc.RecoverGC(ctx, func(visit func(pmem.Addr) error) error {
-		for _, b := range roots {
-			if err := visit(b); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
-		return 0, fmt.Errorf("kvstore: shard %d: %w", si, err)
-	}
-	if st := alloc.Stats(); st.MarksRestored != 0 {
-		return 0, fmt.Errorf("kvstore: shard %d: %d blocks were published before their bitmap bit", si, st.MarksRestored)
-	}
-	s.shards[si] = sh
 	return reconciled, nil
 }
 
@@ -194,9 +280,10 @@ func Recover(pool *pmem.Pool, rootSlot int) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	var sc recoverScratch
 	reconciled := 0
 	for si := 0; si < s.nShards; si++ {
-		n, err := s.recoverShard(boot, si)
+		n, err := s.recoverShard(boot, si, &sc)
 		if err != nil {
 			return nil, err
 		}
@@ -219,9 +306,10 @@ func RecoverParallel(pool *pmem.Pool, rootSlot int, eng *recovery.Engine) (*Stor
 		return nil, err
 	}
 	perShard := make([]int, s.nShards)
+	scratch := make([]recoverScratch, eng.Workers()) // worker wk runs on thread BaseTID+wk
 	err = eng.For(pool, recovery.PhaseAttach, s.nShards,
 		func(ctx *pmem.ThreadCtx, si int) error {
-			n, err := s.recoverShard(ctx, si)
+			n, err := s.recoverShard(ctx, si, &scratch[ctx.TID()-eng.BaseTID()])
 			perShard[si] = n
 			return err
 		}, nil)

@@ -31,7 +31,7 @@ const (
 type Map struct {
 	pool     *pmem.Pool
 	eng      *tracking.Engine
-	buckets  []*rlist.List
+	buckets  []rlist.List // one backing array: attach allocates once, not per bucket
 	nBuckets uint64
 	table    pmem.Addr
 	header   pmem.Addr
@@ -81,10 +81,10 @@ func NewEmbedded(eng *tracking.Engine, boot *pmem.ThreadCtx, nBuckets int) *Map 
 	// and must not share a line with a neighbouring allocation's hot data.
 	table := boot.AllocLines((n + pmem.LineWords - 1) / pmem.LineWords)
 	m := &Map{pool: boot.Pool(), eng: eng, nBuckets: uint64(n), table: table}
-	for i := 0; i < n; i++ {
-		l := rlist.NewEmbedded(eng, boot)
-		m.buckets = append(m.buckets, l)
-		boot.Store(table+pmem.Addr(i*pmem.WordSize), uint64(l.HeadAddr()))
+	m.buckets = make([]rlist.List, n)
+	for i := range m.buckets {
+		m.buckets[i] = *rlist.NewEmbedded(eng, boot)
+		boot.Store(table+pmem.Addr(i*pmem.WordSize), uint64(m.buckets[i].HeadAddr()))
 	}
 	boot.PWBRange(pmem.NoSite, table, n)
 	boot.PFence()
@@ -113,13 +113,13 @@ func AttachEmbedded(eng *tracking.Engine, boot *pmem.ThreadCtx, table pmem.Addr,
 		return nil, fmt.Errorf("rhash: bucket table %#x (%d buckets) outside pool", uint64(table), nBuckets)
 	}
 	m := &Map{pool: pool, eng: eng, nBuckets: uint64(nBuckets), table: table}
-	m.buckets = make([]*rlist.List, nBuckets)
+	m.buckets = make([]rlist.List, nBuckets)
 	for i := range m.buckets {
 		head := pmem.Addr(boot.Load(table + pmem.Addr(i*pmem.WordSize)))
 		if !pool.ValidWords(head, 1) {
 			return nil, fmt.Errorf("rhash: bucket %d head %#x invalid", i, uint64(head))
 		}
-		m.buckets[i] = rlist.AttachEmbedded(m.eng, pool, head)
+		m.buckets[i] = *rlist.AttachEmbedded(m.eng, pool, head)
 	}
 	return m, nil
 }
@@ -154,7 +154,7 @@ func attachHeader(pool *pmem.Pool, rootSlot int) (*Map, pmem.Addr, error) {
 	}
 	eng := tracking.Attach(pool, engTable, threads, "rhash")
 	m := &Map{pool: pool, eng: eng, nBuckets: uint64(n), table: table, header: header}
-	m.buckets = make([]*rlist.List, n)
+	m.buckets = make([]rlist.List, n)
 	return m, table, nil
 }
 
@@ -170,7 +170,7 @@ func Attach(pool *pmem.Pool, rootSlot int) (*Map, error) {
 		if !m.pool.ValidWords(head, 1) {
 			return nil, fmt.Errorf("rhash: bucket %d head %#x invalid", i, uint64(head))
 		}
-		m.buckets[i] = rlist.AttachEmbedded(m.eng, pool, head)
+		m.buckets[i] = *rlist.AttachEmbedded(m.eng, pool, head)
 	}
 	return m, nil
 }
@@ -190,7 +190,7 @@ func AttachParallel(pool *pmem.Pool, rootSlot int, eng *recovery.Engine) (*Map, 
 			if !pool.ValidWords(head, 1) {
 				return fmt.Errorf("rhash: bucket %d head %#x invalid", i, uint64(head))
 			}
-			m.buckets[i] = rlist.AttachEmbedded(m.eng, pool, head)
+			m.buckets[i] = *rlist.AttachEmbedded(m.eng, pool, head)
 			return nil
 		}, nil)
 	if err != nil {
@@ -278,18 +278,44 @@ func (h *Handle) Settled() (result, ok bool) {
 	return res == rlist.ResultTrue, ok
 }
 
-// Keys returns all keys (unordered across buckets; diagnostic).
-func (m *Map) Keys(ctx *pmem.ThreadCtx) []int64 {
-	var out []int64
-	for _, b := range m.buckets {
-		out = append(out, b.Keys(ctx)...)
+// keyLanes is how many bucket chains AppendKeys walks at once.
+const keyLanes = 8
+
+// AppendKeys appends every key to out and returns the extended slice. It
+// walks keyLanes bucket chains round-robin, one node of each per turn, so
+// their independent pointer chases overlap instead of running back to
+// back; a lane whose chain ends takes the next bucket. Keys therefore come
+// out interleaved across buckets, in an order fixed by the image. Like
+// Keys it is not linearizable with concurrent updates.
+func (m *Map) AppendKeys(ctx *pmem.ThreadCtx, out []int64) []int64 {
+	var lanes [keyLanes]rlist.Cursor
+	next, live := 0, 0
+	for ; live < keyLanes && next < len(m.buckets); live, next = live+1, next+1 {
+		lanes[live] = m.buckets[next].Cursor(ctx)
+	}
+	for live > 0 {
+		for i := 0; i < live; {
+			if k, ok := lanes[i].Next(ctx); ok {
+				out = append(out, k)
+				i++
+			} else if next < len(m.buckets) {
+				lanes[i] = m.buckets[next].Cursor(ctx)
+				next++
+			} else {
+				live--
+				lanes[i] = lanes[live]
+			}
+		}
 	}
 	return out
 }
 
+// Keys returns all keys (unordered across buckets; diagnostic).
+func (m *Map) Keys(ctx *pmem.ThreadCtx) []int64 { return m.AppendKeys(ctx, nil) }
+
 // checkBucket verifies one bucket's structure and that its keys hash home.
 func (m *Map) checkBucket(ctx *pmem.ThreadCtx, i int, quiescent bool) error {
-	b := m.buckets[i]
+	b := &m.buckets[i]
 	if err := b.CheckInvariants(ctx, quiescent); err != nil {
 		return fmt.Errorf("rhash: bucket %d: %w", i, err)
 	}

@@ -453,20 +453,43 @@ func (h *Handle) RecoveredOpType() (op uint64, ok bool) {
 	return h.th.OpType(d), true
 }
 
-// Keys returns the current keys in order (excluding sentinels). It is a
-// test/diagnostic helper and is not linearizable with concurrent updates.
-func (l *List) Keys(ctx *pmem.ThreadCtx) []int64 {
-	var out []int64
-	curr := pmem.Addr(ctx.Load(l.head + offNext))
-	for {
-		k := keyOf(ctx.Load(curr + offKey))
-		if k == math.MaxInt64 {
+// Cursor walks a list's keys in order, one node per Next, so a container
+// can interleave the pointer chases of several lists (rhash walks its
+// buckets this way). Like Keys it is not linearizable with concurrent
+// updates.
+type Cursor struct{ curr pmem.Addr }
+
+// Cursor returns a cursor positioned at the list's first key.
+func (l *List) Cursor(ctx *pmem.ThreadCtx) Cursor {
+	return Cursor{curr: pmem.Addr(ctx.Load(l.head + offNext))}
+}
+
+// Next returns the key under the cursor and advances past it; ok is false
+// once the cursor has reached the tail sentinel.
+func (c *Cursor) Next(ctx *pmem.ThreadCtx) (key int64, ok bool) {
+	k := keyOf(ctx.Load(c.curr + offKey))
+	if k == math.MaxInt64 {
+		return 0, false
+	}
+	c.curr = pmem.Addr(ctx.Load(c.curr + offNext))
+	return k, true
+}
+
+// AppendKeys appends the current keys in order (excluding sentinels) to
+// out and returns the extended slice. It is a diagnostic and recovery
+// helper and is not linearizable with concurrent updates.
+func (l *List) AppendKeys(ctx *pmem.ThreadCtx, out []int64) []int64 {
+	for c := l.Cursor(ctx); ; {
+		k, ok := c.Next(ctx)
+		if !ok {
 			return out
 		}
 		out = append(out, k)
-		curr = pmem.Addr(ctx.Load(curr + offNext))
 	}
 }
+
+// Keys returns the current keys in order; see AppendKeys.
+func (l *List) Keys(ctx *pmem.ThreadCtx) []int64 { return l.AppendKeys(ctx, nil) }
 
 // CheckInvariants verifies structural sanity: strictly increasing keys from
 // head to tail, termination within the pool's allocation count, and no

@@ -24,7 +24,9 @@
 //
 // A crash discards all of it; Attach rebuilds the free-stacks from the
 // bitmaps, and RecoverGC rebuilds them from the application's reachable
-// set while reclaiming every crash-leaked block in the same pass. See
+// set while reclaiming every crash-leaked block in the same pass.
+// RecoverAt attaches only the header and leaves the free-stacks to
+// RecoverGC, so a restart that collects builds them once. See
 // docs/allocator.md for the full design and crash-timeline argument.
 //
 // # Growth

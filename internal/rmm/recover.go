@@ -71,6 +71,29 @@ func (a *Allocator) RecoverGC(ctx *pmem.ThreadCtx, mark func(visit func(pmem.Add
 	return nil
 }
 
+// RecoverAt re-attaches the allocator whose header address is recorded
+// in the durable word at (a shard-directory entry) and runs RecoverGC on
+// it, using the caller's thread context — several RecoverAt calls with
+// distinct contexts may run concurrently (the kvstore recovers one
+// allocator per shard across the recovery engine's workers). Only the
+// header and chunk directory are read before mark runs; the free-stacks
+// are built once, by RecoverGC's rebuild pass, rather than from the crash
+// image first. mark receives the attached allocator for ownership
+// queries (Owns) before it visits the reachable blocks; it must not
+// allocate or free through it.
+func RecoverAt(ctx *pmem.ThreadCtx, at pmem.Addr, mark func(a *Allocator, visit func(pmem.Addr) error) error) (*Allocator, error) {
+	a, err := attachHeader(ctx.Pool(), ctx, at)
+	if err != nil {
+		return nil, err
+	}
+	if err := a.RecoverGC(ctx, func(visit func(pmem.Addr) error) error {
+		return mark(a, visit)
+	}); err != nil {
+		return nil, err
+	}
+	return a, nil
+}
+
 // MarkShard marks one independent shard of the application's reachable
 // set: it must invoke visit for the address of every reachable block in
 // its shard, using only the thread context it is given. Shards may

@@ -222,17 +222,8 @@ func Attach(pool *pmem.Pool, rootSlot int) (*Allocator, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rmm: %w", err)
 	}
-	return AttachAt(pool.NewThread(0), root)
-}
-
-// AttachAt is Attach with the header address read from an arbitrary
-// durable word (a shard-directory entry) instead of a root slot, using
-// the caller's thread context — several AttachAt calls with distinct
-// contexts may run concurrently (the kvstore recovers one allocator per
-// shard across the recovery engine's workers).
-func AttachAt(boot *pmem.ThreadCtx, at pmem.Addr) (*Allocator, error) {
-	pool := boot.Pool()
-	a, err := attachHeader(pool, boot, at)
+	boot := pool.NewThread(0)
+	a, err := attachHeader(pool, boot, root)
 	if err != nil {
 		return nil, err
 	}
