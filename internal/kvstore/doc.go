@@ -64,25 +64,25 @@
 //
 // # Recovery
 //
-// Recover (and RecoverParallel, which fans the same per-shard work out
-// on an internal/recovery engine — the durable result is byte-identical
-// by construction, since shards touch disjoint words and the per-shard
-// code is shared) re-attaches the header and tracking engine, settles
-// every interrupted index operation (tracking.Engine.HelpInFlight: each
-// has then taken effect or never will), then per shard: re-attaches the
-// embedded rhash and the shard allocator's header (rmm.RecoverAt),
-// tombstones every live slot whose key is not in the index (a Put that
-// crashed between value-publish and index-insert, or a Delete that
-// crashed between index-delete and tombstone), rejects duplicate or
-// foreign slots, and runs RecoverGC with the surviving blocks as roots,
-// which builds the free-stacks once and returns crash-leaked blocks to
-// them. The reconciliation keeps one flat key table per recovery worker,
-// cleared per shard, so restart allocates per shard, not per key. Per-operation exactly-once results
-// are then available through RecoverPut / RecoverGet / RecoverDelete.
-// Other threads may have operated on the key by the time a recovery
-// function runs, so RecoverPut and RecoverDelete touch the value plane
-// only when their index operation never took effect, and then re-execute
-// the whole operation.
+// Recover re-attaches the header and tracking engine, settles every
+// interrupted index operation (tracking.Engine.HelpInFlight: each has
+// then taken effect or never will), then repairs the shards offline on
+// W = min(GOMAXPROCS, shards, MaxThreads) internal/recovery workers
+// with thread ids 0..W-1. Each shard's repair re-attaches the embedded
+// rhash and the shard allocator's header (rmm.RecoverAt), tombstones
+// every live slot whose key is not in the index (a Put that crashed
+// between value-publish and index-insert, or a Delete that crashed
+// between index-delete and tombstone), rejects duplicate or foreign
+// slots, and runs RecoverGC with the surviving blocks as roots, which
+// builds the free-stacks once and returns crash-leaked blocks to them.
+// Shards touch disjoint words and the deal is static, so durable state
+// is byte-identical for every worker count; each worker keeps one flat
+// key table, cleared per shard, so restart allocates per shard, not per
+// key. Per-operation exactly-once results then come from RecoverPut /
+// RecoverGet / RecoverDelete. Other threads may have operated on the key
+// by the time a recovery function runs, so RecoverPut and RecoverDelete
+// touch the value plane only when their index operation never took
+// effect, and then re-execute the whole operation.
 //
 // The tracking engine is shared by every shard (site prefix "rhash",
 // the same machinery rhash itself uses): a thread runs one recoverable

@@ -84,7 +84,8 @@ type Config struct {
 	// only terminates at a never-used slot.
 	SlotsPerShard int
 	// MaxThreads bounds the thread ids that may operate on the store
-	// (default 8). Recovery workers need ids below it too.
+	// (default 8). Recover's workers reuse ids below it, which is sound
+	// because recovery is offline: no handle runs until Recover returns.
 	MaxThreads int
 	// RootSlot is the pmem root slot the store commits through.
 	RootSlot int

@@ -59,64 +59,76 @@ func buildCrashedStore(t *testing.T, seed int64) *pmem.Pool {
 }
 
 // TestRecoverSerialParallelIdentical rebuilds the same 100 seeded crash
-// states twice and checks that Recover and RecoverParallel leave
-// byte-identical durable memory, agree on the recovered key set, and
-// issue identical persistence-instruction counts.
+// states three times and checks that Recover (GOMAXPROCS workers) and a
+// 3-worker engine leave the same durable memory as a 1-worker engine — the
+// serial shard order — agree with it on the recovered key set, and issue
+// identical persistence-instruction counts.
 func TestRecoverSerialParallelIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("100-seed equivalence scan")
 	}
+	onEngine := func(workers, baseTID int) func(*pmem.Pool) (*kvstore.Store, error) {
+		return func(pool *pmem.Pool) (*kvstore.Store, error) {
+			return kvstore.RecoverParallel(pool, 0, recovery.New(recovery.Config{Workers: workers, BaseTID: baseTID}))
+		}
+	}
+	variants := []struct {
+		name    string
+		recover func(*pmem.Pool) (*kvstore.Store, error)
+	}{
+		{"Recover", func(pool *pmem.Pool) (*kvstore.Store, error) { return kvstore.Recover(pool, 0) }},
+		{"3-worker engine", onEngine(3, 8)},
+	}
 	for seed := int64(0); seed < 100; seed++ {
 		poolS := buildCrashedStore(t, seed)
-		poolP := buildCrashedStore(t, seed)
-
-		sS, err := kvstore.Recover(poolS, 0)
+		sS, err := onEngine(1, 0)(poolS)
 		if err != nil {
 			t.Fatalf("seed %d: serial recover: %v", seed, err)
 		}
-		eng := recovery.New(recovery.Config{Workers: 4, BaseTID: 8})
-		sP, err := kvstore.RecoverParallel(poolP, 0, eng)
-		if err != nil {
-			t.Fatalf("seed %d: parallel recover: %v", seed, err)
-		}
-
-		rS, rP := sS.LastRecovery(), sP.LastRecovery()
-		if rS != rP {
-			t.Fatalf("seed %d: recovery stats differ: %+v (serial) vs %+v (parallel)", seed, rS, rP)
-		}
+		rS := sS.LastRecovery()
 		keysS := sS.Keys(poolS.NewThread(1))
-		keysP := sP.Keys(poolP.NewThread(1))
 		sort.Slice(keysS, func(i, j int) bool { return keysS[i] < keysS[j] })
-		sort.Slice(keysP, func(i, j int) bool { return keysP[i] < keysP[j] })
-		if len(keysS) != len(keysP) {
-			t.Fatalf("seed %d: %d keys (serial) vs %d (parallel)", seed, len(keysS), len(keysP))
-		}
-		for i := range keysS {
-			if keysS[i] != keysP[i] {
-				t.Fatalf("seed %d: key sets diverge at %d: %d vs %d", seed, i, keysS[i], keysP[i])
-			}
-		}
 		if err := sS.CheckInvariants(poolS.NewThread(1), false); err != nil {
 			t.Fatalf("seed %d: serial invariants: %v", seed, err)
-		}
-		if err := sP.CheckInvariants(poolP.NewThread(1), false); err != nil {
-			t.Fatalf("seed %d: parallel invariants: %v", seed, err)
 		}
 		if err := sS.AuditPostRecovery(poolS.NewThread(1)); err != nil {
 			t.Fatalf("seed %d: serial audit: %v", seed, err)
 		}
-		if err := sP.AuditPostRecovery(poolP.NewThread(1)); err != nil {
-			t.Fatalf("seed %d: parallel audit: %v", seed, err)
-		}
-
 		words := poolS.AllocatedWords()
-		if wp := poolP.AllocatedWords(); wp != words {
-			t.Fatalf("seed %d: allocated words %d vs %d", seed, words, wp)
-		}
-		for w := 1; w < words; w++ { // word 0 is the reserved Null address
-			addr := pmem.Addr(w * pmem.WordSize)
-			if vS, vP := poolS.DurableLoad(addr), poolP.DurableLoad(addr); vS != vP {
-				t.Fatalf("seed %d: durable word %d differs: %#x (serial) vs %#x (parallel)", seed, w, vS, vP)
+
+		for _, v := range variants {
+			poolP := buildCrashedStore(t, seed)
+			sP, err := v.recover(poolP)
+			if err != nil {
+				t.Fatalf("seed %d: %s: %v", seed, v.name, err)
+			}
+			if rP := sP.LastRecovery(); rS != rP {
+				t.Fatalf("seed %d: recovery stats differ: %+v (serial) vs %+v (%s)", seed, rS, rP, v.name)
+			}
+			keysP := sP.Keys(poolP.NewThread(1))
+			sort.Slice(keysP, func(i, j int) bool { return keysP[i] < keysP[j] })
+			if len(keysS) != len(keysP) {
+				t.Fatalf("seed %d: %d keys (serial) vs %d (%s)", seed, len(keysS), len(keysP), v.name)
+			}
+			for i := range keysS {
+				if keysS[i] != keysP[i] {
+					t.Fatalf("seed %d: %s: key sets diverge at %d: %d vs %d", seed, v.name, i, keysS[i], keysP[i])
+				}
+			}
+			if err := sP.CheckInvariants(poolP.NewThread(1), false); err != nil {
+				t.Fatalf("seed %d: %s invariants: %v", seed, v.name, err)
+			}
+			if err := sP.AuditPostRecovery(poolP.NewThread(1)); err != nil {
+				t.Fatalf("seed %d: %s audit: %v", seed, v.name, err)
+			}
+			if wp := poolP.AllocatedWords(); wp != words {
+				t.Fatalf("seed %d: allocated words %d vs %d (%s)", seed, words, wp, v.name)
+			}
+			for w := 1; w < words; w++ { // word 0 is the reserved Null address
+				addr := pmem.Addr(w * pmem.WordSize)
+				if vS, vP := poolS.DurableLoad(addr), poolP.DurableLoad(addr); vS != vP {
+					t.Fatalf("seed %d: durable word %d differs: %#x (serial) vs %#x (%s)", seed, w, vS, vP, v.name)
+				}
 			}
 		}
 	}

@@ -3,6 +3,8 @@ package kvstore
 import (
 	"fmt"
 	"math/bits"
+	"runtime"
+	"sync/atomic"
 
 	"repro/internal/pmem"
 	"repro/internal/recovery"
@@ -30,22 +32,22 @@ func (s *Store) LastRecovery() RecoveryStats { return s.lastRecovery }
 
 // attachStore validates the root slot and header and rebuilds the
 // volatile store skeleton (shards still nil) plus the shared tracking
-// engine. tid is the thread id used for the serial header reads.
-func attachStore(pool *pmem.Pool, rootSlot, tid int) (*Store, *pmem.ThreadCtx, error) {
+// engine. tid is the thread id of the header reads and HelpInFlight.
+func attachStore(pool *pmem.Pool, rootSlot, tid int) (*Store, error) {
 	root, err := pool.RootSlotChecked(rootSlot)
 	if err != nil {
-		return nil, nil, fmt.Errorf("kvstore: %w", err)
+		return nil, fmt.Errorf("kvstore: %w", err)
 	}
 	boot := pool.NewThread(tid)
 	header := pmem.Addr(boot.Load(root))
 	if header == pmem.Null {
-		return nil, nil, fmt.Errorf("kvstore: root slot %d holds no store", rootSlot)
+		return nil, fmt.Errorf("kvstore: root slot %d holds no store", rootSlot)
 	}
 	if !pool.ValidWords(header, headerWords) {
-		return nil, nil, fmt.Errorf("kvstore: root slot %d: %#x is not a header address", rootSlot, uint64(header))
+		return nil, fmt.Errorf("kvstore: root slot %d: %#x is not a header address", rootSlot, uint64(header))
 	}
 	if m := boot.Load(header + hMagic*pmem.WordSize); m != storeMagic {
-		return nil, nil, fmt.Errorf("kvstore: root slot %d: bad magic %#x", rootSlot, m)
+		return nil, fmt.Errorf("kvstore: root slot %d: bad magic %#x", rootSlot, m)
 	}
 	s := &Store{
 		pool:       pool,
@@ -60,11 +62,11 @@ func attachStore(pool *pmem.Pool, rootSlot, tid int) (*Store, *pmem.ThreadCtx, e
 	if s.nShards < 1 || s.nBuckets < 1 || s.nBuckets&(s.nBuckets-1) != 0 ||
 		s.slotCap < 1 || s.slotCap&(s.slotCap-1) != 0 || s.maxThreads < 1 ||
 		!pool.ValidWords(s.dir, s.nShards*pmem.LineWords) {
-		return nil, nil, fmt.Errorf("kvstore: root slot %d: corrupt header", rootSlot)
+		return nil, fmt.Errorf("kvstore: root slot %d: corrupt header", rootSlot)
 	}
 	engTable := pmem.Addr(boot.Load(header + hEngTable*pmem.WordSize))
 	if !pool.ValidWords(engTable, 1) {
-		return nil, nil, fmt.Errorf("kvstore: root slot %d: corrupt header", rootSlot)
+		return nil, fmt.Errorf("kvstore: root slot %d: corrupt header", rootSlot)
 	}
 	s.shards = make([]*shard, s.nShards)
 	s.initTallies()
@@ -73,7 +75,7 @@ func attachStore(pool *pmem.Pool, rootSlot, tid int) (*Store, *pmem.ThreadCtx, e
 	// Settle every interrupted index operation before any shard is
 	// reconciled against its index (see tracking.Engine.HelpInFlight).
 	s.eng.HelpInFlight(boot)
-	return s, boot, nil
+	return s, nil
 }
 
 // Key-table cell states. keyUsed marks an occupied cell; the other bits
@@ -159,8 +161,8 @@ type recoverScratch struct {
 // corruption, and RecoverGC rewrites the allocator's bitmaps to exactly
 // the surviving blocks and builds its free-stacks. All durable words
 // touched belong to shard si, and the per-shard instruction sequence does
-// not depend on which worker runs it — which is why serial and parallel
-// recovery produce byte-identical durable state.
+// not depend on which worker runs it — which is why every worker count
+// produces byte-identical durable state.
 func (s *Store) recoverShard(ctx *pmem.ThreadCtx, si int, sc *recoverScratch) (reconciled int, err error) {
 	entry := s.dirEntry(si)
 	table := pmem.Addr(ctx.Load(entry + deIndex*pmem.WordSize))
@@ -272,55 +274,51 @@ func (s *Store) finishRecovery(base pmem.Stats, reconciled int) {
 }
 
 // Recover re-attaches the store committed through rootSlot after a crash
-// and repairs every shard serially. Per-operation results are then
-// available through the Recover* handle methods.
+// and repairs its shards on W = min(GOMAXPROCS, shards, MaxThreads)
+// workers with thread ids 0..W-1, which is sound because recovery is
+// offline: no handle may run until Recover returns. Per-operation results
+// are then available through the Recover* handle methods.
 func Recover(pool *pmem.Pool, rootSlot int) (*Store, error) {
-	base := pool.Snapshot()
-	s, boot, err := attachStore(pool, rootSlot, 0)
-	if err != nil {
-		return nil, err
-	}
-	var sc recoverScratch
-	reconciled := 0
-	for si := 0; si < s.nShards; si++ {
-		n, err := s.recoverShard(boot, si, &sc)
-		if err != nil {
-			return nil, err
-		}
-		reconciled += n
-	}
-	s.finishRecovery(base, reconciled)
-	return s, nil
+	return recoverWith(pool, rootSlot, nil)
 }
 
-// RecoverParallel is Recover with the per-shard repair fanned out across
-// the engine's workers (PhaseAttach). Shards touch disjoint durable
-// words and run the same code serial or parallel, so the durable state
-// and persistence-instruction totals match Recover exactly. The frozen
-// end-to-end benchmark is its caller; TestRecoverSerialParallelIdentical
-// pins it against Recover byte for byte over 100 seeded crash states.
+// RecoverParallel is Recover on the caller's engine, whose workers run on
+// thread ids from eng.BaseTID() (below the header's MaxThreads, with no
+// handle running). Shards touch disjoint durable words, run the same code
+// and are dealt statically, so durable state and persistence-instruction
+// totals do not depend on the worker count, as
+// TestRecoverSerialParallelIdentical pins over 100 seeded crash states.
 func RecoverParallel(pool *pmem.Pool, rootSlot int, eng *recovery.Engine) (*Store, error) {
+	return recoverWith(pool, rootSlot, eng)
+}
+
+// recoverWith is the one store recovery path. A nil eng picks Recover's
+// engine once the header has named the shard and thread counts.
+func recoverWith(pool *pmem.Pool, rootSlot int, eng *recovery.Engine) (*Store, error) {
 	base := pool.Snapshot()
-	s, _, err := attachStore(pool, rootSlot, eng.BaseTID())
+	tid := 0
+	if eng != nil {
+		tid = eng.BaseTID()
+	}
+	s, err := attachStore(pool, rootSlot, tid)
 	if err != nil {
 		return nil, err
 	}
-	perShard := make([]int, s.nShards)
+	if eng == nil {
+		eng = recovery.New(recovery.Config{Workers: min(runtime.GOMAXPROCS(0), s.nShards, s.maxThreads)})
+	}
+	var reconciled atomic.Int64
 	scratch := make([]recoverScratch, eng.Workers()) // worker wk runs on thread BaseTID+wk
 	err = eng.For(pool, recovery.PhaseAttach, s.nShards,
 		func(ctx *pmem.ThreadCtx, si int) error {
 			n, err := s.recoverShard(ctx, si, &scratch[ctx.TID()-eng.BaseTID()])
-			perShard[si] = n
+			reconciled.Add(int64(n))
 			return err
 		}, nil)
 	if err != nil {
 		return nil, err
 	}
-	reconciled := 0
-	for _, n := range perShard {
-		reconciled += n
-	}
-	s.finishRecovery(base, reconciled)
+	s.finishRecovery(base, int(reconciled.Load()))
 	return s, nil
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/pmem"
+	"repro/internal/recovery"
 	"repro/internal/rmm"
 )
 
@@ -180,9 +181,11 @@ func TestRecoverCorruptImage(t *testing.T) {
 
 // TestRecoverAllocsIndependentOfKeys pins that whole-store recovery
 // allocates per shard, not per key: on one geometry, recovering 4096 keys
-// may allocate only a few more objects than recovering 64 — each reused
-// scratch buffer (the index keys and the key table's two arrays) doubles
-// at most log2(4096/64) = 6 more times.
+// may allocate only a few more objects than recovering 64 — each worker's
+// reused scratch buffers (the index keys and the key table's two arrays)
+// double at most log2(4096/64) = 6 more times. AllocsPerRun sets
+// GOMAXPROCS to 1, so Recover runs one worker here; the 2-worker engine
+// case pins the multi-worker branch under the same bound.
 func TestRecoverAllocsIndependentOfKeys(t *testing.T) {
 	pool := pmem.New(pmem.Config{Mode: pmem.ModeFast, CapacityWords: 1 << 20, MaxThreads: 4})
 	s, err := New(pool, Config{Shards: 16, Buckets: 64, SlotsPerShard: 1024,
@@ -199,19 +202,35 @@ func TestRecoverAllocsIndependentOfKeys(t *testing.T) {
 			}
 		}
 	}
-	allocs := func() float64 {
-		return testing.AllocsPerRun(5, func() {
-			if _, err := Recover(pool, 0); err != nil {
-				t.Fatal(err)
-			}
-		})
+	cases := []struct {
+		name    string
+		recover func() (*Store, error)
+	}{
+		{"Recover", func() (*Store, error) { return Recover(pool, 0) }},
+		{"2-worker engine", func() (*Store, error) {
+			return RecoverParallel(pool, 0, recovery.New(recovery.Config{Workers: 2}))
+		}},
+	}
+	allocs := func() []float64 {
+		out := make([]float64, len(cases))
+		for i, c := range cases {
+			out[i] = testing.AllocsPerRun(5, func() {
+				if _, err := c.recover(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return out
 	}
 	fill(0, 64)
 	small := allocs()
 	fill(64, 4096)
 	large := allocs()
-	t.Logf("allocs per Recover: %.0f at 64 keys, %.0f at 4096", small, large)
-	if large-small > 18 {
-		t.Fatalf("Recover allocates %.0f objects at 64 keys but %.0f at 4096: allocation grows with key count", small, large)
+	for i, c := range cases {
+		t.Logf("%s: %.0f allocs at 64 keys, %.0f at 4096", c.name, small[i], large[i])
+		if large[i]-small[i] > 18 {
+			t.Errorf("%s allocates %.0f objects at 64 keys but %.0f at 4096: allocation grows with key count",
+				c.name, small[i], large[i])
+		}
 	}
 }

@@ -12,12 +12,13 @@
 // per-thread recovery functions are mutually independent and can be
 // replayed concurrently.
 //
-// The allocator (internal/rmm) is the engine's heaviest client: chunks are
-// its unit of work, so AttachParallel rebuilds per-chunk free-stacks one
-// chunk per engine task, RecoverGCParallel splits the reachability mark
-// and bitmap rebuild over per-worker splice lists with a deterministic
-// merge (serial and parallel recovery reach byte-identical durable
-// state), and InUseParallel partitions the occupancy audit the same way.
+// kvstore.Recover is the engine's heaviest client: every store restart
+// deals its shards across min(GOMAXPROCS, shards, MaxThreads) workers with
+// For, one shard per item, and the static deal keeps the durable result
+// identical for every worker count. The allocator's parallel twins
+// (rmm.AttachParallel, RecoverGCParallel over per-worker splice lists with
+// a deterministic merge, InUseParallel) and rhash.AttachParallel are
+// called only by the frozen end-to-end benchmark's recovery ladder.
 //
 // Phase durations are accumulated per engine and, when a telemetry
 // registry is attached, recorded as latency histogram entries under the
@@ -91,10 +92,11 @@ type Config struct {
 	// inline on a single fresh context.
 	Workers int
 	// BaseTID is the first pmem thread id the engine's worker contexts
-	// use. It must be disjoint from the ids of live application threads
-	// (the sweep passes its per-task thread count; thread ids only
-	// surface in telemetry shards and writer tracking, so small disjoint
-	// ids are preferred over large sentinels).
+	// use. It must be disjoint from the ids of application threads that
+	// run while the engine does. Recovery in the paper's model is
+	// offline — no application thread runs — so kvstore.Recover uses 0;
+	// thread ids only surface in telemetry shards and writer tracking, so
+	// small ids are preferred over large sentinels.
 	BaseTID int
 	// Telemetry, when non-nil, receives one latency record per executed
 	// phase under the matching recovery-* operation class.
