@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-ab bench-gate bench-pmem bench-workloads kvstore-smoke sweep docs-lint telemetry-smoke ci
+.PHONY: all build test race bench-ab bench-gate bench-pmem sweep docs-lint telemetry-smoke ci
 
 all: build
 
@@ -46,24 +46,6 @@ docs-lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/docslint
 
-# bench-workloads runs the open/closed-loop workload scenario matrix (see
-# internal/bench/workload.go) and schema-gates the result through
-# telemetryvet. Deterministic given -seed: this exact invocation regenerates
-# the checked-in BENCH_workloads.json byte for byte.
-bench-workloads:
-	$(GO) run ./cmd/benchrunner -workloads -seed 1 -out BENCH_workloads.json
-	$(GO) run ./cmd/telemetryvet BENCH_workloads.json
-
-# kvstore-smoke regenerates only the sharded-store workload rows (16/32/64
-# shards behind one root slot each) at reduced op counts and schema-gates
-# them through telemetryvet: every row must carry per-shard traffic and the
-# recovery-cost block (see internal/bench/kvtenant.go and docs/kvstore.md).
-kvstore-smoke:
-	$(GO) run ./cmd/benchrunner -workloads -workload-filter kvstore- -seed 1 \
-		-workload-ops 4000 -out kvstore_smoke.json
-	$(GO) run ./cmd/telemetryvet kvstore_smoke.json
-	@rm -f kvstore_smoke.json
-
 # telemetry-smoke runs a short instrumented figure sweep and validates the
 # emitted snapshot against the repro-telemetry/1 schema (see
 # internal/telemetry and cmd/telemetryvet).
@@ -79,6 +61,4 @@ ci:
 	$(MAKE) docs-lint
 	$(MAKE) bench-gate
 	$(MAKE) bench-pmem
-	$(MAKE) bench-workloads
-	$(MAKE) kvstore-smoke
 	$(MAKE) telemetry-smoke

@@ -25,10 +25,6 @@ func main() {
 		list       = flag.Bool("list", false, "list available experiments")
 		substrate  = flag.Bool("substrate", false, "measure the pmem substrate microbenchmarks instead of a figure")
 		subOps     = flag.Int("substrate-ops", 0, "operations per substrate data point (0: default)")
-		workloads  = flag.Bool("workloads", false, "run the open/closed-loop workload scenario matrix instead of a figure")
-		wlOps      = flag.Int("workload-ops", 0, "operations per workload phase (0: default)")
-		wlThreads  = flag.Int("workload-threads", 0, "modeled servers per workload scenario (0: default)")
-		wlFilter   = flag.String("workload-filter", "", "run only the default workload scenarios whose name contains this substring")
 		out        = flag.String("out", "", "write substrate JSON to this file instead of stdout")
 		teleOut    = flag.String("telemetry", "", "observe the figure runs and write a telemetry snapshot (JSON) to this file")
 		progress   = flag.Duration("progress", 2*time.Second, "telemetry progress-line interval (0 disables; needs -telemetry)")
@@ -67,51 +63,9 @@ func main() {
 		return
 	}
 
-	if *workloads {
-		wlOpts := bench.WorkloadOptions{
-			Seed: *seed, Threads: *wlThreads, OpsPerPhase: *wlOps,
-		}
-		if *wlFilter != "" {
-			for _, sc := range bench.DefaultWorkloadScenarios() {
-				if strings.Contains(sc.Name, *wlFilter) {
-					wlOpts.Scenarios = append(wlOpts.Scenarios, sc)
-				}
-			}
-			if len(wlOpts.Scenarios) == 0 {
-				fmt.Fprintf(os.Stderr, "no workload scenario matches %q\n", *wlFilter)
-				os.Exit(2)
-			}
-		}
-		rep, err := bench.Workloads(wlOpts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data, err := rep.MarshalIndentJSON()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := bench.ValidateWorkloadsJSON(data); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if *out != "" {
-			if err := os.WriteFile(*out, data, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return
-		}
-		os.Stdout.Write(data)
-		return
-	}
-
 	if *experiment == "" {
 		fmt.Fprintln(os.Stderr, "usage: benchrunner -experiment fig3a [-threads 1,2,4] [-duration 500ms]\n"+
-			"       benchrunner -substrate [-threads 1,2,4,8,16] [-out BENCH_pmem.json]\n"+
-			"       benchrunner -workloads [-seed 1] [-workload-ops 12000] [-out BENCH_workloads.json]")
+			"       benchrunner -substrate [-threads 1,2,4,8,16] [-out BENCH_pmem.json]")
 		os.Exit(2)
 	}
 	opts := bench.Options{Threads: ths, Duration: *duration, Seed: *seed}

@@ -1,21 +1,17 @@
-// Command telemetryvet validates the JSON artifacts the benchmark harness
-// emits. It dispatches on each file's top-level "schema" tag:
+// Command telemetryvet validates the telemetry snapshots the benchmark
+// harness emits. It dispatches on each file's top-level "schema" tag; the
+// one it knows is
 //
 //   - repro-telemetry/1: a telemetry snapshot — well-formed JSON with no
 //     unknown fields, internally consistent per-site counters and latency
 //     histograms (ordered p50 ≤ p90 ≤ p99 ≤ p99.9), a monotone event
 //     trace, and uniquely named, sorted gauges.
-//   - repro-workloads/1: a workload-scenario report — ordered quantiles per
-//     phase and class, class counts summing to the phase's operations, a
-//     calibrated arrival gap on every open-loop scenario, and
-//     non-negative per-phase pwb and psync counts.
 //
 // Files carrying any other schema tag (or none) are rejected, so format
-// drift fails CI instead of passing unexamined. The telemetry-smoke and
-// bench-workloads CI gates run it over the artifacts short benchrunner runs
-// produce.
+// drift fails CI instead of passing unexamined. The telemetry-smoke CI
+// gate runs it over the snapshot a short benchrunner run produces.
 //
-//	telemetryvet telemetry.json BENCH_workloads.json [more.json ...]
+//	telemetryvet telemetry.json [more.json ...]
 //
 // Exits non-zero (naming the offending file) on the first violation.
 package main
@@ -25,13 +21,12 @@ import (
 	"fmt"
 	"os"
 
-	"repro/internal/bench"
 	"repro/internal/telemetry"
 )
 
 func main() {
 	if len(os.Args) < 2 {
-		fmt.Fprintln(os.Stderr, "usage: telemetryvet artifact.json [more.json ...]")
+		fmt.Fprintln(os.Stderr, "usage: telemetryvet telemetry.json [more.json ...]")
 		os.Exit(2)
 	}
 	for _, path := range os.Args[1:] {
@@ -61,10 +56,7 @@ func vet(data []byte) (string, error) {
 	switch head.Schema {
 	case telemetry.SchemaVersion:
 		return head.Schema, telemetry.ValidateSnapshotJSON(data)
-	case bench.WorkloadsSchema:
-		return head.Schema, bench.ValidateWorkloadsJSON(data)
 	default:
-		return "", fmt.Errorf("unknown schema %q (known: %q, %q)",
-			head.Schema, telemetry.SchemaVersion, bench.WorkloadsSchema)
+		return "", fmt.Errorf("unknown schema %q (known: %q)", head.Schema, telemetry.SchemaVersion)
 	}
 }

@@ -44,13 +44,6 @@ const (
 	AlgoRedoOpt     Algo = "RedoOpt"       // persistent universal construction
 	AlgoHarris      Algo = "Harris"        // volatile baseline, no persistence
 	AlgoTrackingMap Algo = "Tracking-Hash" // hash map composed of Tracking lists
-	// AlgoKVStore is the sharded recoverable key/value store
-	// (internal/kvstore). It is a workload-engine tenant, not a figure
-	// series — the paper's figures compare flat set structures — so Algos()
-	// and newStructure leave it out; the workload engine constructs it
-	// specially because it needs a shard count and hangs an interior shard
-	// directory off its single root slot (see kvtenant.go).
-	AlgoKVStore Algo = "Tracking-KV"
 )
 
 // Algos lists every benchmarkable implementation.
@@ -130,23 +123,13 @@ type opRunner interface {
 type instance struct {
 	pool   *pmem.Pool
 	runner func(tid int) opRunner
-
-	// Every ThreadCtx handed to a runner, so the workload engine can find
-	// the context behind a runner (see runnerCtx).
-	mu   sync.Mutex
-	ctxs []*pmem.ThreadCtx
 }
 
-// newThread creates and tracks a thread context.
-func (inst *instance) newThread(tid int) *pmem.ThreadCtx {
-	ctx := inst.pool.NewThread(tid)
-	inst.mu.Lock()
-	inst.ctxs = append(inst.ctxs, ctx)
-	inst.mu.Unlock()
-	return ctx
-}
-
-// build constructs the algorithm under test on a fresh fast-mode pool.
+// build constructs the algorithm under test on a fresh fast-mode pool. The
+// structure commits through root slot 0 and allocates per-thread state for
+// the workers plus the boot thread; the TM-style algorithms (Romulus,
+// RedoOpt) duplicate or log a region of an eighth of the arena. Figure runs
+// pin cfg.TrackingProfile on the Tracking list (see Config).
 func build(cfg Config) (*instance, error) {
 	words := cfg.PoolWords
 	if words == 0 {
@@ -159,58 +142,40 @@ func build(cfg Config) (*instance, error) {
 		Cost:          cfg.Cost,
 	})
 	inst := &instance{pool: pool}
-	runner, err := newStructure(inst, cfg.Algo, cfg.Threads+1, 0, words/8,
-		cfg.TrackingProfile)
-	if err != nil {
-		return nil, err
-	}
-	inst.runner = runner
-	return inst, nil
-}
-
-// newStructure constructs one instance of algo on inst's already-built pool
-// and returns its per-thread runner factory. maxThreads bounds the
-// per-thread state the structure allocates, rootSlot anchors its durable
-// root — the multi-tenant workload engine places several structures on one
-// pool, one root slot each — and regionWords sizes the duplicated/logged
-// region of the TM-style algorithms (Romulus, RedoOpt). prof is the Tracking
-// list engine's profile (see Config.TrackingProfile).
-func newStructure(inst *instance, algo Algo, maxThreads, rootSlot, regionWords int,
-	prof tracking.Profile) (func(tid int) opRunner, error) {
-	pool := inst.pool
-	switch algo {
+	maxThreads, regionWords := cfg.Threads+1, words/8
+	switch cfg.Algo {
 	case AlgoTracking:
-		l := rlist.New(pool, maxThreads, rootSlot)
-		l.Engine().SetProfile(prof)
-		return func(tid int) opRunner { return l.Handle(inst.newThread(tid)) }, nil
+		l := rlist.New(pool, maxThreads, 0)
+		l.Engine().SetProfile(cfg.TrackingProfile)
+		inst.runner = func(tid int) opRunner { return l.Handle(pool.NewThread(tid)) }
 	case AlgoTrackingBST:
-		tr := rbst.New(pool, maxThreads, rootSlot)
-		return func(tid int) opRunner { return tr.Handle(inst.newThread(tid)) }, nil
+		tr := rbst.New(pool, maxThreads, 0)
+		inst.runner = func(tid int) opRunner { return tr.Handle(pool.NewThread(tid)) }
 	case AlgoTrackingMap:
-		m := rhash.New(pool, 64, maxThreads, rootSlot)
-		return func(tid int) opRunner { return m.Handle(inst.newThread(tid)) }, nil
+		m := rhash.New(pool, 64, maxThreads, 0)
+		inst.runner = func(tid int) opRunner { return m.Handle(pool.NewThread(tid)) }
 	case AlgoCapsules:
-		l := capsules.New(pool, capsules.VariantFull, maxThreads, rootSlot)
-		return func(tid int) opRunner { return l.Handle(inst.newThread(tid)) }, nil
+		l := capsules.New(pool, capsules.VariantFull, maxThreads, 0)
+		inst.runner = func(tid int) opRunner { return l.Handle(pool.NewThread(tid)) }
 	case AlgoCapsulesOpt:
-		l := capsules.New(pool, capsules.VariantOpt, maxThreads, rootSlot)
-		return func(tid int) opRunner { return l.Handle(inst.newThread(tid)) }, nil
+		l := capsules.New(pool, capsules.VariantOpt, maxThreads, 0)
+		inst.runner = func(tid int) opRunner { return l.Handle(pool.NewThread(tid)) }
 	case AlgoHarris:
-		l := capsules.New(pool, capsules.VariantNone, maxThreads, rootSlot)
-		return func(tid int) opRunner { return l.Handle(inst.newThread(tid)) }, nil
+		l := capsules.New(pool, capsules.VariantNone, maxThreads, 0)
+		inst.runner = func(tid int) opRunner { return l.Handle(pool.NewThread(tid)) }
 	case AlgoRomulus:
-		// The TM region is a fraction of the arena (it is duplicated).
-		tm := romulus.NewTM(pool, regionWords, maxThreads, rootSlot)
-		l := romulus.NewList(tm, inst.newThread(0))
-		return func(tid int) opRunner {
-			return &romulusRunner{tm: tm, l: l, ctx: inst.newThread(tid)}
-		}, nil
+		tm := romulus.NewTM(pool, regionWords, maxThreads, 0)
+		l := romulus.NewList(tm, pool.NewThread(0))
+		inst.runner = func(tid int) opRunner {
+			return &romulusRunner{tm: tm, l: l, ctx: pool.NewThread(tid)}
+		}
 	case AlgoRedoOpt:
-		s := redolog.New(pool, regionWords, maxThreads, rootSlot)
-		return func(tid int) opRunner { return s.Handle(inst.newThread(tid)) }, nil
+		s := redolog.New(pool, regionWords, maxThreads, 0)
+		inst.runner = func(tid int) opRunner { return s.Handle(pool.NewThread(tid)) }
 	default:
-		return nil, fmt.Errorf("bench: unknown algorithm %q", algo)
+		return nil, fmt.Errorf("bench: unknown algorithm %q", cfg.Algo)
 	}
+	return inst, nil
 }
 
 // romulusRunner adapts the TM list to the uniform interface.
@@ -321,30 +286,11 @@ func Run(cfg Config) (Result, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 500 * time.Millisecond
 	}
-	if cfg.Workload.KeyRange == 0 {
-		cfg.Workload = ReadIntensive()
-	}
-	inst, err := build(cfg)
+	r, err := Prepare(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	applySiteConfig(inst.pool, cfg)
-
-	// Preload with the boot thread (thread id 0): the paper populates the
-	// structure with 250 random inserts before measuring.
-	pre := inst.runner(0)
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	for _, key := range preloadKeys(cfg.Workload, rng) {
-		pre.Insert(key)
-	}
-
-	// Telemetry attaches after the preload so the registry, like base,
-	// observes only the measured phase.
-	if cfg.Telemetry != nil {
-		cfg.Telemetry.AttachPool(inst.pool)
-	}
-
-	base := inst.pool.Snapshot()
+	cfg = r.cfg
 	var stop atomic.Bool
 	var total atomic.Uint64
 	var wg sync.WaitGroup
@@ -354,12 +300,12 @@ func Run(cfg Config) (Result, error) {
 		go func(tid int) {
 			defer wg.Done()
 			workerLabels(&cfg, tid, func() {
-				r := inst.runner(tid)
+				run := r.inst.runner(tid)
 				rng := rand.New(rand.NewSource(threadSeed(cfg.Seed, tid)))
 				ops := uint64(0)
 				for !stop.Load() {
 					for i := 0; i < opBatch; i++ {
-						runOne(r, rng, &cfg, tid)
+						runOne(run, rng, &cfg, tid)
 						ops++
 						// Yield between operations: on few-core hosts this
 						// recreates the fine-grained thread interleaving of
@@ -377,7 +323,7 @@ func Run(cfg Config) (Result, error) {
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	st := inst.pool.Snapshot().Sub(base)
+	st := r.Stats()
 
 	if cfg.Telemetry != nil {
 		cfg.Telemetry.SetGauge("pmem-pwbs-recorded", st.PWBs)

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/pmem"
@@ -125,5 +126,86 @@ func TestRunOneUpdateSplit(t *testing.T) {
 	// ~7100 draws per side; 3 sigma of the 50/50 split is ~1.2%.
 	if ratio := ins / (ins + del); ratio < 0.47 || ratio > 0.53 {
 		t.Errorf("insert share %.4f outside [0.47, 0.53] (insert=%v delete=%v)", ratio, ins, del)
+	}
+}
+
+// TestPreloadKeysDistinct pins the preload fix: exactly Preload distinct
+// in-range keys, clamped at KeyRange.
+func TestPreloadKeysDistinct(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	keys := preloadKeys(Workload{KeyRange: 100, Preload: 50}, rng)
+	if len(keys) != 50 {
+		t.Fatalf("got %d keys, want 50", len(keys))
+	}
+	seen := map[int64]bool{}
+	for _, k := range keys {
+		if k < 1 || k > 100 {
+			t.Fatalf("key %d out of range [1,100]", k)
+		}
+		if seen[k] {
+			t.Fatalf("duplicate key %d", k)
+		}
+		seen[k] = true
+	}
+	if got := preloadKeys(Workload{KeyRange: 10, Preload: 25}, rng); len(got) != 10 {
+		t.Fatalf("overfull preload: got %d keys, want clamp to 10", len(got))
+	}
+	if got := preloadKeys(Workload{KeyRange: 10, Preload: 0}, rng); len(got) != 0 {
+		t.Fatalf("zero preload: got %d keys", len(got))
+	}
+}
+
+// TestPreparePreloadOccupancy is the regression test for the
+// draw-with-replacement preload bug: after Prepare, the structure holds
+// exactly Workload.Preload keys. (At KeyRange 100 / Preload 50 the old
+// preload landed near 39 in expectation and only ever reached 50 by luck.)
+func TestPreparePreloadOccupancy(t *testing.T) {
+	for _, algo := range []Algo{AlgoTracking, AlgoTrackingMap} {
+		r, err := Prepare(Config{
+			Algo: algo, Threads: 1, Seed: 3,
+			Workload:  Workload{KeyRange: 100, Preload: 50, FindPct: 100},
+			PoolWords: 1 << 16,
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", algo, err)
+		}
+		probe := r.inst.runner(1)
+		occupancy := 0
+		for k := int64(1); k <= 100; k++ {
+			if probe.Find(k) {
+				occupancy++
+			}
+		}
+		if occupancy != 50 {
+			t.Errorf("%s: post-preload occupancy %d, want exactly 50", algo, occupancy)
+		}
+	}
+}
+
+// TestThreadSeedDecorrelated pins the splitmix derivation: distinct,
+// non-linear seeds, and key streams that do not collide between adjacent
+// threads the way the old seed+tid·7919 scheme's did.
+func TestThreadSeedDecorrelated(t *testing.T) {
+	seen := map[int64]bool{}
+	for idx := 0; idx < 1000; idx++ {
+		s := threadSeed(42, idx)
+		if seen[s] {
+			t.Fatalf("seed collision at idx %d", idx)
+		}
+		seen[s] = true
+	}
+	// Adjacent-thread streams must diverge immediately: with 64-key draws
+	// two independent streams agree per position with p=1/64, so 100
+	// positions agreeing more than ~20 times means correlation.
+	a := rand.New(rand.NewSource(threadSeed(42, 1)))
+	b := rand.New(rand.NewSource(threadSeed(42, 2)))
+	agree := 0
+	for i := 0; i < 100; i++ {
+		if a.Int63n(64) == b.Int63n(64) {
+			agree++
+		}
+	}
+	if agree > 20 {
+		t.Fatalf("adjacent thread streams agree on %d/100 draws", agree)
 	}
 }

@@ -90,13 +90,6 @@ func (p *Pool) NewThreads(base, n int) []*ThreadCtx {
 // TID returns the thread id of this context.
 func (ctx *ThreadCtx) TID() int { return ctx.tid }
 
-// SpunUnits returns the total simulated persistence latency (ModeFast spin
-// units) charged to this thread so far. The workload engine reads the
-// delta across one operation to derive that operation's modeled service
-// time; charges spin on the issuing thread only, so the delta is exact for
-// a context driven from a single goroutine.
-func (ctx *ThreadCtx) SpunUnits() uint64 { return ctx.spun.Load() }
-
 // Pool returns the pool this context operates on.
 func (ctx *ThreadCtx) Pool() *Pool { return ctx.pool }
 

@@ -138,8 +138,6 @@ type HistogramSnapshot struct {
 	// P99Ns is the 99th-percentile estimate; see P50Ns for resolution.
 	P99Ns uint64 `json:"p99_ns"`
 	// P99_9Ns is the 99.9th-percentile estimate; see P50Ns for resolution.
-	// The tail quantile the open-loop workload engine reports against its
-	// SLO matrix.
 	P99_9Ns uint64 `json:"p99_9_ns"`
 	// Buckets lists the non-empty latency buckets in ascending order.
 	Buckets []HistBucket `json:"buckets"`
@@ -239,21 +237,4 @@ func mergeHistograms(op Op, shards []*histShard) HistogramSnapshot {
 		totalNs += sh.sumNs.Load()
 	}
 	return histFromCounts(op.String(), &merged, totalNs)
-}
-
-// Combine merges histogram snapshots into one distribution labelled op.
-// Buckets are re-keyed by their value bounds, so any snapshots this package
-// produced — including ones decoded back from JSON — combine exactly. The
-// workload engine uses this to derive a phase's all-classes latency
-// distribution from the per-class histograms the registry exports.
-func Combine(op string, hs ...HistogramSnapshot) HistogramSnapshot {
-	var merged [histBuckets]uint64
-	var totalNs uint64
-	for _, h := range hs {
-		totalNs += h.TotalNs
-		for _, bk := range h.Buckets {
-			merged[bucketIndex(bk.MaxNs)] += bk.Count
-		}
-	}
-	return histFromCounts(op, &merged, totalNs)
 }

@@ -1,9 +1,6 @@
 package telemetry
 
-import (
-	"encoding/json"
-	"testing"
-)
+import "testing"
 
 // TestBucketLayout checks the log2-with-sub-buckets geometry: buckets tile
 // the 64-bit value space contiguously and index/bounds round-trip.
@@ -90,50 +87,5 @@ func TestTailQuantilesSeparate(t *testing.T) {
 	}
 	if h.P50Ns < 1472 || h.P50Ns > 1535 {
 		t.Errorf("p50 = %dns, want within 1500's sub-bucket [1472,1535]", h.P50Ns)
-	}
-}
-
-// TestCombine checks re-keyed merging, including through a JSON round-trip
-// (the workload engine combines per-class snapshots into phase totals).
-func TestCombine(t *testing.T) {
-	var a, b histShard
-	for i := 0; i < 10; i++ {
-		a.record(100)
-		b.record(3000)
-	}
-	ha := mergeHistograms(OpFind, []*histShard{&a})
-	hb := mergeHistograms(OpInsert, []*histShard{&b})
-	data, err := json.Marshal(hb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hb2 HistogramSnapshot
-	if err := json.Unmarshal(data, &hb2); err != nil {
-		t.Fatal(err)
-	}
-	c := Combine("all", ha, hb2)
-	if c.Op != "all" || c.Count != 20 {
-		t.Fatalf("combined op %q count %d", c.Op, c.Count)
-	}
-	if c.TotalNs != ha.TotalNs+hb.TotalNs {
-		t.Fatalf("combined total %d != %d + %d", c.TotalNs, ha.TotalNs, hb.TotalNs)
-	}
-	if c.P50Ns > 200 || c.P99Ns < 2900 {
-		t.Fatalf("combined quantiles p50=%d p99=%d don't straddle the two modes", c.P50Ns, c.P99Ns)
-	}
-	// A combined snapshot must still satisfy the exported-histogram
-	// invariants the validator enforces.
-	var sum uint64
-	for i, bk := range c.Buckets {
-		if bk.Count == 0 || bk.MinNs > bk.MaxNs {
-			t.Fatalf("bucket %d malformed: %+v", i, bk)
-		}
-		if i > 0 && bk.MinNs <= c.Buckets[i-1].MaxNs {
-			t.Fatalf("buckets %d/%d not disjoint", i-1, i)
-		}
-		sum += bk.Count
-	}
-	if sum != c.Count {
-		t.Fatalf("bucket sum %d != count %d", sum, c.Count)
 	}
 }
