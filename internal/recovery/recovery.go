@@ -1,8 +1,9 @@
-// Package recovery is the parallel post-crash recovery engine: it fans the
-// read-mostly phases of recovery — structure re-attach, RecoverGC's mark
-// and bitmap rebuild, per-thread recovery-function replay, and invariant
-// verification — across a bounded pool of workers, each with its own
-// pmem.ThreadCtx (a ThreadCtx is single-threaded by contract).
+// Package recovery is the parallel post-crash recovery engine: it deals
+// the read-mostly phases of recovery — structure re-attach, the
+// allocator's mark and bitmap rebuild, per-thread recovery-function
+// replay, and invariant verification — across a bounded pool of workers,
+// each with its own pmem.ThreadCtx (a ThreadCtx is single-threaded by
+// contract).
 //
 // The engine exploits two independence properties of the paper's model
 // (Attiya et al., PPoPP 2022): recovery is offline (no application thread
@@ -12,17 +13,18 @@
 // per-thread recovery functions are mutually independent and can be
 // replayed concurrently.
 //
-// kvstore.Recover is the engine's heaviest client: every store restart
-// deals its shards across min(GOMAXPROCS, shards, MaxThreads) workers with
-// For, one shard per item, and the static deal keeps the durable result
-// identical for every worker count. The allocator's parallel twins
-// (rmm.AttachParallel, RecoverGCParallel over per-worker splice lists with
-// a deterministic merge, InUseParallel) and rhash.AttachParallel are
-// called only by the frozen end-to-end benchmark's recovery ladder.
+// A recovery body is written once, against a Loop: Engine.Loop deals it
+// across the engine's workers with For, and Inline runs it on the
+// caller's own thread context. kvstore.Recover deals its shards with For,
+// one shard per item, and repairs each shard with the inline bodies of
+// rhash and rmm on the worker's context; the static deal keeps the durable
+// result identical for every worker count. rmm.AttachParallel,
+// RecoverGCParallel, InUseParallel and rhash.AttachParallel and
+// CheckInvariantsParallel run the same bodies on Engine.Loop; the frozen
+// end-to-end benchmark's recovery ladder is their caller.
 //
-// Phase durations are accumulated per engine and, when a telemetry
-// registry is attached, recorded as latency histogram entries under the
-// recovery-* operation classes of the repro-telemetry/1 snapshot schema.
+// Phase durations and per-worker item counts are accumulated per engine
+// and read back with Stats.
 package recovery
 
 import (
@@ -34,7 +36,6 @@ import (
 	"time"
 
 	"repro/internal/pmem"
-	"repro/internal/telemetry"
 )
 
 // Phase names one stage of post-crash recovery, for timing attribution.
@@ -45,8 +46,8 @@ const (
 	// PhaseAttach is structure re-attach: rebuilding volatile views (bucket
 	// tables, handles) from persistent headers after pool recovery.
 	PhaseAttach Phase = iota
-	// PhaseGCMark is rmm.RecoverGCParallel: the concurrent reachability
-	// mark plus the bitmap rebuild.
+	// PhaseGCMark is rmm.RecoverGCParallel: the mark shards plus the
+	// bitmap rebuild.
 	PhaseGCMark
 	// PhaseReplay is the replay of per-thread recovery functions.
 	PhaseReplay
@@ -55,7 +56,7 @@ const (
 	numPhases
 )
 
-// String names the phase as it appears in timing maps and telemetry.
+// String names the phase as it appears in the Stats map.
 func (p Phase) String() string {
 	switch p {
 	case PhaseAttach:
@@ -68,20 +69,6 @@ func (p Phase) String() string {
 		return "verify"
 	default:
 		return "unknown"
-	}
-}
-
-// op maps the phase to its telemetry operation class.
-func (p Phase) op() telemetry.Op {
-	switch p {
-	case PhaseAttach:
-		return telemetry.OpRecoveryAttach
-	case PhaseGCMark:
-		return telemetry.OpRecoveryGCMark
-	case PhaseReplay:
-		return telemetry.OpRecoveryReplay
-	default:
-		return telemetry.OpRecoveryVerify
 	}
 }
 
@@ -98,9 +85,6 @@ type Config struct {
 	// thread ids only surface in telemetry shards and writer tracking, so
 	// small ids are preferred over large sentinels.
 	BaseTID int
-	// Telemetry, when non-nil, receives one latency record per executed
-	// phase under the matching recovery-* operation class.
-	Telemetry *telemetry.Registry
 }
 
 // Engine is a bounded-worker parallel recovery engine. An Engine is cheap
@@ -110,7 +94,6 @@ type Config struct {
 type Engine struct {
 	workers int
 	baseTID int
-	reg     *telemetry.Registry
 
 	mu      sync.Mutex
 	timings [numPhases]time.Duration
@@ -127,9 +110,8 @@ type PhaseStats struct {
 	// SpanItems is the accumulated critical-path share: for each phase
 	// execution, the largest number of items any single worker processed.
 	// On a host with at least Workers idle cores the phase's wall clock is
-	// proportional to SpanItems; on a smaller host, WallNs(1 worker) *
-	// SpanItems / Items models the wall clock such a host would see. The
-	// recovery benchmark uses exactly that identity.
+	// proportional to SpanItems, so SpanItems/Items is the share of the
+	// one-worker wall clock such a host would see.
 	SpanItems int64
 }
 
@@ -142,7 +124,7 @@ func New(cfg Config) *Engine {
 			w = 8
 		}
 	}
-	return &Engine{workers: w, baseTID: cfg.BaseTID, reg: cfg.Telemetry}
+	return &Engine{workers: w, baseTID: cfg.BaseTID}
 }
 
 // Workers returns the engine's worker count.
@@ -151,44 +133,19 @@ func (e *Engine) Workers() int { return e.workers }
 // BaseTID returns the first thread id the engine's worker contexts use.
 func (e *Engine) BaseTID() int { return e.baseTID }
 
-// observe accumulates a phase duration and forwards it to telemetry.
-func (e *Engine) observe(p Phase, d time.Duration) {
-	e.mu.Lock()
-	e.timings[p] += d
-	e.mu.Unlock()
-	if e.reg != nil {
-		e.reg.RecordOp(0, p.op(), d.Nanoseconds())
-	}
-}
-
-// recordStats folds one execution's per-worker item counts into the
-// phase's accumulated work accounting.
-func (e *Engine) recordStats(p Phase, counts []int64) {
+// record folds one phase execution into the phase's accumulated wall
+// clock and work accounting, given each worker's item count.
+func (e *Engine) record(p Phase, d time.Duration, counts []int64) {
 	var total, span int64
 	for _, c := range counts {
 		total += c
-		if c > span {
-			span = c
-		}
+		span = max(span, c)
 	}
 	e.mu.Lock()
+	e.timings[p] += d
 	e.items[p] += total
 	e.span[p] += span
 	e.mu.Unlock()
-}
-
-// Timings returns the accumulated wall-clock duration of every phase the
-// engine has executed, keyed by phase name.
-func (e *Engine) Timings() map[string]time.Duration {
-	out := make(map[string]time.Duration, numPhases)
-	e.mu.Lock()
-	for p := Phase(0); p < numPhases; p++ {
-		if e.timings[p] > 0 {
-			out[p.String()] = e.timings[p]
-		}
-	}
-	e.mu.Unlock()
-	return out
 }
 
 // Stats returns the accumulated work accounting of every phase the engine
@@ -236,11 +193,13 @@ func runSafe(worker int, body func() error) (err error) {
 	return body()
 }
 
-// parallelDo runs body(w) on nWorkers goroutines under the phase's timer
-// and returns the first error. nWorkers <= 1 runs inline.
-func (e *Engine) parallelDo(phase Phase, nWorkers int, body func(w int) error) error {
+// parallelDo runs body(w) on one goroutine per entry of counts, where
+// worker w counts its items, records the phase's wall clock and counts,
+// and returns the first error. One worker or none runs inline.
+func (e *Engine) parallelDo(phase Phase, counts []int64, body func(w int) error) error {
 	start := time.Now()
-	defer func() { e.observe(phase, time.Since(start)) }()
+	defer func() { e.record(phase, time.Since(start), counts) }()
+	nWorkers := len(counts)
 	if nWorkers <= 1 {
 		return runSafe(0, func() error { return body(0) })
 	}
@@ -278,12 +237,9 @@ func (e *Engine) parallelDo(phase Phase, nWorkers int, body func(w int) error) e
 // static deal keeps both the recovery outcome and the accounting
 // deterministic.
 func (e *Engine) For(pool *pmem.Pool, phase Phase, n int, fn func(ctx *pmem.ThreadCtx, i int) error, finish func(ctx *pmem.ThreadCtx) error) error {
-	w := e.workers
-	if w > n {
-		w = n
-	}
+	w := min(e.workers, n)
 	if n <= 0 {
-		return e.parallelDo(phase, 0, func(int) error { return nil })
+		return e.parallelDo(phase, nil, func(int) error { return nil })
 	}
 	chunk := n / (w * 4)
 	if chunk < 1 {
@@ -291,7 +247,7 @@ func (e *Engine) For(pool *pmem.Pool, phase Phase, n int, fn func(ctx *pmem.Thre
 	}
 	var failed atomic.Bool
 	counts := make([]int64, w)
-	err := e.parallelDo(phase, w, func(wk int) error {
+	return e.parallelDo(phase, counts, func(wk int) error {
 		ctx := pool.NewThread(e.baseTID + wk)
 		for c := wk; !failed.Load(); c += w {
 			lo := c * chunk
@@ -315,8 +271,39 @@ func (e *Engine) For(pool *pmem.Pool, phase Phase, n int, fn func(ctx *pmem.Thre
 		}
 		return nil
 	})
-	e.recordStats(phase, counts)
-	return err
+}
+
+// Loop runs fn(ctx, i) for every i in [0, n), then finish(ctx) once per
+// thread context it ran fn on (finish may be nil), and returns the first
+// error. It is the one seam a recovery body is written against: the same
+// body runs inline (Inline) or dealt across workers (Engine.Loop), so the
+// two cannot drift apart.
+type Loop func(n int, fn func(ctx *pmem.ThreadCtx, i int) error, finish func(ctx *pmem.ThreadCtx) error) error
+
+// Loop returns the Loop that runs each call as one For over pool, timed
+// and counted under phase.
+func (e *Engine) Loop(pool *pmem.Pool, phase Phase) Loop {
+	return func(n int, fn func(*pmem.ThreadCtx, int) error, finish func(*pmem.ThreadCtx) error) error {
+		return e.For(pool, phase, n, fn, finish)
+	}
+}
+
+// Inline returns the Loop that runs in the caller's goroutine on ctx: no
+// worker, no new thread context and no timing, so it is safe inside an
+// engine worker (kvstore recovers each shard with inline bodies on its
+// worker's context). A panic is not converted to an error.
+func Inline(ctx *pmem.ThreadCtx) Loop {
+	return func(n int, fn func(*pmem.ThreadCtx, int) error, finish func(*pmem.ThreadCtx) error) error {
+		for i := 0; i < n; i++ {
+			if err := fn(ctx, i); err != nil {
+				return err
+			}
+		}
+		if finish != nil && n > 0 {
+			return finish(ctx)
+		}
+		return nil
+	}
 }
 
 // ReplayThreads runs fn(tid) for every resurrected thread id in [0, n)
@@ -328,16 +315,13 @@ func (e *Engine) For(pool *pmem.Pool, phase Phase, n int, fn func(ctx *pmem.Thre
 // thread id rather than an engine context: a recovery function runs on the
 // resurrected thread's own rebuilt context.
 func (e *Engine) ReplayThreads(n int, fn func(tid int) error) error {
-	w := e.workers
-	if w > n {
-		w = n
-	}
+	w := min(e.workers, n)
 	if n <= 0 {
-		return e.parallelDo(PhaseReplay, 0, func(int) error { return nil })
+		return e.parallelDo(PhaseReplay, nil, func(int) error { return nil })
 	}
 	var failed atomic.Bool
 	counts := make([]int64, w)
-	err := e.parallelDo(PhaseReplay, w, func(wk int) error {
+	return e.parallelDo(PhaseReplay, counts, func(wk int) error {
 		for tid := wk; tid < n && !failed.Load(); tid += w {
 			if err := fn(tid); err != nil {
 				failed.Store(true)
@@ -347,137 +331,4 @@ func (e *Engine) ReplayThreads(n int, fn func(tid int) error) error {
 		}
 		return nil
 	})
-	e.recordStats(PhaseReplay, counts)
-	return err
-}
-
-// TaskFunc is one unit of work in a RunTasks queue. Tasks may spawn
-// further tasks through their worker, which is how a traversal exposes
-// newly discovered work (the GC mark's visit queue).
-type TaskFunc func(w *Worker) error
-
-// Worker is a RunTasks worker: its identity, its private thread context,
-// and the spawn half of the shared queue.
-type Worker struct {
-	// ID is the worker's index in [0, Engine.Workers()).
-	ID int
-	// Ctx is the worker's private thread context on the phase's pool.
-	Ctx *pmem.ThreadCtx
-	q   *taskQueue
-}
-
-// Spawn enqueues another task on the shared queue; an idle worker (any
-// worker, not necessarily this one) steals and runs it.
-func (w *Worker) Spawn(t TaskFunc) { w.q.push(t) }
-
-// taskQueue is the shared LIFO work queue of one RunTasks call. LIFO keeps
-// a spawning worker's freshly discovered work hot, while idle workers
-// steal whatever is pending.
-type taskQueue struct {
-	mu          sync.Mutex
-	cond        *sync.Cond
-	tasks       []TaskFunc
-	outstanding int // pushed but not yet completed
-	stopped     bool
-}
-
-func newTaskQueue(initial []TaskFunc) *taskQueue {
-	q := &taskQueue{tasks: append([]TaskFunc(nil), initial...)}
-	q.outstanding = len(initial)
-	q.cond = sync.NewCond(&q.mu)
-	return q
-}
-
-func (q *taskQueue) push(t TaskFunc) {
-	q.mu.Lock()
-	q.tasks = append(q.tasks, t)
-	q.outstanding++
-	q.cond.Signal()
-	q.mu.Unlock()
-}
-
-// pop blocks until a task is available or the queue drains (every pushed
-// task completed) or stops (a worker failed); ok is false in the latter
-// two cases.
-func (q *taskQueue) pop() (TaskFunc, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for {
-		if q.stopped {
-			return nil, false
-		}
-		if n := len(q.tasks); n > 0 {
-			t := q.tasks[n-1]
-			q.tasks = q.tasks[:n-1]
-			return t, true
-		}
-		if q.outstanding == 0 {
-			return nil, false
-		}
-		q.cond.Wait()
-	}
-}
-
-// done marks one popped task complete; the final completion wakes all
-// waiters so they can observe the drained queue.
-func (q *taskQueue) done() {
-	q.mu.Lock()
-	q.outstanding--
-	if q.outstanding == 0 {
-		q.cond.Broadcast()
-	}
-	q.mu.Unlock()
-}
-
-// stop aborts the queue after a worker error.
-func (q *taskQueue) stop() {
-	q.mu.Lock()
-	q.stopped = true
-	q.cond.Broadcast()
-	q.mu.Unlock()
-}
-
-// RunTasks drains a spawning work queue seeded with the initial tasks
-// across the engine's workers, each with its own fresh thread context on
-// pool. It returns when every task (including spawned ones) has completed,
-// or on the first task error.
-//
-// Work accounting: the queue is greedy — no worker idles while a task is
-// pending — so for T roughly uniform tasks its span on a dedicated
-// multicore is ceil(T/W). RunTasks records that bound as the phase's
-// SpanItems rather than the observed per-worker split, which on a
-// time-shared host reflects the Go scheduler's quanta, not the queue.
-func (e *Engine) RunTasks(pool *pmem.Pool, phase Phase, initial []TaskFunc) error {
-	if len(initial) == 0 {
-		return e.parallelDo(phase, 0, func(int) error { return nil })
-	}
-	// Unlike For, the worker count is not capped at the seed count: a
-	// single seed may spawn a whole traversal's worth of tasks, and a
-	// worker that finds the queue empty blocks on the queue's cond until
-	// work appears or the queue drains, which costs nothing.
-	w := e.workers
-	q := newTaskQueue(initial)
-	var executed atomic.Int64
-	err := e.parallelDo(phase, w, func(wk int) error {
-		worker := &Worker{ID: wk, Ctx: pool.NewThread(e.baseTID + wk), q: q}
-		for {
-			t, ok := q.pop()
-			if !ok {
-				return nil
-			}
-			err := runSafe(wk, func() error { return t(worker) })
-			q.done()
-			if err != nil {
-				q.stop()
-				return err
-			}
-			executed.Add(1)
-		}
-	})
-	total := executed.Load()
-	e.mu.Lock()
-	e.items[phase] += total
-	e.span[phase] += (total + int64(w) - 1) / int64(w)
-	e.mu.Unlock()
-	return err
 }

@@ -6,22 +6,28 @@ import (
 
 	"repro/internal/pmem"
 	"repro/internal/rbst"
+	"repro/internal/recovery"
 	"repro/internal/rhash"
 	"repro/internal/rlist"
 )
 
 // TestAttachRejectsGarbageRoots is the shared table test for the attach
-// paths of the three header-rooted set structures: attaching to a fresh
-// pool's Null slot, to a slot holding a value that is not a pointer into
-// the pool, to a misaligned pointer, and to an out-of-range slot index
-// must all return a descriptive error — never mis-parse a header or panic
-// out of bounds. The kvstore shard directory leans on exactly these
-// checks when a directory entry is stale.
+// paths of the three header-rooted set structures, rhash both inline and
+// on a 3-worker recovery engine: attaching to a fresh pool's Null slot,
+// to a slot holding a value that is not a pointer into the pool, to a
+// misaligned pointer, and to an out-of-range slot index must all return
+// a descriptive error — never mis-parse a header or panic out of bounds.
+// The kvstore shard directory leans on exactly these checks when a
+// directory entry is stale.
 func TestAttachRejectsGarbageRoots(t *testing.T) {
 	const words = 1 << 14
 	attach := map[string]func(pool *pmem.Pool, slot int) error{
 		"rhash": func(pool *pmem.Pool, slot int) error {
 			_, err := rhash.Attach(pool, slot)
+			return err
+		},
+		"rhash-parallel": func(pool *pmem.Pool, slot int) error {
+			_, err := rhash.AttachParallel(pool, slot, recovery.New(recovery.Config{Workers: 3}))
 			return err
 		},
 		"rlist": func(pool *pmem.Pool, slot int) error {

@@ -1,6 +1,7 @@
 package rhash
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -52,44 +53,44 @@ func buildCrashedMap(t *testing.T, seed int64) *pmem.Pool {
 	return pool
 }
 
-// TestAttachParallelMatchesSerial rebuilds the same 100 seeded crash states
-// twice and checks that serial and parallel recovery agree: identical
-// CheckInvariants outcomes and identical key sets in identical order.
+// TestAttachParallelMatchesSerial rebuilds each of 100 seeded crash
+// states once per leg and checks that AttachParallel and
+// CheckInvariantsParallel on engines of 1 and 3 workers agree with inline
+// Attach and CheckInvariants: the same attach and invariant verdicts and
+// the same keys in the same order.
 func TestAttachParallelMatchesSerial(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		poolS := buildCrashedMap(t, seed)
-		poolP := buildCrashedMap(t, seed)
-
 		mS, errS := Attach(poolS, 0)
-		eng := recovery.New(recovery.Config{Workers: 4, BaseTID: 8})
-		mP, errP := AttachParallel(poolP, 0, eng)
-		if (errS == nil) != (errP == nil) {
-			t.Fatalf("seed %d: attach disagreement: serial %v, parallel %v", seed, errS, errP)
+		var chkS error
+		var keysS []int64
+		if errS == nil {
+			ctx := poolS.NewThread(2)
+			chkS = mS.CheckInvariants(ctx, false)
+			keysS = mS.Keys(ctx)
 		}
-		if errS != nil {
-			continue
-		}
-
-		ctx := poolS.NewThread(2)
-		chkS := mS.CheckInvariants(ctx, false)
-		chkP := mP.CheckInvariantsParallel(eng, false)
-		switch {
-		case (chkS == nil) != (chkP == nil):
-			t.Fatalf("seed %d: invariant disagreement: serial %v, parallel %v", seed, chkS, chkP)
-		case chkS != nil && chkS.Error() != chkP.Error():
-			t.Fatalf("seed %d: different complaints: serial %q, parallel %q", seed, chkS, chkP)
-		case chkS != nil:
-			continue
-		}
-
-		keysS := mS.Keys(ctx)
-		keysP := mP.Keys(poolP.NewThread(2))
-		if len(keysS) != len(keysP) {
-			t.Fatalf("seed %d: %d keys (serial) vs %d (parallel)", seed, len(keysS), len(keysP))
-		}
-		for i := range keysS {
-			if keysS[i] != keysP[i] {
-				t.Fatalf("seed %d: key %d differs: %d vs %d", seed, i, keysS[i], keysP[i])
+		for _, workers := range []int{1, 3} {
+			poolP := buildCrashedMap(t, seed)
+			eng := recovery.New(recovery.Config{Workers: workers, BaseTID: 8})
+			mP, errP := AttachParallel(poolP, 0, eng)
+			if (errS == nil) != (errP == nil) {
+				t.Fatalf("seed %d, %d workers: attach disagreement: inline %v, engine %v", seed, workers, errS, errP)
+			}
+			if errS != nil {
+				continue
+			}
+			chkP := mP.CheckInvariantsParallel(eng, false)
+			switch {
+			case (chkS == nil) != (chkP == nil):
+				t.Fatalf("seed %d, %d workers: invariant disagreement: inline %v, engine %v", seed, workers, chkS, chkP)
+			case chkS != nil && chkS.Error() != chkP.Error():
+				t.Fatalf("seed %d, %d workers: different complaints: inline %q, engine %q", seed, workers, chkS, chkP)
+			case chkS != nil:
+				continue
+			}
+			keysP := mP.Keys(poolP.NewThread(2))
+			if fmt.Sprint(keysS) != fmt.Sprint(keysP) {
+				t.Fatalf("seed %d, %d workers: keys differ:\ninline %v\nengine %v", seed, workers, keysS, keysP)
 			}
 		}
 	}

@@ -99,11 +99,12 @@ func (m *Map) TableAddr() pmem.Addr { return m.table }
 func (m *Map) NBuckets() int { return int(m.nBuckets) }
 
 // AttachEmbedded reconstructs a NewEmbedded map from its persisted bucket
-// table, on an engine the caller has already attached, using the caller's
-// thread context (shard-parallel recovery attaches many embedded maps
-// concurrently, one worker context each). It validates the table region
-// and every bucket head before trusting them, so a garbage directory
-// entry yields a descriptive error rather than an out-of-bounds panic.
+// table, on an engine the caller has already attached, inline on the
+// caller's thread context (shard-parallel recovery attaches many embedded
+// maps concurrently, one worker context each). It validates the table
+// region and every bucket head before trusting them, so a garbage
+// directory entry yields a descriptive error rather than an out-of-bounds
+// panic.
 func AttachEmbedded(eng *tracking.Engine, boot *pmem.ThreadCtx, table pmem.Addr, nBuckets int) (*Map, error) {
 	pool := boot.Pool()
 	if nBuckets <= 0 || nBuckets&(nBuckets-1) != 0 {
@@ -113,35 +114,43 @@ func AttachEmbedded(eng *tracking.Engine, boot *pmem.ThreadCtx, table pmem.Addr,
 		return nil, fmt.Errorf("rhash: bucket table %#x (%d buckets) outside pool", uint64(table), nBuckets)
 	}
 	m := &Map{pool: pool, eng: eng, nBuckets: uint64(nBuckets), table: table}
-	m.buckets = make([]rlist.List, nBuckets)
-	for i := range m.buckets {
-		head := pmem.Addr(boot.Load(table + pmem.Addr(i*pmem.WordSize)))
-		if !pool.ValidWords(head, 1) {
-			return nil, fmt.Errorf("rhash: bucket %d head %#x invalid", i, uint64(head))
-		}
-		m.buckets[i] = *rlist.AttachEmbedded(m.eng, pool, head)
+	if err := m.attachBuckets(recovery.Inline(boot)); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// attachHeader reconstructs everything but the bucket list from the header
-// in rootSlot, returning the map skeleton and the bucket table address.
-// Every address read from durable words is bounds-checked before use: a
-// fresh pool's Null slot, a slot holding a non-pointer value, and a header
-// whose fields do not parse all yield descriptive errors instead of
-// panics.
-func attachHeader(pool *pmem.Pool, rootSlot int) (*Map, pmem.Addr, error) {
+// attachBuckets is the one bucket loop of every attach path: loop reads
+// each bucket's head word from the table, validates it and attaches the
+// bucket's list; the buckets fill disjoint slots of m.buckets.
+func (m *Map) attachBuckets(loop recovery.Loop) error {
+	m.buckets = make([]rlist.List, m.nBuckets)
+	return loop(len(m.buckets), func(ctx *pmem.ThreadCtx, i int) error {
+		head := pmem.Addr(ctx.Load(m.table + pmem.Addr(i*pmem.WordSize)))
+		if !m.pool.ValidWords(head, 1) {
+			return fmt.Errorf("rhash: bucket %d head %#x invalid", i, uint64(head))
+		}
+		m.buckets[i] = *rlist.AttachEmbedded(m.eng, m.pool, head)
+		return nil
+	}, nil)
+}
+
+// attach reconstructs a Map from the header in rootSlot, reading the
+// header on boot and attaching the buckets with loop. Every address read
+// from durable words is bounds-checked before use: a fresh pool's Null
+// slot, a slot holding a non-pointer value, and a header whose fields do
+// not parse all yield descriptive errors instead of panics.
+func attach(pool *pmem.Pool, rootSlot int, boot *pmem.ThreadCtx, loop recovery.Loop) (*Map, error) {
 	root, err := pool.RootSlotChecked(rootSlot)
 	if err != nil {
-		return nil, pmem.Null, fmt.Errorf("rhash: %w", err)
+		return nil, fmt.Errorf("rhash: %w", err)
 	}
-	boot := pool.NewThread(0)
 	header := pmem.Addr(boot.Load(root))
 	if header == pmem.Null {
-		return nil, pmem.Null, fmt.Errorf("rhash: root slot %d holds no map", rootSlot)
+		return nil, fmt.Errorf("rhash: root slot %d holds no map", rootSlot)
 	}
 	if !pool.ValidWords(header, hdrLen) {
-		return nil, pmem.Null, fmt.Errorf("rhash: root slot %d holds %#x, not a header address",
+		return nil, fmt.Errorf("rhash: root slot %d holds %#x, not a header address",
 			rootSlot, uint64(header))
 	}
 	table := pmem.Addr(boot.Load(header + hdrBuckets))
@@ -150,53 +159,27 @@ func attachHeader(pool *pmem.Pool, rootSlot int) (*Map, pmem.Addr, error) {
 	threads := int(boot.Load(header + hdrThreads))
 	if n <= 0 || n&(n-1) != 0 || !pool.ValidWords(table, n) ||
 		!pool.ValidWords(engTable, 1) || threads <= 0 {
-		return nil, pmem.Null, fmt.Errorf("rhash: corrupt header at %#x", uint64(header))
+		return nil, fmt.Errorf("rhash: corrupt header at %#x", uint64(header))
 	}
 	eng := tracking.Attach(pool, engTable, threads, "rhash")
 	m := &Map{pool: pool, eng: eng, nBuckets: uint64(n), table: table, header: header}
-	m.buckets = make([]rlist.List, n)
-	return m, table, nil
+	if err := m.attachBuckets(loop); err != nil {
+		return nil, err
+	}
+	return m, nil
 }
 
 // Attach reconstructs a Map from the header in rootSlot.
 func Attach(pool *pmem.Pool, rootSlot int) (*Map, error) {
-	m, table, err := attachHeader(pool, rootSlot)
-	if err != nil {
-		return nil, err
-	}
 	boot := pool.NewThread(0)
-	for i := range m.buckets {
-		head := pmem.Addr(boot.Load(table + pmem.Addr(i*pmem.WordSize)))
-		if !m.pool.ValidWords(head, 1) {
-			return nil, fmt.Errorf("rhash: bucket %d head %#x invalid", i, uint64(head))
-		}
-		m.buckets[i] = *rlist.AttachEmbedded(m.eng, pool, head)
-	}
-	return m, nil
+	return attach(pool, rootSlot, boot, recovery.Inline(boot))
 }
 
-// AttachParallel is Attach with the per-bucket reconstruction partitioned
-// across the engine's workers; each worker reads its buckets' head words
-// with its own thread context and fills disjoint slots of the bucket
-// slice.
+// AttachParallel is Attach with the bucket loop dealt across the engine's
+// workers (PhaseAttach), each reading its buckets' head words with its own
+// thread context.
 func AttachParallel(pool *pmem.Pool, rootSlot int, eng *recovery.Engine) (*Map, error) {
-	m, table, err := attachHeader(pool, rootSlot)
-	if err != nil {
-		return nil, err
-	}
-	err = eng.For(pool, recovery.PhaseAttach, len(m.buckets),
-		func(ctx *pmem.ThreadCtx, i int) error {
-			head := pmem.Addr(ctx.Load(table + pmem.Addr(i*pmem.WordSize)))
-			if !pool.ValidWords(head, 1) {
-				return fmt.Errorf("rhash: bucket %d head %#x invalid", i, uint64(head))
-			}
-			m.buckets[i] = *rlist.AttachEmbedded(m.eng, pool, head)
-			return nil
-		}, nil)
-	if err != nil {
-		return nil, err
-	}
-	return m, nil
+	return attach(pool, rootSlot, pool.NewThread(eng.BaseTID()), eng.Loop(pool, recovery.PhaseAttach))
 }
 
 // Handle binds a thread context to the map; one per simulated thread. Every
@@ -313,39 +296,32 @@ func (m *Map) AppendKeys(ctx *pmem.ThreadCtx, out []int64) []int64 {
 // Keys returns all keys (unordered across buckets; diagnostic).
 func (m *Map) Keys(ctx *pmem.ThreadCtx) []int64 { return m.AppendKeys(ctx, nil) }
 
-// checkBucket verifies one bucket's structure and that its keys hash home.
-func (m *Map) checkBucket(ctx *pmem.ThreadCtx, i int, quiescent bool) error {
-	b := &m.buckets[i]
-	if err := b.CheckInvariants(ctx, quiescent); err != nil {
-		return fmt.Errorf("rhash: bucket %d: %w", i, err)
-	}
-	for _, k := range b.Keys(ctx) {
-		if m.hash(k) != uint64(i) {
-			return fmt.Errorf("rhash: key %d in bucket %d, hashes to %d", k, i, m.hash(k))
-		}
-	}
-	return nil
-}
-
 // CheckInvariants verifies every bucket's structure and that keys hash to
 // their buckets.
 func (m *Map) CheckInvariants(ctx *pmem.ThreadCtx, quiescent bool) error {
-	for i := range m.buckets {
-		if err := m.checkBucket(ctx, i, quiescent); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.check(recovery.Inline(ctx), quiescent)
 }
 
-// CheckInvariantsParallel is CheckInvariants with the buckets partitioned
-// across the engine's workers. Buckets are disjoint lists, so per-bucket
-// checks are independent. The frozen end-to-end benchmark is its caller;
-// TestAttachParallelMatchesSerial pins its verdicts against
-// CheckInvariants over 100 seeded crash states.
+// CheckInvariantsParallel is CheckInvariants with the buckets dealt across
+// the engine's workers (PhaseVerify). The frozen end-to-end benchmark is
+// its caller.
 func (m *Map) CheckInvariantsParallel(eng *recovery.Engine, quiescent bool) error {
-	return eng.For(m.pool, recovery.PhaseVerify, len(m.buckets),
-		func(ctx *pmem.ThreadCtx, i int) error {
-			return m.checkBucket(ctx, i, quiescent)
-		}, nil)
+	return m.check(eng.Loop(m.pool, recovery.PhaseVerify), quiescent)
+}
+
+// check is CheckInvariants and CheckInvariantsParallel: buckets are
+// disjoint lists, so loop checks each one independently.
+func (m *Map) check(loop recovery.Loop, quiescent bool) error {
+	return loop(len(m.buckets), func(ctx *pmem.ThreadCtx, i int) error {
+		b := &m.buckets[i]
+		if err := b.CheckInvariants(ctx, quiescent); err != nil {
+			return fmt.Errorf("rhash: bucket %d: %w", i, err)
+		}
+		for _, k := range b.Keys(ctx) {
+			if m.hash(k) != uint64(i) {
+				return fmt.Errorf("rhash: key %d in bucket %d, hashes to %d", k, i, m.hash(k))
+			}
+		}
+		return nil
+	}, nil)
 }

@@ -40,11 +40,13 @@
 // # Recovery
 //
 // Attach/AttachParallel restore the allocator after Pool.Recover;
-// RecoverGC/RecoverGCParallel run the offline mark phase. The parallel
-// variants (internal/recovery engine) build per-bitmap-word free
-// sublists concurrently and splice them serially in word order, so the
-// rebuilt stacks — and the durable state — are byte-identical to the
-// serial path no matter the worker count.
+// RecoverGC/RecoverGCParallel run the offline mark phase. Each pair
+// shares one body over a recovery.Loop: the plain name runs it inline on
+// the caller's context, the Parallel name deals it across an
+// internal/recovery engine's workers. The rebuild builds per-bitmap-word
+// free sublists and splices them serially in word order, so the rebuilt
+// stacks — and the durable state — are the same no matter the worker
+// count.
 //
 // Stats/PublishTelemetry export the rmm-* gauge family (utilization,
 // growth activity, leak reclamation) through internal/telemetry.

@@ -1,12 +1,12 @@
 package rmm
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"repro/internal/pmem"
-	"repro/internal/recovery"
 )
 
 // TestGrowOnDemand pins the growth policy: a growable allocator starts
@@ -88,52 +88,20 @@ func buildCrashedGrowable(t *testing.T, seed int64) (*pmem.Pool, []pmem.Addr) {
 
 // TestGrowableSerialParallelIdentical is the multi-chunk version of
 // TestRecoverGCSerialParallelIdentical: 100 seeded crash states whose
-// churn crosses chunk growth, each recovered serially and in parallel,
-// requiring byte-identical durable memory and matching in-use counts.
+// churn crosses chunk growth, each recovered inline and on engines of 1
+// and 3 workers, requiring the same durable memory, free-stacks and
+// in-use counts.
 func TestGrowableSerialParallelIdentical(t *testing.T) {
 	for seed := int64(0); seed < 100; seed++ {
 		poolS, liveS := buildCrashedGrowable(t, seed)
-		poolP, liveP := buildCrashedGrowable(t, seed)
-		if len(liveS) != len(liveP) {
-			t.Fatalf("seed %d: rebuild not deterministic: %d vs %d live", seed, len(liveS), len(liveP))
-		}
-
-		aS, err := Attach(poolS, 0)
-		if err != nil {
-			t.Fatalf("seed %d: serial attach: %v", seed, err)
-		}
-		if err := aS.RecoverGC(poolS.NewThread(1), markFromList(liveS)); err != nil {
-			t.Fatalf("seed %d: serial RecoverGC: %v", seed, err)
-		}
-
-		eng := recovery.New(recovery.Config{Workers: 4, BaseTID: 8})
-		aP, err := AttachParallel(poolP, 0, eng)
-		if err != nil {
-			t.Fatalf("seed %d: parallel attach: %v", seed, err)
-		}
-		if err := aP.RecoverGCParallel(eng, ShardAddrs(liveP, 16)); err != nil {
-			t.Fatalf("seed %d: RecoverGCParallel: %v", seed, err)
-		}
-
-		if nS, nP := aS.InUse(poolS.NewThread(2)), mustInUseParallel(t, aP, eng); nS != nP || nS != len(liveS) {
-			t.Fatalf("seed %d: in-use serial=%d parallel=%d want %d", seed, nS, nP, len(liveS))
-		}
-		words := poolS.AllocatedWords()
-		if wp := poolP.AllocatedWords(); wp != words {
-			t.Fatalf("seed %d: allocated words %d vs %d", seed, words, wp)
-		}
-		for w := 1; w < words; w++ { // word 0 is the reserved Null address
-			addr := pmem.Addr(w * pmem.WordSize)
-			if vS, vP := poolS.DurableLoad(addr), poolP.DurableLoad(addr); vS != vP {
-				t.Fatalf("seed %d: durable word %d differs: %#x (serial) vs %#x (parallel)", seed, w, vS, vP)
+		ref := recoverInline(t, poolS, liveS)
+		for _, workers := range identityWorkers {
+			poolP, liveP := buildCrashedGrowable(t, seed)
+			if len(liveS) != len(liveP) {
+				t.Fatalf("seed %d: rebuild not deterministic: %d vs %d live", seed, len(liveS), len(liveP))
 			}
-		}
-		// The volatile rebuild must agree with the durable truth too.
-		if err := aS.CheckInvariants(poolS.NewThread(2)); err != nil {
-			t.Fatalf("seed %d: serial invariants: %v", seed, err)
-		}
-		if err := aP.CheckInvariants(poolP.NewThread(2)); err != nil {
-			t.Fatalf("seed %d: parallel invariants: %v", seed, err)
+			got, eng := recoverOnEngine(t, poolP, liveP, workers, 16)
+			requireSameRecovery(t, fmt.Sprintf("seed %d, %d workers", seed, workers), ref, got, eng, len(liveS))
 		}
 	}
 }
@@ -218,9 +186,9 @@ func TestCrashMidGrow(t *testing.T) {
 }
 
 // TestCrashMidGrowSerialParallelIdentical replays the same mid-grow crash
-// twice and requires serial and parallel recovery to leave byte-identical
-// durable states — the grow path must not introduce any worker-count
-// dependence.
+// once per leg and requires recovery on engines of 1 and 3 workers to
+// leave the same durable state and free-stacks as inline recovery — the
+// grow path must not introduce any worker-count dependence.
 func TestCrashMidGrowSerialParallelIdentical(t *testing.T) {
 	build := func() (*pmem.Pool, []pmem.Addr) {
 		pool := pmem.New(pmem.Config{Mode: pmem.ModeStrict, CapacityWords: 1 << 16, MaxThreads: 8})
@@ -246,32 +214,11 @@ func TestCrashMidGrowSerialParallelIdentical(t *testing.T) {
 		return pool, live
 	}
 	poolS, liveS := build()
-	poolP, liveP := build()
-
-	aS, err := Attach(poolS, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := aS.RecoverGC(poolS.NewThread(1), markFromList(liveS)); err != nil {
-		t.Fatal(err)
-	}
-	eng := recovery.New(recovery.Config{Workers: 4, BaseTID: 4})
-	aP, err := AttachParallel(poolP, 0, eng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := aP.RecoverGCParallel(eng, ShardAddrs(liveP, 8)); err != nil {
-		t.Fatal(err)
-	}
-	words := poolS.AllocatedWords()
-	if wp := poolP.AllocatedWords(); wp != words {
-		t.Fatalf("allocated words %d vs %d", words, wp)
-	}
-	for w := 1; w < words; w++ {
-		addr := pmem.Addr(w * pmem.WordSize)
-		if vS, vP := poolS.DurableLoad(addr), poolP.DurableLoad(addr); vS != vP {
-			t.Fatalf("durable word %d differs: %#x (serial) vs %#x (parallel)", w, vS, vP)
-		}
+	ref := recoverInline(t, poolS, liveS)
+	for _, workers := range identityWorkers {
+		poolP, liveP := build()
+		got, eng := recoverOnEngine(t, poolP, liveP, workers, 8)
+		requireSameRecovery(t, fmt.Sprintf("%d workers", workers), ref, got, eng, len(liveS))
 	}
 }
 

@@ -1,6 +1,7 @@
 package rmm
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -72,60 +73,100 @@ func markFromList(addrs []pmem.Addr) func(visit func(pmem.Addr) error) error {
 	}
 }
 
-// TestRecoverGCSerialParallelIdentical rebuilds the same 100 seeded crash
-// states twice and checks that serial RecoverGC and RecoverGCParallel
-// leave byte-identical durable memory and agree on the in-use count.
-func TestRecoverGCSerialParallelIdentical(t *testing.T) {
-	for seed := int64(0); seed < 100; seed++ {
-		poolS, liveS := buildCrashedAlloc(t, seed, 256)
-		poolP, liveP := buildCrashedAlloc(t, seed, 256)
-		if len(liveS) != len(liveP) {
-			t.Fatalf("seed %d: rebuild not deterministic: %d vs %d live blocks", seed, len(liveS), len(liveP))
-		}
+// identityWorkers are the engine sizes the identity tests compare with
+// the inline reference: one worker runs every item on one fresh context,
+// three deal the items (and the mark shards) across contexts.
+var identityWorkers = []int{1, 3}
 
-		aS, err := Attach(poolS, 0)
-		if err != nil {
-			t.Fatalf("seed %d: serial attach: %v", seed, err)
-		}
-		if err := aS.RecoverGC(poolS.NewThread(1), markFromList(liveS)); err != nil {
-			t.Fatalf("seed %d: serial RecoverGC: %v", seed, err)
-		}
+// recoverInline is the identity tests' reference: Attach and RecoverGC,
+// both inline, over the reachable list.
+func recoverInline(t *testing.T, pool *pmem.Pool, live []pmem.Addr) *Allocator {
+	t.Helper()
+	a, err := Attach(pool, 0)
+	if err != nil {
+		t.Fatalf("inline attach: %v", err)
+	}
+	if err := a.RecoverGC(pool.NewThread(1), markFromList(live)); err != nil {
+		t.Fatalf("inline RecoverGC: %v", err)
+	}
+	return a
+}
 
-		aP, err := Attach(poolP, 0)
-		if err != nil {
-			t.Fatalf("seed %d: parallel attach: %v", seed, err)
-		}
-		eng := recovery.New(recovery.Config{Workers: 4, BaseTID: 8})
-		if err := aP.RecoverGCParallel(eng, ShardAddrs(liveP, 16)); err != nil {
-			t.Fatalf("seed %d: RecoverGCParallel: %v", seed, err)
-		}
+// recoverOnEngine is the engine leg: AttachParallel and RecoverGCParallel
+// on a fresh engine of the given size, the reachable list cut into parts
+// mark shards.
+func recoverOnEngine(t *testing.T, pool *pmem.Pool, live []pmem.Addr, workers, parts int) (*Allocator, *recovery.Engine) {
+	t.Helper()
+	eng := recovery.New(recovery.Config{Workers: workers, BaseTID: 8})
+	a, err := AttachParallel(pool, 0, eng)
+	if err != nil {
+		t.Fatalf("%d workers: AttachParallel: %v", workers, err)
+	}
+	if err := a.RecoverGCParallel(eng, ShardAddrs(live, parts)); err != nil {
+		t.Fatalf("%d workers: RecoverGCParallel: %v", workers, err)
+	}
+	return a, eng
+}
 
-		if nS, nP := aS.InUse(poolS.NewThread(2)), mustInUseParallel(t, aP, eng); nS != nP {
-			t.Fatalf("seed %d: in-use %d (serial) vs %d (parallel)", seed, nS, nP)
+// requireSameRecovery fails unless two recoveries of one crash state left
+// the same durable words, the same free-stacks in the same order, and the
+// same in-use count, which must equal want.
+func requireSameRecovery(t *testing.T, what string, ref, got *Allocator, eng *recovery.Engine, want int) {
+	t.Helper()
+	words := ref.pool.AllocatedWords()
+	if wg := got.pool.AllocatedWords(); wg != words {
+		t.Fatalf("%s: allocated words %d vs %d", what, words, wg)
+	}
+	for w := 1; w < words; w++ { // word 0 is the reserved Null address
+		addr := pmem.Addr(w * pmem.WordSize)
+		if vR, vG := ref.pool.DurableLoad(addr), got.pool.DurableLoad(addr); vR != vG {
+			t.Fatalf("%s: durable word %d differs: %#x (inline) vs %#x (engine)", what, w, vR, vG)
 		}
-		if nS := aS.InUse(poolS.NewThread(2)); nS != len(liveS) {
-			t.Fatalf("seed %d: in-use %d, want %d reachable", seed, nS, len(liveS))
-		}
-		words := poolS.AllocatedWords()
-		if wp := poolP.AllocatedWords(); wp != words {
-			t.Fatalf("seed %d: allocated words %d vs %d", seed, words, wp)
-		}
-		for w := 1; w < words; w++ { // word 0 is the reserved Null address
-			addr := pmem.Addr(w * pmem.WordSize)
-			if vS, vP := poolS.DurableLoad(addr), poolP.DurableLoad(addr); vS != vP {
-				t.Fatalf("seed %d: durable word %d differs: %#x (serial) vs %#x (parallel)", seed, w, vS, vP)
-			}
+	}
+	if sR, sG := freeStacks(ref), freeStacks(got); fmt.Sprint(sR) != fmt.Sprint(sG) {
+		t.Fatalf("%s: free-stacks differ:\ninline %v\nengine %v", what, sR, sG)
+	}
+	nR := ref.InUse(ref.pool.NewThread(2))
+	nG, err := got.InUseParallel(eng)
+	if err != nil || nR != nG || nR != want {
+		t.Fatalf("%s: in-use %d (inline) vs %d (engine, %v), want %d", what, nR, nG, err, want)
+	}
+	for _, a := range []*Allocator{ref, got} {
+		if err := a.CheckInvariants(a.pool.NewThread(2)); err != nil {
+			t.Fatalf("%s: invariants: %v", what, err)
 		}
 	}
 }
 
-func mustInUseParallel(t *testing.T, a *Allocator, eng *recovery.Engine) int {
-	t.Helper()
-	n, err := a.InUseParallel(eng)
-	if err != nil {
-		t.Fatal(err)
+// freeStacks lists every chunk's volatile free-stack, top first.
+func freeStacks(a *Allocator) [][]uint32 {
+	out := make([][]uint32, a.nChunks.Load())
+	for ci := range out {
+		c := a.chunkAt(ci)
+		for idx1 := uint32(c.top.Load()); idx1 != 0 && len(out[ci]) <= a.chunkCap; idx1 = c.next[idx1-1].Load() {
+			out[ci] = append(out[ci], idx1)
+		}
 	}
-	return n
+	return out
+}
+
+// TestRecoverGCSerialParallelIdentical rebuilds each of 100 seeded crash
+// states once per leg and checks that RecoverGCParallel on engines of 1
+// and 3 workers leaves the same durable memory, free-stacks and in-use
+// count as inline RecoverGC.
+func TestRecoverGCSerialParallelIdentical(t *testing.T) {
+	for seed := int64(0); seed < 100; seed++ {
+		poolS, liveS := buildCrashedAlloc(t, seed, 256)
+		ref := recoverInline(t, poolS, liveS)
+		for _, workers := range identityWorkers {
+			poolP, liveP := buildCrashedAlloc(t, seed, 256)
+			if len(liveS) != len(liveP) {
+				t.Fatalf("seed %d: rebuild not deterministic: %d vs %d live blocks", seed, len(liveS), len(liveP))
+			}
+			got, eng := recoverOnEngine(t, poolP, liveP, workers, 16)
+			requireSameRecovery(t, fmt.Sprintf("seed %d, %d workers", seed, workers), ref, got, eng, len(liveS))
+		}
+	}
 }
 
 // TestRecoverGCParallelConcurrentReaders races RecoverGCParallel against

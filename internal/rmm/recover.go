@@ -1,9 +1,7 @@
 package rmm
 
 import (
-	"fmt"
 	"math/bits"
-	"sync/atomic"
 
 	"repro/internal/pmem"
 	"repro/internal/recovery"
@@ -19,55 +17,83 @@ func (a *Allocator) wordAddr(wi int) pmem.Addr {
 	return c.bitmap + pmem.Addr(wi%a.bitmapWords*pmem.WordSize)
 }
 
-// markWord records global block index g in a global-word-indexed mark
-// bitmap.
-func (a *Allocator) markWord(reachable []uint64, g int) {
-	ci, idx := g/a.chunkCap, g%a.chunkCap
-	wi := ci*a.bitmapWords + idx/64
-	reachable[wi] |= 1 << uint(idx%64)
-}
-
 // RecoverGC runs the offline post-crash collection: mark must visit the
 // address of every reachable block, and every allocated block the mark
 // does not visit is a crash leak that is reclaimed. The durable bitmaps
 // are rewritten to exactly the reachable set (only differing words are
 // written back), and every chunk's volatile free-stack is rebuilt from
 // that set in the same pass — the free-stacks cost recovery nothing
-// beyond the bitmap walk it already does. Recovery is offline: no Handle
-// may allocate until RecoverGC returns, and handles created before it
-// must be discarded.
+// beyond the bitmap walk it already does. Everything runs inline on ctx.
+// Recovery is offline: no Handle may allocate until RecoverGC returns,
+// and handles created before it must be discarded.
 func (a *Allocator) RecoverGC(ctx *pmem.ThreadCtx, mark func(visit func(pmem.Addr) error) error) error {
 	reachable := make([]uint64, a.totalBitmapWords())
-	err := mark(func(addr pmem.Addr) error {
+	if err := mark(a.marker(reachable)); err != nil {
+		return err
+	}
+	return a.rebuild(recovery.Inline(ctx), reachable)
+}
+
+// marker returns the visit function that records a reachable block in a
+// global-word-indexed mark bitmap, rejecting addresses that are not
+// blocks of this allocator.
+func (a *Allocator) marker(reachable []uint64) func(pmem.Addr) error {
+	return func(addr pmem.Addr) error {
 		g, err := a.blockIndex(addr)
 		if err != nil {
 			return err
 		}
-		a.markWord(reachable, g)
+		idx := g % a.chunkCap
+		reachable[g/a.chunkCap*a.bitmapWords+idx/64] |= 1 << uint(idx%64)
 		return nil
-	})
-	if err != nil {
-		return err
 	}
-	n := int(a.nChunks.Load())
-	splicers := make([]*splicer, n)
+}
+
+// rebuild is the one free-stack rebuild of attach and RecoverGC. Each
+// bitmap word's free sublist is built by loop (inline or across engine
+// workers; each word touches only its own state, so workers never
+// conflict), then the sublists are spliced serially in word order, which
+// makes the stacks a pure function of the bitmaps whatever the worker
+// count. A nil reachable keeps the durable bitmaps as they are (attach);
+// otherwise every word that differs from reachable is rewritten and
+// written back, with a PSync per context that ran words, before any
+// stack is published.
+func (a *Allocator) rebuild(loop recovery.Loop, reachable []uint64) error {
+	splicers := make([]*splicer, a.nChunks.Load())
 	for ci := range splicers {
 		splicers[ci] = newSplicer(a, ci)
 	}
-	for wi, want := range reachable {
+	var finish func(*pmem.ThreadCtx) error
+	if reachable != nil {
+		finish = psync
+	}
+	err := loop(a.totalBitmapWords(), func(ctx *pmem.ThreadCtx, wi int) error {
 		w := a.wordAddr(wi)
-		if cur := ctx.Load(w); cur != want {
+		want := ctx.Load(w)
+		if reachable != nil && reachable[wi] != want {
+			cur := want
+			want = reachable[wi]
 			a.leaksReclaimed.Add(uint64(bits.OnesCount64(cur &^ want)))
 			a.marksRestored.Add(uint64(bits.OnesCount64(want &^ cur)))
 			ctx.Store(w, want)
 			ctx.PWB(a.s.bit, w)
 		}
 		splicers[wi/a.bitmapWords].word(wi%a.bitmapWords, want)
+		return nil
+	}, finish)
+	if err != nil {
+		return err
 	}
-	ctx.PSync()
 	for _, sl := range splicers {
 		sl.commit()
 	}
+	return nil
+}
+
+// psync is rebuild's per-context finish: the rewritten words are durable
+// before any stack is published.
+func psync(ctx *pmem.ThreadCtx) error {
+	ctx.PSync()
 	return nil
 }
 
@@ -134,134 +160,49 @@ func ShardAddrs(addrs []pmem.Addr, parts int) []MarkShard {
 	return shards
 }
 
-// RecoverGCParallel is RecoverGC with both phases parallelized on the
-// engine: the mark shards run on the work-stealing queue (a shard may
-// spawn further work through its worker), each worker marking a private
-// volatile bitmap; the per-worker bitmaps are merged with a single OR
-// pass, and the bitmap rebuild is partitioned word-by-word across the
-// workers — each word's write-back decision and free-stack sublist touch
-// only that word's state, so workers never conflict. The per-word
-// sublists are then spliced serially in word order, making the rebuilt
-// free-stacks a pure function of the reachable set: the durable state
-// AND the volatile stacks are identical to serial RecoverGC from the
-// same marks, regardless of worker count. No-double-allocation is
-// preserved for the same reason as in the serial path — recovery is
-// offline, so the full merged mark is durable (each worker ends its
-// rebuild with a PSync) before any thread allocates.
+// RecoverGCParallel is RecoverGC on the engine (PhaseGCMark): the mark
+// shards are dealt across the workers with For, each into its own
+// bitmap, the bitmaps are ORed, and rebuild runs dealt across the
+// workers. The durable state and the volatile stacks are identical to
+// RecoverGC from the same marks, whatever the worker count.
 func (a *Allocator) RecoverGCParallel(eng *recovery.Engine, shards []MarkShard) error {
-	nWords := a.totalBitmapWords()
-	locals := make([][]uint64, eng.Workers())
-	tasks := make([]recovery.TaskFunc, len(shards))
-	for i, shard := range shards {
-		shard := shard
-		tasks[i] = func(w *recovery.Worker) error {
-			local := locals[w.ID]
-			if local == nil {
-				local = make([]uint64, nWords)
-				locals[w.ID] = local
-			}
-			return shard(w.Ctx, func(addr pmem.Addr) error {
-				g, err := a.blockIndex(addr)
-				if err != nil {
-					return err
-				}
-				a.markWord(local, g)
-				return nil
-			})
-		}
-	}
-	if err := eng.RunTasks(a.pool, recovery.PhaseGCMark, tasks); err != nil {
+	reachable, err := a.markShards(eng, shards)
+	if err != nil {
 		return err
 	}
+	return a.rebuild(eng.Loop(a.pool, recovery.PhaseGCMark), reachable)
+}
+
+// markShards runs every mark shard into a bitmap of its own on the
+// engine's workers and returns their OR.
+func (a *Allocator) markShards(eng *recovery.Engine, shards []MarkShard) ([]uint64, error) {
+	nWords := a.totalBitmapWords()
+	marks := make([][]uint64, len(shards))
+	err := eng.For(a.pool, recovery.PhaseGCMark, len(shards), func(ctx *pmem.ThreadCtx, i int) error {
+		marks[i] = make([]uint64, nWords)
+		return shards[i](ctx, a.marker(marks[i]))
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
 	reachable := make([]uint64, nWords)
-	for _, local := range locals {
-		for wi, v := range local {
+	for _, m := range marks {
+		for wi, v := range m {
 			reachable[wi] |= v
 		}
 	}
-	n := int(a.nChunks.Load())
-	splicers := make([]*splicer, n)
-	for ci := range splicers {
-		splicers[ci] = newSplicer(a, ci)
-	}
-	err := eng.For(a.pool, recovery.PhaseGCMark, nWords,
-		func(ctx *pmem.ThreadCtx, wi int) error {
-			want := reachable[wi]
-			w := a.wordAddr(wi)
-			if cur := ctx.Load(w); cur != want {
-				a.leaksReclaimed.Add(uint64(bits.OnesCount64(cur &^ want)))
-				a.marksRestored.Add(uint64(bits.OnesCount64(want &^ cur)))
-				ctx.Store(w, want)
-				ctx.PWB(a.s.bit, w)
-			}
-			splicers[wi/a.bitmapWords].word(wi%a.bitmapWords, want)
-			return nil
-		},
-		func(ctx *pmem.ThreadCtx) error {
-			ctx.PSync()
-			return nil
-		})
-	if err != nil {
-		return err
-	}
-	for _, sl := range splicers {
-		sl.commit()
-	}
-	return nil
+	return reachable, nil
 }
 
-// AttachParallel is Attach with the free-stack rebuild partitioned across
-// the engine's workers (PhaseAttach): the header and chunk directory are
-// read serially, then each bitmap word's free sublist is built in
-// parallel and the sublists are spliced serially in word order, so the
-// rebuilt stacks are identical to Attach's. The phase is read-only with
-// respect to durable state.
+// AttachParallel is Attach with the free-stack rebuild dealt across the
+// engine's workers (PhaseAttach); the rebuilt stacks are identical to
+// Attach's. The phase is read-only with respect to durable state.
 func AttachParallel(pool *pmem.Pool, rootSlot int, eng *recovery.Engine) (*Allocator, error) {
-	root, err := pool.RootSlotChecked(rootSlot)
-	if err != nil {
-		return nil, fmt.Errorf("rmm: %w", err)
-	}
-	boot := pool.NewThread(eng.BaseTID())
-	a, err := attachHeader(pool, boot, root)
-	if err != nil {
-		return nil, err
-	}
-	n := int(a.nChunks.Load())
-	splicers := make([]*splicer, n)
-	for ci := range splicers {
-		splicers[ci] = newSplicer(a, ci)
-	}
-	err = eng.For(pool, recovery.PhaseAttach, a.totalBitmapWords(),
-		func(ctx *pmem.ThreadCtx, wi int) error {
-			splicers[wi/a.bitmapWords].word(wi%a.bitmapWords, ctx.Load(a.wordAddr(wi)))
-			return nil
-		}, nil)
-	if err != nil {
-		return nil, err
-	}
-	for _, sl := range splicers {
-		sl.commit()
-	}
-	return a, nil
+	return attach(pool, rootSlot, pool.NewThread(eng.BaseTID()), eng.Loop(pool, recovery.PhaseAttach))
 }
 
-// InUseParallel counts allocated blocks with the bitmap words partitioned
-// across the engine's workers (diagnostic, word-at-a-time). The frozen
-// end-to-end benchmark is its caller; TestRecoverGCSerialParallelIdentical
-// and TestGrowableSerialParallelIdentical pin its count against InUse.
+// InUseParallel is InUse with the bitmap words dealt across the engine's
+// workers (PhaseVerify). The frozen end-to-end benchmark is its caller.
 func (a *Allocator) InUseParallel(eng *recovery.Engine) (int, error) {
-	var total atomic.Int64
-	err := eng.For(a.pool, recovery.PhaseVerify, a.totalBitmapWords(),
-		func(ctx *pmem.ThreadCtx, wi int) error {
-			v := ctx.Load(a.wordAddr(wi))
-			if rem := a.chunkCap - wi%a.bitmapWords*64; rem < 64 {
-				v &= 1<<uint(rem) - 1
-			}
-			total.Add(int64(bits.OnesCount64(v)))
-			return nil
-		}, nil)
-	if err != nil {
-		return 0, err
-	}
-	return int(total.Load()), nil
+	return a.inUse(eng.Loop(a.pool, recovery.PhaseVerify))
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/pmem"
+	"repro/internal/recovery"
 )
 
 // Persistent header word offsets (relative to the allocator header). The
@@ -218,23 +219,23 @@ func registerSites(pool *pmem.Pool) sites {
 // allocation bitmap. Blocks leaked by the crash (bit set, unreachable)
 // stay allocated until RecoverGC reclaims them.
 func Attach(pool *pmem.Pool, rootSlot int) (*Allocator, error) {
+	boot := pool.NewThread(0)
+	return attach(pool, rootSlot, boot, recovery.Inline(boot))
+}
+
+// attach is Attach and AttachParallel: the header and chunk directory
+// are read on boot, then loop runs the free-stack rebuild.
+func attach(pool *pmem.Pool, rootSlot int, boot *pmem.ThreadCtx, loop recovery.Loop) (*Allocator, error) {
 	root, err := pool.RootSlotChecked(rootSlot)
 	if err != nil {
 		return nil, fmt.Errorf("rmm: %w", err)
 	}
-	boot := pool.NewThread(0)
 	a, err := attachHeader(pool, boot, root)
 	if err != nil {
 		return nil, err
 	}
-	n := int(a.nChunks.Load())
-	for ci := 0; ci < n; ci++ {
-		c := a.chunkAt(ci)
-		sl := newSplicer(a, ci)
-		for wi := 0; wi < a.bitmapWords; wi++ {
-			sl.word(wi, boot.Load(c.bitmap+pmem.Addr(wi*pmem.WordSize)))
-		}
-		sl.commit()
+	if err := a.rebuild(loop, nil); err != nil {
+		return nil, err
 	}
 	return a, nil
 }
@@ -762,19 +763,23 @@ func (h *Handle) Flush() {
 // durable bitmaps, which includes blocks leaked by crashes until
 // RecoverGC reclaims them but excludes free blocks buffered in handles.
 func (a *Allocator) InUse(ctx *pmem.ThreadCtx) int {
-	n := 0
-	nc := int(a.nChunks.Load())
-	for ci := 0; ci < nc; ci++ {
-		c := a.chunkAt(ci)
-		for wi := 0; wi < a.bitmapWords; wi++ {
-			v := ctx.Load(c.bitmap + pmem.Addr(wi*pmem.WordSize))
-			if rem := a.chunkCap - wi*64; rem < 64 {
-				v &= 1<<uint(rem) - 1
-			}
-			n += bits.OnesCount64(v)
-		}
-	}
+	n, _ := a.inUse(recovery.Inline(ctx)) // the count's body returns no error
 	return n
+}
+
+// inUse is InUse and InUseParallel: loop counts the set bits of every
+// bitmap word.
+func (a *Allocator) inUse(loop recovery.Loop) (int, error) {
+	var total atomic.Int64
+	err := loop(a.totalBitmapWords(), func(ctx *pmem.ThreadCtx, wi int) error {
+		v := ctx.Load(a.wordAddr(wi))
+		if rem := a.chunkCap - wi%a.bitmapWords*64; rem < 64 {
+			v &= 1<<uint(rem) - 1
+		}
+		total.Add(int64(bits.OnesCount64(v)))
+		return nil
+	}, nil)
+	return int(total.Load()), err
 }
 
 // TotalBlocks reports the current capacity in blocks across all chunks.
@@ -789,21 +794,21 @@ func (a *Allocator) TotalBlocks() int { return int(a.nChunks.Load()) * a.chunkCa
 // pure function of the bitmap contents — identical no matter how many
 // workers built the sublists.
 type splicer struct {
-	a     *Allocator
-	c     *chunk
-	heads []uint32
-	tails []uint32
-	cnts  []int64
+	a    *Allocator
+	c    *chunk
+	subs []sublist // one per bitmap word
+}
+
+// sublist is one bitmap word's free blocks: 1-based head and tail
+// indices (0 when the word has none) and their count.
+type sublist struct {
+	head, tail uint32
+	n          int64
 }
 
 // newSplicer prepares a splicer for chunk ci.
 func newSplicer(a *Allocator, ci int) *splicer {
-	return &splicer{
-		a: a, c: a.chunkAt(ci),
-		heads: make([]uint32, a.bitmapWords),
-		tails: make([]uint32, a.bitmapWords),
-		cnts:  make([]int64, a.bitmapWords),
-	}
+	return &splicer{a: a, c: a.chunkAt(ci), subs: make([]sublist, a.bitmapWords)}
 }
 
 // word builds word wi's sublist from its allocated-bits value.
@@ -830,24 +835,24 @@ func (s *splicer) word(wi int, allocBits uint64) {
 		n++
 		free &= free - 1
 	}
-	s.heads[wi], s.tails[wi], s.cnts[wi] = head, prev, n
+	s.subs[wi] = sublist{head, prev, n}
 }
 
 // commit links the sublists in word order and publishes the stack.
 func (s *splicer) commit() {
 	var first, last uint32
 	var total int64
-	for wi := range s.heads {
-		if s.heads[wi] == 0 {
+	for _, sub := range s.subs {
+		if sub.head == 0 {
 			continue
 		}
 		if first == 0 {
-			first = s.heads[wi]
+			first = sub.head
 		} else {
-			s.c.next[last-1].Store(s.heads[wi])
+			s.c.next[last-1].Store(sub.head)
 		}
-		last = s.tails[wi]
-		total += s.cnts[wi]
+		last = sub.tail
+		total += sub.n
 	}
 	if last != 0 {
 		s.c.next[last-1].Store(0)

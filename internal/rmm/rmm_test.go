@@ -1,12 +1,14 @@
 package rmm
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/pmem"
+	"repro/internal/recovery"
 )
 
 func newAlloc(t testing.TB, mode pmem.Mode, blockWords, nBlocks int) (*pmem.Pool, *Allocator) {
@@ -191,14 +193,66 @@ func TestRecoverGC(t *testing.T) {
 	}
 }
 
+// TestRecoverGCRejectsBogusRoots feeds a mark that visits an address
+// that is no block to RecoverGC and to RecoverGCParallel on engines of 1
+// and 3 workers: each must fail before its rebuild, leaving every durable
+// bitmap word as the allocations set it. A mark that visits nothing is no
+// error: RecoverGCParallel then reclaims every block, exactly as
+// RecoverGC does.
 func TestRecoverGCRejectsBogusRoots(t *testing.T) {
-	pool, a := newAlloc(t, pmem.ModeStrict, 2, 8)
-	ctx := pool.NewThread(1)
-	err := a.RecoverGC(ctx, func(visit func(pmem.Addr) error) error {
-		return visit(pmem.Addr(12345))
-	})
-	if err == nil {
-		t.Fatal("bogus root accepted")
+	setup := func() (*pmem.Pool, *Allocator, []pmem.Addr) {
+		pool, a := newAlloc(t, pmem.ModeStrict, 2, 200)
+		h := a.Handle(pool.NewThread(1))
+		live := make([]pmem.Addr, 100)
+		for i := range live {
+			live[i] = h.Alloc()
+		}
+		return pool, a, live
+	}
+	bitmaps := func(pool *pmem.Pool, a *Allocator) []uint64 {
+		out := make([]uint64, a.totalBitmapWords())
+		for wi := range out {
+			out[wi] = pool.DurableLoad(a.wordAddr(wi))
+		}
+		return out
+	}
+	bogus := func(_ *pmem.ThreadCtx, visit func(pmem.Addr) error) error { return visit(pmem.Addr(12345)) }
+	legs := map[string]func(pool *pmem.Pool, a *Allocator, live []pmem.Addr) error{
+		"inline": func(pool *pmem.Pool, a *Allocator, live []pmem.Addr) error {
+			return a.RecoverGC(pool.NewThread(1), func(visit func(pmem.Addr) error) error {
+				return bogus(nil, visit)
+			})
+		},
+	}
+	for _, workers := range identityWorkers {
+		eng := recovery.New(recovery.Config{Workers: workers, BaseTID: 8})
+		legs[fmt.Sprintf("%d workers", workers)] = func(_ *pmem.Pool, a *Allocator, live []pmem.Addr) error {
+			return a.RecoverGCParallel(eng, append(ShardAddrs(live, 2), bogus))
+		}
+	}
+	for name, run := range legs {
+		pool, a, live := setup()
+		before := bitmaps(pool, a)
+		if err := run(pool, a, live); err == nil {
+			t.Fatalf("%s: bogus root accepted", name)
+		}
+		if after := bitmaps(pool, a); fmt.Sprint(after) != fmt.Sprint(before) {
+			t.Fatalf("%s: durable bitmaps changed by a failed RecoverGC:\nbefore %x\nafter  %x", name, before, after)
+		}
+	}
+
+	poolS, ref, _ := setup()
+	if err := ref.RecoverGC(poolS.NewThread(1), func(func(pmem.Addr) error) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	_, got, _ := setup()
+	eng := recovery.New(recovery.Config{Workers: 3, BaseTID: 8})
+	if err := got.RecoverGCParallel(eng, ShardAddrs(nil, 3)); err != nil {
+		t.Fatal(err)
+	}
+	requireSameRecovery(t, "empty mark", ref, got, eng, 0)
+	if free := got.Stats().LeaksReclaimed; free != 100 {
+		t.Fatalf("empty mark reclaimed %d blocks, want 100", free)
 	}
 }
 

@@ -18,16 +18,6 @@ const (
 	OpInsert
 	// OpDelete is a delete-style update.
 	OpDelete
-	// OpRecoveryAttach is a post-crash structure re-attach phase (one record
-	// per recovery-engine attach, wall clock of the whole phase).
-	OpRecoveryAttach
-	// OpRecoveryGCMark is a post-crash allocator GC phase: concurrent mark
-	// plus bitmap rebuild.
-	OpRecoveryGCMark
-	// OpRecoveryReplay is the replay of per-thread recovery functions.
-	OpRecoveryReplay
-	// OpRecoveryVerify is a post-recovery invariant-check phase.
-	OpRecoveryVerify
 	numOps
 )
 
@@ -40,14 +30,6 @@ func (o Op) String() string {
 		return "insert"
 	case OpDelete:
 		return "delete"
-	case OpRecoveryAttach:
-		return "recovery-attach"
-	case OpRecoveryGCMark:
-		return "recovery-gc-mark"
-	case OpRecoveryReplay:
-		return "recovery-replay"
-	case OpRecoveryVerify:
-		return "recovery-verify"
 	default:
 		return "unknown"
 	}
@@ -118,9 +100,7 @@ func (h *histShard) record(ns int64) {
 // HistogramSnapshot is the merged latency histogram of one operation class
 // across all recording threads.
 type HistogramSnapshot struct {
-	// Op is the operation class name ("find", "insert", "delete", or one of
-	// the recovery-phase classes "recovery-attach", "recovery-gc-mark",
-	// "recovery-replay", "recovery-verify").
+	// Op is the operation class name: "find", "insert" or "delete".
 	Op string `json:"op"`
 	// Count is the number of recorded operations.
 	Count uint64 `json:"count"`
