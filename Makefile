@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-ab bench-gate bench-pmem sweep docs-lint telemetry-smoke ci
+.PHONY: all build test race bench-ab bench-gate sweep docs-lint telemetry-smoke ci
 
 all: build
 
@@ -28,13 +28,6 @@ bench-ab:
 bench-gate:
 	$(GO) test -tags benchgate -count=1 -run TestDisabledTelemetryOverhead ./internal/telemetry
 
-# bench-pmem measures the simulated-NVMM substrate itself and records the
-# result; regressions here silently distort every structure benchmark, so
-# CI keeps a trajectory of BENCH_pmem.json.
-bench-pmem:
-	$(GO) run ./cmd/benchrunner -substrate -threads 1,2,4,8,16 -out BENCH_pmem.json
-	@cat BENCH_pmem.json
-
 # sweep runs the deterministic crash-site sweep over every recoverable
 # structure and records the coverage matrix (see docs/crash-model.md).
 sweep:
@@ -60,5 +53,4 @@ ci:
 	$(GO) test -race ./...
 	$(MAKE) docs-lint
 	$(MAKE) bench-gate
-	$(MAKE) bench-pmem
 	$(MAKE) telemetry-smoke

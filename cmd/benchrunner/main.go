@@ -4,7 +4,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -23,9 +22,6 @@ func main() {
 		duration   = flag.Duration("duration", 500*time.Millisecond, "measurement time per data point")
 		seed       = flag.Int64("seed", 1, "workload seed")
 		list       = flag.Bool("list", false, "list available experiments")
-		substrate  = flag.Bool("substrate", false, "measure the pmem substrate microbenchmarks instead of a figure")
-		subOps     = flag.Int("substrate-ops", 0, "operations per substrate data point (0: default)")
-		out        = flag.String("out", "", "write substrate JSON to this file instead of stdout")
 		teleOut    = flag.String("telemetry", "", "observe the figure runs and write a telemetry snapshot (JSON) to this file")
 		progress   = flag.Duration("progress", 2*time.Second, "telemetry progress-line interval (0 disables; needs -telemetry)")
 	)
@@ -44,28 +40,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *substrate {
-		rep := bench.Substrate(ths, *subOps)
-		data, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		data = append(data, '\n')
-		if *out != "" {
-			if err := os.WriteFile(*out, data, 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			return
-		}
-		os.Stdout.Write(data)
-		return
-	}
-
 	if *experiment == "" {
-		fmt.Fprintln(os.Stderr, "usage: benchrunner -experiment fig3a [-threads 1,2,4] [-duration 500ms]\n"+
-			"       benchrunner -substrate [-threads 1,2,4,8,16] [-out BENCH_pmem.json]")
+		fmt.Fprintln(os.Stderr, "usage: benchrunner -experiment fig3a [-threads 1,2,4] [-duration 500ms]")
 		os.Exit(2)
 	}
 	opts := bench.Options{Threads: ths, Duration: *duration, Seed: *seed}
@@ -74,9 +50,6 @@ func main() {
 	if *teleOut != "" {
 		reg = telemetry.NewRegistry(telemetry.Config{RingSize: 1024})
 		opts.Telemetry = reg
-		if err := reg.PublishExpvar("bench_telemetry"); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-		}
 		if *progress > 0 {
 			stopProgress := progressLoop(reg, *progress)
 			defer stopProgress()

@@ -49,8 +49,6 @@ func main() {
 		depth        = flag.Int("depth", 1, "sweep: chained crashes per task (2 = crash again during recovery)")
 		maxHits      = flag.Int("max-hits", 3, "sweep: hit indices swept per site")
 		workers      = flag.Int("workers", 4, "sweep: parallel crash tasks")
-		budget       = flag.Duration("budget", 0, "sweep: wall-clock budget (0 = unlimited)")
-		resume       = flag.String("resume", "", "sweep: progress file for resumable runs")
 		sweepThreads = flag.Int("sweep-threads", 0, "sweep: worker threads inside each task (0 = per-structure minimum, fully deterministic)")
 		compare      = flag.String("compare", "", "sweep: baseline coverage report; exit nonzero on any verdict or metric drift")
 	)
@@ -64,7 +62,7 @@ func main() {
 	}
 	if *sweepMode {
 		os.Exit(runSweep(*structure, *seed, *ops, *maxHits, *depth, *workers,
-			*sweepThreads, *budget, *report, *resume, *compare))
+			*sweepThreads, *report, *compare))
 	}
 	os.Exit(runRandomized(*structure, *seed, *threads, *ops, *crashes, *rounds, *keyRange, *mean))
 }
@@ -148,7 +146,7 @@ func runRandomized(structure string, seed int64, threads, ops, crashes, rounds i
 
 // runSweep is the deterministic crash-site sweep mode.
 func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepThreads int,
-	budget time.Duration, report, resume, compare string) int {
+	report, compare string) int {
 	names, err := structuresFor(structure, true)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -163,8 +161,6 @@ func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepT
 		MaxHits:      maxHits,
 		Depth:        depth,
 		Workers:      workers,
-		Budget:       budget,
-		ProgressPath: resume,
 		Log: func(format string, args ...any) {
 			fmt.Printf(format+"\n", args...)
 		},
@@ -210,9 +206,8 @@ func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepT
 			fmt.Printf("%-13s   (unreached in profile: %v)\n", sr.Name, sr.UncoveredSites)
 		}
 	}
-	fmt.Printf("\nsweep: %d tasks (%d run, %d resumed, %d skipped) in %v, %d violations\n",
-		rep.Tasks, rep.TasksRun, rep.TasksResumed, rep.TasksSkipped,
-		time.Since(start).Round(time.Millisecond), rep.Violations)
+	fmt.Printf("\nsweep: %d tasks in %v, %d violations\n",
+		rep.Tasks, time.Since(start).Round(time.Millisecond), rep.Violations)
 	if rep.Violations > 0 {
 		for _, r := range rep.Results {
 			if r.Violation != "" || r.Error != "" {
@@ -235,8 +230,8 @@ func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepT
 // same Violation/Error verdict, and deterministic tasks (no per-task
 // thread-count override) must also match Fired, Crashes, and the
 // persistence metrics exactly. Baseline tasks missing from the fresh run
-// (e.g. budget-skipped) are tolerated; a fresh task absent from the
-// baseline is drift.
+// (e.g. a one-structure sweep against the full baseline) are tolerated; a
+// fresh task absent from the baseline is drift.
 func compareReports(baselinePath string, fresh *sweep.Report) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {

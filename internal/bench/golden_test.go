@@ -1,10 +1,14 @@
 package bench
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"testing"
 
 	"repro/internal/chaos"
+	"repro/internal/pmem"
 	"repro/internal/rhash"
 )
 
@@ -67,6 +71,86 @@ func TestPaperFigureGolden(t *testing.T) {
 		if tr[0] <= opt[0] || tr[1] <= opt[1] {
 			t.Errorf("%s mix: Tracking %v not above Capsules-Opt %v on both counts (pwbs, psync+pfence)", mix, tr, opt)
 		}
+	}
+}
+
+// The contended tracking-hash update mix: the paper's update-intensive
+// split (30% find, the rest even insert/delete) over a small key range on
+// a narrow map, so threads collide on buckets and the tracking engine's
+// helper, backtrack and repeated same-line persists dominate.
+// BenchmarkHashMixUpdate times it free-running; run in lockstep, it pins
+// exact contended pwb counts (TestHashMixPWBGolden).
+const (
+	hashMixBuckets  = 8
+	hashMixKeyRange = 64
+	hashMixFindPct  = 30
+)
+
+// newHashMix builds the narrow tracking hash map of the update mix for g
+// worker threads (ids 1..g).
+func newHashMix(g int) (*pmem.Pool, *rhash.Map) {
+	p := pmem.New(pmem.Config{Mode: pmem.ModeFast, CapacityWords: 1 << 21, MaxThreads: g + 1})
+	return p, rhash.New(p, hashMixBuckets, g+1, 0)
+}
+
+// hashMixOps returns worker t's (0-based) stream of update-mix operations.
+// The stream depends only on t, so every run of the mix, timed or
+// counted, issues the same operations.
+func hashMixOps(t int) func() chaos.Op {
+	rng := rand.New(rand.NewSource(int64(0x9e37*t + 1)))
+	return func() chaos.Op {
+		key := rng.Int63n(hashMixKeyRange) + 1
+		switch {
+		case rng.Intn(100) < hashMixFindPct:
+			return chaos.Op{Kind: chaos.KindFind, Key: key}
+		case rng.Intn(2) == 0:
+			return chaos.Op{Kind: chaos.KindInsert, Key: key}
+		default:
+			return chaos.Op{Kind: chaos.KindDelete, Key: key}
+		}
+	}
+}
+
+func runHashMixOp(h *rhash.Handle, op chaos.Op) {
+	switch op.Kind {
+	case chaos.KindFind:
+		h.Find(op.Key)
+	case chaos.KindInsert:
+		h.Insert(op.Key)
+	default:
+		h.Delete(op.Key)
+	}
+}
+
+// BenchmarkHashMixUpdate times the update mix at g = 1, 2, 4, 8 and 16
+// goroutines, each yielding after every op so that they interleave even
+// on one CPU.
+func BenchmarkHashMixUpdate(b *testing.B) {
+	for _, g := range []int{1, 2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
+			benchBatches(b, func() (*pmem.Pool, func(n int)) {
+				p, m := newHashMix(g)
+				hs := make([]*rhash.Handle, g)
+				for t := range hs {
+					hs[t] = m.Handle(p.NewThread(t + 1))
+				}
+				return p, func(n int) {
+					var wg sync.WaitGroup
+					for t, h := range hs {
+						wg.Add(1)
+						go func(t int, h *rhash.Handle) {
+							defer wg.Done()
+							next := hashMixOps(t)
+							for i := t; i < n; i += g {
+								runHashMixOp(h, next())
+								runtime.Gosched()
+							}
+						}(t, h)
+					}
+					wg.Wait()
+				}
+			})
+		})
 	}
 }
 

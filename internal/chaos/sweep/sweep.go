@@ -10,16 +10,12 @@
 package sweep
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"os"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/pmem"
@@ -73,13 +69,6 @@ type Config struct {
 	// Workers is the number of tasks run in parallel, each on its own
 	// pool (default 4).
 	Workers int
-	// Budget bounds the sweep's wall-clock time; tasks not started before
-	// the deadline are reported as skipped (0 = no limit).
-	Budget time.Duration
-	// ProgressPath, when non-empty, makes the sweep resumable: finished
-	// task results are persisted there and reloaded on the next run with
-	// the same seed.
-	ProgressPath string
 	// PoolWords sizes each task's pool (default 1<<20).
 	PoolWords int
 	// Log, when non-nil, receives human-readable progress lines.
@@ -194,9 +183,6 @@ type Report struct {
 	Depth        int               `json:"depth"`
 	Structures   []StructureReport `json:"structures"`
 	Tasks        int               `json:"tasks"`
-	TasksRun     int               `json:"tasks_run"`
-	TasksSkipped int               `json:"tasks_skipped"`
-	TasksResumed int               `json:"tasks_resumed"`
 	Violations   int               `json:"violations"`
 	// Results holds every task outcome, in deterministic task order.
 	Results []TaskResult `json:"results"`
@@ -217,14 +203,13 @@ type sweepTask struct {
 	scripted bool
 }
 
-// Key returns the task result's stable identity string — the same keying
-// the resume file uses — so external consumers (crashtest -compare) can
-// line up results across reports.
+// Key returns the task result's stable identity string, so external
+// consumers (crashtest -compare) can line up results across reports.
 func (r TaskResult) Key() string {
 	return sweepTask{r.Structure, r.Site, r.Hit, r.Adversary, r.Depth, r.Threads, r.Scripted}.key()
 }
 
-// key is the task's stable identity, used for resume files.
+// key is the task's stable identity.
 func (t sweepTask) key() string {
 	k := fmt.Sprintf("%s|%s|k=%d|adv=%s|d=%d|t=%d",
 		t.structure, t.site, t.hit, t.adversary, t.depth, t.threads)
@@ -239,12 +224,6 @@ func (t sweepTask) taskSeed(seed int64) int64 {
 	h := fnv.New64a()
 	fmt.Fprint(h, t.key())
 	return seed ^ int64(h.Sum64())
-}
-
-// sweepProgress is the resume file's shape.
-type sweepProgress struct {
-	Seed  int64                 `json:"seed"`
-	Tasks map[string]TaskResult `json:"tasks"`
 }
 
 // applyDefaults fills zero fields and resolves the structure list.
@@ -523,37 +502,9 @@ func runSweepTask(a *Adapter, t sweepTask, cfg *Config) TaskResult {
 	return res
 }
 
-// loadProgress reads a resume file; a missing file or a seed mismatch
-// yields an empty progress set.
-func loadProgress(path string, seed int64) map[string]TaskResult {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil
-	}
-	var p sweepProgress
-	if json.Unmarshal(data, &p) != nil || p.Seed != seed {
-		return nil
-	}
-	return p.Tasks
-}
-
-// saveProgress writes the resume file atomically (temp file + rename).
-func saveProgress(path string, seed int64, tasks map[string]TaskResult) error {
-	data, err := json.MarshalIndent(sweepProgress{Seed: seed, Tasks: tasks}, "", "  ")
-	if err != nil {
-		return err
-	}
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp, path)
-}
-
 // Run runs the crash-site sweep and returns its coverage report. Given
 // the same Config the task list and every task result except the
-// free-running top-up tasks are deterministic; ProgressPath makes an
-// interrupted sweep resumable.
+// free-running top-up tasks are deterministic.
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -593,17 +544,7 @@ func Run(cfg Config) (*Report, error) {
 	}
 	rep.Tasks = len(tasks)
 
-	// Phase 2: run the matrix on a worker pool, resuming finished tasks.
-	done := map[string]TaskResult{}
-	if cfg.ProgressPath != "" {
-		for k, r := range loadProgress(cfg.ProgressPath, cfg.Seed) {
-			done[k] = r
-		}
-	}
-	var deadline time.Time
-	if cfg.Budget > 0 {
-		deadline = time.Now().Add(cfg.Budget)
-	}
+	// Phase 2: run the matrix on a worker pool.
 	type job struct {
 		adapter *Adapter
 		task    sweepTask
@@ -611,62 +552,33 @@ func Run(cfg Config) (*Report, error) {
 	jobs := make(chan job)
 	results := make(chan TaskResult, cfg.Workers)
 	var wg sync.WaitGroup
-	var skipped atomic.Int64
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				if !deadline.IsZero() && time.Now().After(deadline) {
-					skipped.Add(1)
-					continue
-				}
 				results <- runSweepTask(j.adapter, j.task, &cfg)
 			}
 		}()
 	}
-	// Snapshot the pending work before the workers start: the collector
-	// below writes `done` concurrently with the feeder goroutine.
-	var pending []job
-	for _, p := range plans {
-		for _, t := range p.tasks {
-			if _, ok := done[t.key()]; ok {
-				continue
-			}
-			pending = append(pending, job{p.adapter, t})
-		}
-	}
 	go func() {
-		for _, j := range pending {
-			jobs <- j
+		for _, p := range plans {
+			for _, t := range p.tasks {
+				jobs <- job{p.adapter, t}
+			}
 		}
 		close(jobs)
 		wg.Wait()
 		close(results)
 	}()
-	resumed := len(done)
-	run := 0
+	done := map[string]TaskResult{}
 	for r := range results {
-		t := sweepTask{r.Structure, r.Site, r.Hit, r.Adversary, r.Depth, r.Threads, r.Scripted}
-		done[t.key()] = r
-		run++
+		k := r.Key()
+		done[k] = r
 		if r.Violation != "" {
-			cfg.logf("VIOLATION %s: %s", t.key(), r.Violation)
-		}
-		if cfg.ProgressPath != "" && run%16 == 0 {
-			if err := saveProgress(cfg.ProgressPath, cfg.Seed, done); err != nil {
-				return nil, err
-			}
+			cfg.logf("VIOLATION %s: %s", k, r.Violation)
 		}
 	}
-	if cfg.ProgressPath != "" {
-		if err := saveProgress(cfg.ProgressPath, cfg.Seed, done); err != nil {
-			return nil, err
-		}
-	}
-	rep.TasksRun = run
-	rep.TasksResumed = resumed
-	rep.TasksSkipped = int(skipped.Load())
 
 	// Phase 3: aggregate per structure and per site, in task order.
 	for _, p := range plans {
@@ -690,10 +602,7 @@ func Run(cfg Config) (*Report, error) {
 			sr.UnreachableSites = p.adapter.Unreachable
 		}
 		for _, t := range p.tasks {
-			r, ok := done[t.key()]
-			if !ok {
-				continue // skipped under the budget
-			}
+			r := done[t.key()]
 			rep.Results = append(rep.Results, r)
 			agg := siteAgg[t.site]
 			if agg == nil {

@@ -2,9 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
-	"path/filepath"
 	"testing"
-	"time"
 )
 
 // smallSweep is a quick single-structure sweep configuration.
@@ -47,8 +45,8 @@ func TestSweepListCoversAllSitesNoViolations(t *testing.T) {
 			t.Errorf("deterministic task %s k=%d never fired", r.Site, r.Hit)
 		}
 	}
-	if rep.TasksRun != rep.Tasks || rep.TasksSkipped != 0 || rep.TasksResumed != 0 {
-		t.Fatalf("task accounting off: %+v", rep)
+	if len(rep.Results) != rep.Tasks {
+		t.Fatalf("task accounting off: %d results for %d tasks", len(rep.Results), rep.Tasks)
 	}
 }
 
@@ -213,43 +211,6 @@ func TestSweepDepth2(t *testing.T) {
 	}
 	if double == 0 {
 		t.Fatal("no depth-2 task crashed during recovery")
-	}
-}
-
-func TestSweepResume(t *testing.T) {
-	cfg := smallSweep("rlist")
-	cfg.MaxHits = 1
-	cfg.ProgressPath = filepath.Join(t.TempDir(), "progress.json")
-	rep1, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep1.TasksRun != rep1.Tasks {
-		t.Fatalf("first run executed %d of %d tasks", rep1.TasksRun, rep1.Tasks)
-	}
-	rep2, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep2.TasksRun != 0 || rep2.TasksResumed != rep2.Tasks {
-		t.Fatalf("resume re-ran tasks: run=%d resumed=%d total=%d",
-			rep2.TasksRun, rep2.TasksResumed, rep2.Tasks)
-	}
-	// The resumed report must carry the same results.
-	if rep2.Violations != rep1.Violations || len(rep2.Results) != len(rep1.Results) {
-		t.Fatalf("resumed report diverges")
-	}
-}
-
-func TestSweepBudgetSkips(t *testing.T) {
-	cfg := smallSweep("rlist")
-	cfg.Budget = time.Nanosecond
-	rep, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.TasksSkipped != rep.Tasks || rep.TasksRun != 0 {
-		t.Fatalf("budget did not stop the sweep: %+v", rep)
 	}
 }
 

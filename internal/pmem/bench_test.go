@@ -7,10 +7,13 @@ package pmem
 // all, does not itself create cross-thread cache traffic. These benchmarks
 // measure the raw cost of every substrate operation under 1-16 goroutines
 // so that simulator-overhead regressions show up directly (see the
-// "Simulator overhead and calibration" section of DESIGN.md and the
-// BENCH_pmem.json trajectory emitted by cmd/benchrunner -substrate).
+// "Simulator overhead and calibration" section of DESIGN.md). The
+// structure commit paths and the contended hash mix are timed next to
+// their goldens in internal/bench, and the frozen end-to-end benchmark
+// reports its own pmem.*_ns ladder.
 //
-// The benchmarks use only the exported API so the identical file can be
+// Apart from BenchmarkSpin, which times the unexported cost-model loop,
+// the benchmarks use only the exported API so the identical file can be
 // run against older revisions for before/after comparisons. Each goroutine
 // runs its whole share of b.N inside one call, so harness overhead per
 // operation is a loop increment and a lane mask, nothing more.
@@ -37,10 +40,10 @@ func laneAddr(base Addr, i int) Addr {
 	return base + Addr((i&(benchLanes-1))*LineBytes)
 }
 
-// runSubstrateBench partitions b.N over g goroutines, each with its own
+// runPmemBench partitions b.N over g goroutines, each with its own
 // ThreadCtx and a private line-aligned region, and times body(ctx, base, n)
 // which must perform n operations.
-func runSubstrateBench(b *testing.B, mode Mode, g int, capWords int,
+func runPmemBench(b *testing.B, mode Mode, g int, capWords int,
 	body func(ctx *ThreadCtx, s Site, base Addr, n int)) {
 	b.Helper()
 	if capWords == 0 {
@@ -74,7 +77,7 @@ func runSubstrateBench(b *testing.B, mode Mode, g int, capWords int,
 func BenchmarkLoad(b *testing.B) {
 	for _, g := range benchGoroutines {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
-			runSubstrateBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, _ Site, base Addr, n int) {
+			runPmemBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, _ Site, base Addr, n int) {
 				for i := 0; i < n; i++ {
 					ctx.Load(laneAddr(base, i))
 				}
@@ -86,7 +89,7 @@ func BenchmarkLoad(b *testing.B) {
 func BenchmarkStore(b *testing.B) {
 	for _, g := range benchGoroutines {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
-			runSubstrateBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, _ Site, base Addr, n int) {
+			runPmemBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, _ Site, base Addr, n int) {
 				for i := 0; i < n; i++ {
 					ctx.Store(laneAddr(base, i), uint64(i))
 				}
@@ -100,7 +103,7 @@ func BenchmarkCAS(b *testing.B) {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
 			// Successful CAS chain on a private word (the common case in
 			// the evaluated algorithms: CASes on freshly read values).
-			runSubstrateBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, _ Site, base Addr, n int) {
+			runPmemBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, _ Site, base Addr, n int) {
 				for i := 0; i < n; i++ {
 					ctx.CAS(base, uint64(i), uint64(i+1))
 				}
@@ -117,7 +120,7 @@ func BenchmarkCAS(b *testing.B) {
 func BenchmarkCASMiss(b *testing.B) {
 	for _, g := range benchGoroutines {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
-			runSubstrateBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, _ Site, base Addr, n int) {
+			runPmemBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, _ Site, base Addr, n int) {
 				for i := 0; i < n; i++ {
 					ctx.CAS(base, ^uint64(0), 1)
 				}
@@ -131,7 +134,7 @@ func BenchmarkCASMiss(b *testing.B) {
 func BenchmarkPWB(b *testing.B) {
 	for _, g := range benchGoroutines {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
-			runSubstrateBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, s Site, base Addr, n int) {
+			runPmemBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, s Site, base Addr, n int) {
 				for i := 0; i < n; i++ {
 					ctx.PWB(s, laneAddr(base, i))
 				}
@@ -145,7 +148,7 @@ func BenchmarkPWB(b *testing.B) {
 func BenchmarkStrictPWB(b *testing.B) {
 	for _, g := range benchGoroutines {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
-			runSubstrateBench(b, ModeStrict, g, 0, func(ctx *ThreadCtx, s Site, base Addr, n int) {
+			runPmemBench(b, ModeStrict, g, 0, func(ctx *ThreadCtx, s Site, base Addr, n int) {
 				for i := 0; i < n; i++ {
 					ctx.PWB(s, laneAddr(base, i))
 					if i&63 == 63 {
@@ -161,7 +164,7 @@ func BenchmarkStrictPWB(b *testing.B) {
 func BenchmarkPSync(b *testing.B) {
 	for _, g := range benchGoroutines {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
-			runSubstrateBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, _ Site, base Addr, n int) {
+			runPmemBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, _ Site, base Addr, n int) {
 				for i := 0; i < n; i++ {
 					ctx.PSync()
 				}
@@ -175,7 +178,7 @@ func BenchmarkPSync(b *testing.B) {
 func BenchmarkFlushOp(b *testing.B) {
 	for _, g := range benchGoroutines {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
-			runSubstrateBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, s Site, base Addr, n int) {
+			runPmemBench(b, ModeFast, g, 0, func(ctx *ThreadCtx, s Site, base Addr, n int) {
 				for i := 0; i < n; i++ {
 					a := laneAddr(base, i)
 					ctx.Store(a, uint64(i))
@@ -196,7 +199,7 @@ func BenchmarkMixed(b *testing.B) {
 	for _, g := range benchGoroutines {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
 			capWords := 1<<16 + (b.N/4+1)*LineWords
-			runSubstrateBench(b, ModeFast, g, capWords, func(ctx *ThreadCtx, s Site, base Addr, n int) {
+			runPmemBench(b, ModeFast, g, capWords, func(ctx *ThreadCtx, s Site, base Addr, n int) {
 				for i := 0; i < n; i++ {
 					a := laneAddr(base, i)
 					for k := 0; k < 8; k++ {
@@ -223,13 +226,25 @@ func BenchmarkAllocLocal(b *testing.B) {
 	for _, g := range benchGoroutines {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
 			capWords := 1<<16 + (b.N+1)*2 + g*2048
-			runSubstrateBench(b, ModeFast, g, capWords, func(ctx *ThreadCtx, _ Site, base Addr, n int) {
+			runPmemBench(b, ModeFast, g, capWords, func(ctx *ThreadCtx, _ Site, base Addr, n int) {
 				for i := 0; i < n; i++ {
 					ctx.AllocLocal(2)
 				}
 			})
 		})
 	}
+}
+
+// BenchmarkSpin measures the wall-clock cost of one abstract spin unit,
+// the time base of the fast-mode cost model, in ns/unit. It relates
+// simulated persistence latency to nanoseconds on the host, so runs on
+// different hosts can be compared.
+func BenchmarkSpin(b *testing.B) {
+	const units = 1 << 10
+	for i := 0; i < b.N; i++ {
+		spin(units)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/units, "ns/unit")
 }
 
 // BenchmarkPoolRecover measures Pool.Recover on a fully allocated 4 M-word
@@ -265,7 +280,7 @@ func BenchmarkPoolRecover(b *testing.B) {
 func BenchmarkStrictFlushBurst(b *testing.B) {
 	for _, g := range benchGoroutines {
 		b.Run(fmt.Sprintf("g=%d", g), func(b *testing.B) {
-			runSubstrateBench(b, ModeStrict, g, 0, func(ctx *ThreadCtx, s Site, base Addr, n int) {
+			runPmemBench(b, ModeStrict, g, 0, func(ctx *ThreadCtx, s Site, base Addr, n int) {
 				for i := 0; i < n; i++ {
 					a := laneAddr(base, i)
 					for k := 0; k < 4; k++ {

@@ -73,20 +73,6 @@ func (p *Pool) NewThread(tid int) *ThreadCtx {
 	return ctx
 }
 
-// NewThreads creates n thread contexts with consecutive ids base..base+n-1,
-// for callers that fan recovery work across a worker pool and need one
-// context per worker (a ThreadCtx is single-goroutine by contract).
-func (p *Pool) NewThreads(base, n int) []*ThreadCtx {
-	if n < 0 {
-		panic(fmt.Sprintf("pmem: negative thread count %d", n))
-	}
-	ctxs := make([]*ThreadCtx, n)
-	for i := range ctxs {
-		ctxs[i] = p.NewThread(base + i)
-	}
-	return ctxs
-}
-
 // TID returns the thread id of this context.
 func (ctx *ThreadCtx) TID() int { return ctx.tid }
 

@@ -213,9 +213,6 @@ func (p *Pool) AllocatedWords() int {
 // retain their semantics so that correctness tests remain meaningful.
 func (p *Pool) SetPsyncEnabled(on bool) { p.psyncEnabled.Store(on) }
 
-// PsyncEnabled reports whether PSync/PFence instructions are active.
-func (p *Pool) PsyncEnabled() bool { return p.psyncEnabled.Load() }
-
 // wordIndex validates a and returns its word index. The common case is
 // branch-free enough to inline; all failure reporting is outlined.
 func (p *Pool) wordIndex(a Addr) int {

@@ -59,7 +59,10 @@ func TestRecoverDirtyLinesMatchesFullRestore(t *testing.T) {
 		var regions [][2]int // [first word, words)
 		for cycle := 0; cycle < cycles; cycle++ {
 			for _, tw := range twins {
-				tw.ctxs = tw.p.NewThreads(0, threads)
+				tw.ctxs = make([]*ThreadCtx, threads)
+				for i := range tw.ctxs {
+					tw.ctxs[i] = tw.p.NewThread(i)
+				}
 			}
 			n := 8 + rng.Intn(200)
 			a0, a1 := twins[0].ctxs[0].AllocWords(n), twins[1].ctxs[0].AllocWords(n)

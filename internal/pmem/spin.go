@@ -1,7 +1,5 @@
 package pmem
 
-import "time"
-
 // spinSink defeats dead-code elimination of the spin loop. It is written
 // racily on purpose; the value is never read for program logic.
 var spinSink uint64
@@ -9,7 +7,8 @@ var spinSink uint64
 // spin burns roughly n abstract cost units of CPU. One unit is one
 // iteration of a cheap integer recurrence, on the order of a nanosecond on
 // contemporary hardware. The absolute scale is irrelevant to the
-// experiments, which compare configurations under the same scale.
+// experiments, which compare configurations under the same scale;
+// BenchmarkSpin reports one unit's wall-clock cost on the host (ns/unit).
 func spin(n int) {
 	if n <= 0 {
 		return
@@ -24,23 +23,4 @@ func spin(n int) {
 	if x == 1 {
 		spinSink = x
 	}
-}
-
-// CalibrateSpin measures the wall-clock cost of one abstract spin unit
-// on this host, in nanoseconds. The experiments only compare
-// configurations under the same unit, but reports (BENCH_pmem.json,
-// DESIGN.md) record the calibration so simulated costs can be read in
-// nanoseconds and runs on different hosts can be compared. The best of a
-// few trials is returned, approximating the uninterrupted cost.
-func CalibrateSpin() float64 {
-	const units = 1 << 20
-	best := time.Duration(1<<63 - 1)
-	for trial := 0; trial < 5; trial++ {
-		start := time.Now()
-		spin(units)
-		if d := time.Since(start); d < best {
-			best = d
-		}
-	}
-	return float64(best) / float64(units)
 }

@@ -118,13 +118,6 @@ func (p *Pool) SetTelemetrySink(s TelemetrySink) {
 	p.mu.Unlock()
 }
 
-// TelemetrySinkAttached reports whether a telemetry sink is attached.
-func (p *Pool) TelemetrySinkAttached() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.telemetry != nil
-}
-
 // sinkSnapshot reads the attached sink for the pool-level (rare, lifecycle)
 // emit paths, which have no ThreadCtx cache to consult.
 func (p *Pool) sinkSnapshot() TelemetrySink {

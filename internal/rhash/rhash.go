@@ -95,9 +95,6 @@ func NewEmbedded(eng *tracking.Engine, boot *pmem.ThreadCtx, nBuckets int) *Map 
 // of NewEmbedded that record it in their own durable directory.
 func (m *Map) TableAddr() pmem.Addr { return m.table }
 
-// NBuckets returns the bucket count (a power of two).
-func (m *Map) NBuckets() int { return int(m.nBuckets) }
-
 // AttachEmbedded reconstructs a NewEmbedded map from its persisted bucket
 // table, on an engine the caller has already attached, inline on the
 // caller's thread context (shard-parallel recovery attaches many embedded

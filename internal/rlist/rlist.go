@@ -442,17 +442,6 @@ func (h *Handle) Settled() (result, ok bool) {
 	return res == ResultTrue, ok
 }
 
-// RecoveredOpType reports the descriptor type the thread's recovery data
-// points at, for diagnostics. ok is false when there is nothing to recover.
-func (h *Handle) RecoveredOpType() (op uint64, ok bool) {
-	d, _, ok2 := h.th.Recover()
-	if d == pmem.Null {
-		return 0, false
-	}
-	_ = ok2
-	return h.th.OpType(d), true
-}
-
 // Cursor walks a list's keys in order, one node per Next, so a container
 // can interleave the pointer chases of several lists (rhash walks its
 // buckets this way). Like Keys it is not linearizable with concurrent

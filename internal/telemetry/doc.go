@@ -31,6 +31,5 @@
 // the layer is off-by-default-cheap.
 //
 // Snapshot serializes to JSON (schema SchemaVersion, validated by
-// ValidateSnapshotJSON and cmd/telemetryvet); PublishExpvar exposes the
-// live registry through the standard expvar mechanism.
+// ValidateSnapshotJSON and cmd/telemetryvet).
 package telemetry

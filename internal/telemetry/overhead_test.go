@@ -51,8 +51,8 @@ func measureFlushLoop(attachThenDetach bool, iters, trials int) float64 {
 // (The two paths execute the same owner-cached nil check; what this pins
 // is that detaching leaves no residual cost behind — stale sinks, grown
 // tables on the hot path, a lost generation cache.) The comparison is
-// in-process A/B, so it holds on any machine; the absolute numbers vs the
-// checked-in BENCH_pmem.json are covered by the bench-pmem workflow.
+// in-process A/B, so it holds on any machine; the absolute per-op cost
+// is timed by BenchmarkFlushOp in internal/pmem.
 func TestDisabledTelemetryOverhead(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing test")

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -127,13 +126,6 @@ func (r *Registry) AttachPool(p *pmem.Pool) {
 	r.labels.Store(&labels)
 	r.mu.Unlock()
 	p.SetTelemetrySink(r)
-}
-
-// RefreshLabels re-captures the pool's site labels, for sites registered
-// after AttachPool.
-func (r *Registry) RefreshLabels(p *pmem.Pool) {
-	labels := p.SiteLabels()
-	r.labels.Store(&labels)
 }
 
 // retireLocked folds every shard's live per-site counters into the
@@ -336,21 +328,10 @@ func (r *Registry) RecordOp(tid int, op Op, ns int64) {
 }
 
 // siteLabel resolves a site index to its label, falling back to a numeric
-// placeholder for sites registered after AttachPool without RefreshLabels.
+// placeholder for sites registered after AttachPool.
 func (r *Registry) siteLabel(s int) string {
 	if lp := r.labels.Load(); lp != nil && s >= 0 && s < len(*lp) {
 		return (*lp)[s]
 	}
 	return fmt.Sprintf("site#%d", s)
-}
-
-// PublishExpvar exposes the registry's live snapshot under the given
-// expvar name. Returns an error (instead of expvar's panic) if the name is
-// already published.
-func (r *Registry) PublishExpvar(name string) error {
-	if expvar.Get(name) != nil {
-		return fmt.Errorf("telemetry: expvar %q already published", name)
-	}
-	expvar.Publish(name, expvar.Func(func() any { return r.Snapshot() }))
-	return nil
 }
