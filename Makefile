@@ -49,6 +49,7 @@ telemetry-smoke:
 
 ci:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 	$(GO) build ./...
 	$(GO) test -race ./...
 	$(MAKE) docs-lint

@@ -15,7 +15,7 @@
 //
 //	crashtest -sweep -structure all -report crash_coverage.json
 //
-// Structure names are the chaos adapter registry's; "all" selects the six
+// Structure names are the chaos adapter registry's; "all" selects the eight
 // recoverable structures (plus the Capsules baselines in randomized mode).
 package main
 
@@ -67,7 +67,7 @@ func main() {
 	os.Exit(runRandomized(*structure, *seed, *threads, *ops, *crashes, *rounds, *keyRange, *mean))
 }
 
-// structuresFor expands "all" (sweep: the six recoverable structures;
+// structuresFor expands "all" (sweep: the eight recoverable structures;
 // randomized: every registered adapter) or validates a single name.
 func structuresFor(structure string, sweeping bool) ([]string, error) {
 	if structure != "all" {
@@ -170,7 +170,7 @@ func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepT
 		return 1
 	}
 	if compare != "" {
-		if err := compareReports(compare, rep); err != nil {
+		if err := compareWith(compare, rep); err != nil {
 			fmt.Fprintf(os.Stderr, "compare: %v\n", err)
 			return 1
 		}
@@ -225,14 +225,9 @@ func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepT
 	return 0
 }
 
-// compareReports asserts that a fresh sweep's verdicts match a baseline
-// coverage report: every fresh task must exist in the baseline with the
-// same Violation/Error verdict, and deterministic tasks (no per-task
-// thread-count override) must also match Fired, Crashes, and the
-// persistence metrics exactly. Baseline tasks missing from the fresh run
-// (e.g. a one-structure sweep against the full baseline) are tolerated; a
-// fresh task absent from the baseline is drift.
-func compareReports(baselinePath string, fresh *sweep.Report) error {
+// compareWith reads the baseline coverage report at baselinePath and
+// checks the fresh sweep against it (sweep.Compare).
+func compareWith(baselinePath string, fresh *sweep.Report) error {
 	data, err := os.ReadFile(baselinePath)
 	if err != nil {
 		return err
@@ -241,42 +236,7 @@ func compareReports(baselinePath string, fresh *sweep.Report) error {
 	if err := json.Unmarshal(data, &base); err != nil {
 		return fmt.Errorf("parsing %s: %w", baselinePath, err)
 	}
-	baseline := make(map[string]sweep.TaskResult, len(base.Results))
-	for _, r := range base.Results {
-		baseline[r.Key()] = r
-	}
-	var drift []string
-	for _, r := range fresh.Results {
-		b, ok := baseline[r.Key()]
-		if !ok {
-			drift = append(drift, fmt.Sprintf("%s: not in baseline", r.Key()))
-			continue
-		}
-		if r.Violation != b.Violation || r.Error != b.Error {
-			drift = append(drift, fmt.Sprintf("%s: verdict %q/%q, baseline %q/%q",
-				r.Key(), r.Violation, r.Error, b.Violation, b.Error))
-			continue
-		}
-		if r.Threads != 0 {
-			continue // multi-threaded top-up tasks are nondeterministic
-		}
-		if r.Fired != b.Fired || r.Crashes != b.Crashes {
-			drift = append(drift, fmt.Sprintf("%s: fired/crashes %d/%d, baseline %d/%d",
-				r.Key(), r.Fired, r.Crashes, b.Fired, b.Crashes))
-			continue
-		}
-		if r.Metrics != nil && b.Metrics != nil && *r.Metrics != *b.Metrics {
-			drift = append(drift, fmt.Sprintf("%s: metrics %+v, baseline %+v",
-				r.Key(), *r.Metrics, *b.Metrics))
-		}
-	}
-	if len(drift) > 0 {
-		for _, d := range drift {
-			fmt.Fprintf(os.Stderr, "compare: drift: %s\n", d)
-		}
-		return fmt.Errorf("%d tasks drifted from baseline", len(drift))
-	}
-	return nil
+	return sweep.Compare(&base, fresh)
 }
 
 // sortedKeys returns m's keys in sorted order for stable output.

@@ -31,8 +31,9 @@ type Adapter struct {
 	// exchanger requires a partner; everything else runs single-threaded).
 	MinThreads int
 	// DefaultSweep reports whether "-structure all" sweeps include this
-	// adapter (the six detectably recoverable structures; the Capsules
-	// baselines are opt-in).
+	// adapter (the eight recoverable structures: rlist, rbst, rhash,
+	// rqueue, rstack, rexchanger, rmm and kvstore; the Capsules baselines
+	// are opt-in).
 	DefaultSweep bool
 	// Setup creates a fresh instance in pool with its header in root slot
 	// 0, sized for thread ids in [0, maxThreads).
@@ -151,34 +152,83 @@ func (s setThread) Recover(op chaos.Op) uint64 {
 	}
 }
 
-// setView is what a set adapter needs to audit the final structure.
-type setView struct {
-	keys  func(*pmem.ThreadCtx) []int64
+// view is one attached instance of a structure as the harness paths see
+// it: Reattach, a set's Validate and the scripted scenarios all derive
+// from it.
+type view struct {
+	// thread builds thread tid's harness handle on a fresh context.
+	thread func(tid int) chaos.Thread
+	// contents lists what the structure holds: a set's keys ascending, a
+	// queue's values oldest first, a stack's values top first.
+	contents func(*pmem.ThreadCtx) []int64
+	// check audits the structure's quiescent invariants.
 	check func(*pmem.ThreadCtx) error
 }
 
-// setValidate builds the Validate function shared by all set adapters.
-func setValidate(view func(pool *pmem.Pool) (setView, error)) func(*pmem.Pool, *chaos.Result) error {
-	return func(pool *pmem.Pool, res *chaos.Result) error {
-		v, err := view(pool)
-		if err != nil {
-			return err
-		}
-		boot := pool.NewThread(0)
-		if err := v.check(boot); err != nil {
-			return err
-		}
-		if err := chaos.CheckSetAlternation(res.Logs, chaos.SetClassifier, v.keys(boot)); err != nil {
-			return err
-		}
-		if err := chaos.CheckSetLinearizable(res.Logs); err != nil {
-			return err
-		}
-		if len(res.Logs) == 1 {
-			return chaos.CheckSetSequential(res.Logs[0])
-		}
-		return nil
+// attachFunc attaches the structure whose header is in root slot 0.
+type attachFunc func(pool *pmem.Pool) (view, error)
+
+// reattach is Adapter.Reattach over the attached view.
+func (attach attachFunc) reattach(pool *pmem.Pool) (chaos.ThreadFactory, error) {
+	v, err := attach(pool)
+	if err != nil {
+		return nil, err
 	}
+	return func(tid int) (chaos.Thread, error) { return v.thread(tid), nil }, nil
+}
+
+// setView is the view of an attached set structure.
+func setView[H setOps](pool *pmem.Pool, handle func(*pmem.ThreadCtx) H,
+	keys func(*pmem.ThreadCtx) []int64, check func(*pmem.ThreadCtx) error) view {
+	return view{
+		thread:   func(tid int) chaos.Thread { return setThread{h: handle(pool.NewThread(tid))} },
+		contents: keys,
+		check:    check,
+	}
+}
+
+// setAdapter describes a set structure: the set workload over keys
+// [1, keyRange], and Reattach, Validate and the scripted scenarios (the
+// rows provoke.go holds for prefix) derived from attach. Validate checks
+// the invariants, the exactly-once alternation oracle against the final
+// keys, and linearizability when the history fits the checker's bounds.
+func setAdapter(name, prefix string, keyRange int64, defaultSweep bool,
+	setup func(pool *pmem.Pool, maxThreads int), attach attachFunc) *Adapter {
+	return &Adapter{
+		Name: name, SitePrefix: prefix, MinThreads: 1, DefaultSweep: defaultSweep,
+		Setup: setup, Reattach: attach.reattach,
+		GenOp: chaos.SetGenOp(keyRange), KeyedGen: chaos.SetGenOp,
+		Validate: func(pool *pmem.Pool, res *chaos.Result) error {
+			v, err := attach(pool)
+			if err != nil {
+				return err
+			}
+			boot := pool.NewThread(0)
+			if err := v.check(boot); err != nil {
+				return err
+			}
+			if err := chaos.CheckSetAlternation(res.Logs, chaos.SetClassifier, v.contents(boot)); err != nil {
+				return err
+			}
+			if err := chaos.CheckSetLinearizable(res.Logs); err != nil {
+				return err
+			}
+			if len(res.Logs) == 1 {
+				return chaos.CheckSetSequential(res.Logs[0])
+			}
+			return nil
+		},
+		Scripted: scripted(prefix, attach),
+	}
+}
+
+// int64s converts a value structure's contents for view.contents.
+func int64s(vals []uint64) []int64 {
+	out := make([]int64, len(vals))
+	for i, v := range vals {
+		out[i] = int64(v)
+	}
+	return out
 }
 
 // uniqueValue encodes a value no two (thread, op-index) pairs share, small
@@ -186,105 +236,73 @@ func setValidate(view func(pool *pmem.Pool) (setView, error)) func(*pmem.Pool, *
 func uniqueValue(tid, i int) int64 { return int64(tid)<<32 | int64(i+1) }
 
 func init() {
-	RegisterAdapter(&Adapter{
-		Name: "rlist", SitePrefix: "rlist", MinThreads: 1, DefaultSweep: true,
-		Setup: func(pool *pmem.Pool, maxThreads int) { rlist.New(pool, maxThreads, 0) },
-		Reattach: func(pool *pmem.Pool) (chaos.ThreadFactory, error) {
+	RegisterAdapter(setAdapter("rlist", "rlist", 8, true,
+		func(pool *pmem.Pool, maxThreads int) { rlist.New(pool, maxThreads, 0) },
+		func(pool *pmem.Pool) (view, error) {
 			l, err := rlist.Attach(pool, 0)
 			if err != nil {
-				return nil, err
+				return view{}, err
 			}
-			return func(tid int) (chaos.Thread, error) {
-				return setThread{h: l.Handle(pool.NewThread(tid))}, nil
-			}, nil
-		},
-		GenOp: chaos.SetGenOp(8), KeyedGen: chaos.SetGenOp,
-		Validate: setValidate(func(pool *pmem.Pool) (setView, error) {
-			l, err := rlist.Attach(pool, 0)
-			if err != nil {
-				return setView{}, err
-			}
-			return setView{
-				keys:  l.Keys,
-				check: func(c *pmem.ThreadCtx) error { return l.CheckInvariants(c, true) },
-			}, nil
-		}),
-		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
-			"rlist/pwb-info-backtrack": provokeListBacktrack,
-			"rlist/pwb-info-observed":  provokeListObserved,
-		},
-	})
+			return setView(pool, l.Handle, l.Keys,
+				func(c *pmem.ThreadCtx) error { return l.CheckInvariants(c, true) }), nil
+		}))
 
-	RegisterAdapter(&Adapter{
-		Name: "rbst", SitePrefix: "rbst", MinThreads: 1, DefaultSweep: true,
-		Setup: func(pool *pmem.Pool, maxThreads int) { rbst.New(pool, maxThreads, 0) },
-		Reattach: func(pool *pmem.Pool) (chaos.ThreadFactory, error) {
+	RegisterAdapter(setAdapter("rbst", "rbst", 8, true,
+		func(pool *pmem.Pool, maxThreads int) { rbst.New(pool, maxThreads, 0) },
+		func(pool *pmem.Pool) (view, error) {
 			tr, err := rbst.Attach(pool, 0)
 			if err != nil {
-				return nil, err
+				return view{}, err
 			}
-			return func(tid int) (chaos.Thread, error) {
-				return setThread{h: tr.Handle(pool.NewThread(tid))}, nil
-			}, nil
-		},
-		GenOp: chaos.SetGenOp(8), KeyedGen: chaos.SetGenOp,
-		Validate: setValidate(func(pool *pmem.Pool) (setView, error) {
-			tr, err := rbst.Attach(pool, 0)
-			if err != nil {
-				return setView{}, err
-			}
-			return setView{
-				keys:  tr.Keys,
-				check: func(c *pmem.ThreadCtx) error { return tr.CheckInvariants(c, true) },
-			}, nil
-		}),
-		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
-			"rbst/pwb-info-backtrack": provokeBSTBacktrack,
-			"rbst/pwb-info-observed":  provokeBSTObserved,
-		},
-	})
+			return setView(pool, tr.Handle, tr.Keys,
+				func(c *pmem.ThreadCtx) error { return tr.CheckInvariants(c, true) }), nil
+		}))
 
-	RegisterAdapter(&Adapter{
-		Name: "rhash", SitePrefix: "rhash", MinThreads: 1, DefaultSweep: true,
-		Setup: func(pool *pmem.Pool, maxThreads int) { rhash.New(pool, 4, maxThreads, 0) },
-		Reattach: func(pool *pmem.Pool) (chaos.ThreadFactory, error) {
+	RegisterAdapter(setAdapter("rhash", "rhash", 16, true,
+		func(pool *pmem.Pool, maxThreads int) { rhash.New(pool, 4, maxThreads, 0) },
+		func(pool *pmem.Pool) (view, error) {
 			m, err := rhash.Attach(pool, 0)
 			if err != nil {
-				return nil, err
+				return view{}, err
 			}
-			return func(tid int) (chaos.Thread, error) {
-				return setThread{h: m.Handle(pool.NewThread(tid))}, nil
-			}, nil
-		},
-		GenOp: chaos.SetGenOp(16), KeyedGen: chaos.SetGenOp,
-		Validate: setValidate(func(pool *pmem.Pool) (setView, error) {
-			m, err := rhash.Attach(pool, 0)
-			if err != nil {
-				return setView{}, err
-			}
-			return setView{
-				keys:  m.Keys,
-				check: func(c *pmem.ThreadCtx) error { return m.CheckInvariants(c, true) },
-			}, nil
-		}),
-		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
-			"rhash/pwb-info-backtrack": provokeHashBacktrack,
-			"rhash/pwb-info-observed":  provokeHashObserved,
-		},
-	})
+			return setView(pool, m.Handle, m.Keys,
+				func(c *pmem.ThreadCtx) error { return m.CheckInvariants(c, true) }), nil
+		}))
 
+	for _, v := range []struct {
+		name, prefix string
+		variant      capsules.Variant
+	}{
+		{"capsules", "caps", capsules.VariantFull},
+		{"capsules-opt", "capsopt", capsules.VariantOpt},
+	} {
+		variant := v.variant
+		RegisterAdapter(setAdapter(v.name, v.prefix, 8, false,
+			func(pool *pmem.Pool, maxThreads int) { capsules.New(pool, variant, maxThreads, 0) },
+			func(pool *pmem.Pool) (view, error) {
+				l, err := capsules.Attach(pool, variant, 0)
+				if err != nil {
+					return view{}, err
+				}
+				return setView(pool, l.Handle, l.Keys, l.CheckInvariants), nil
+			}))
+	}
+
+	queue := attachFunc(func(pool *pmem.Pool) (view, error) {
+		q, err := rqueue.Attach(pool, 0)
+		if err != nil {
+			return view{}, err
+		}
+		return view{
+			thread:   func(tid int) chaos.Thread { return queueThread{h: q.Handle(pool.NewThread(tid))} },
+			contents: func(c *pmem.ThreadCtx) []int64 { return int64s(q.Drain(c)) },
+			check:    func(c *pmem.ThreadCtx) error { return q.CheckInvariants(c, true) },
+		}, nil
+	})
 	RegisterAdapter(&Adapter{
 		Name: "rqueue", SitePrefix: "rqueue", MinThreads: 1, DefaultSweep: true,
-		Setup: func(pool *pmem.Pool, maxThreads int) { rqueue.New(pool, maxThreads, 0) },
-		Reattach: func(pool *pmem.Pool) (chaos.ThreadFactory, error) {
-			q, err := rqueue.Attach(pool, 0)
-			if err != nil {
-				return nil, err
-			}
-			return func(tid int) (chaos.Thread, error) {
-				return queueThread{h: q.Handle(pool.NewThread(tid))}, nil
-			}, nil
-		},
+		Setup:    func(pool *pmem.Pool, maxThreads int) { rqueue.New(pool, maxThreads, 0) },
+		Reattach: queue.reattach,
 		GenOp: func(rng *rand.Rand, tid, i int) chaos.Op {
 			if rng.Intn(2) == 0 {
 				return chaos.Op{Kind: chaos.KindEnqueue, Key: uniqueValue(tid, i)}
@@ -308,26 +326,27 @@ func init() {
 			}
 			return nil
 		},
-		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
-			"rqueue/pwb-info-observed": provokeQueueObserved,
-		},
+		Scripted: scripted("rqueue", queue),
 		Unreachable: map[string]string{
 			"rqueue/pwb-info-backtrack": "every rqueue operation's AffectSet has a single entry, so its tagging loop can never fail at index >= 1",
 		},
 	})
 
+	stack := attachFunc(func(pool *pmem.Pool) (view, error) {
+		s, err := rstack.Attach(pool, 0)
+		if err != nil {
+			return view{}, err
+		}
+		return view{
+			thread:   func(tid int) chaos.Thread { return stackThread{h: s.Handle(pool.NewThread(tid))} },
+			contents: func(c *pmem.ThreadCtx) []int64 { return int64s(s.Snapshot(c)) },
+			check:    func(c *pmem.ThreadCtx) error { return s.CheckInvariants(c, true) },
+		}, nil
+	})
 	RegisterAdapter(&Adapter{
 		Name: "rstack", SitePrefix: "rstack", MinThreads: 1, DefaultSweep: true,
-		Setup: func(pool *pmem.Pool, maxThreads int) { rstack.New(pool, maxThreads, 0) },
-		Reattach: func(pool *pmem.Pool) (chaos.ThreadFactory, error) {
-			s, err := rstack.Attach(pool, 0)
-			if err != nil {
-				return nil, err
-			}
-			return func(tid int) (chaos.Thread, error) {
-				return stackThread{h: s.Handle(pool.NewThread(tid))}, nil
-			}, nil
-		},
+		Setup:    func(pool *pmem.Pool, maxThreads int) { rstack.New(pool, maxThreads, 0) },
+		Reattach: stack.reattach,
 		GenOp: func(rng *rand.Rand, tid, i int) chaos.Op {
 			if rng.Intn(2) == 0 {
 				return chaos.Op{Kind: chaos.KindPush, Key: uniqueValue(tid, i)}
@@ -351,9 +370,7 @@ func init() {
 			}
 			return nil
 		},
-		Scripted: map[string]func(pool *pmem.Pool, p *Provoker) error{
-			"rstack/pwb-info-observed": provokeStackObserved,
-		},
+		Scripted: scripted("rstack", stack),
 		Unreachable: map[string]string{
 			"rstack/pwb-info-backtrack": "every rstack operation's AffectSet has a single entry, so its tagging loop can never fail at index >= 1",
 		},
@@ -392,40 +409,6 @@ func init() {
 			return rmmValidate(pool, a, res)
 		},
 	})
-
-	for _, v := range []struct {
-		name, prefix string
-		variant      capsules.Variant
-	}{
-		{"capsules", "caps", capsules.VariantFull},
-		{"capsules-opt", "capsopt", capsules.VariantOpt},
-	} {
-		variant := v.variant
-		RegisterAdapter(&Adapter{
-			Name: v.name, SitePrefix: v.prefix, MinThreads: 1, DefaultSweep: false,
-			Setup: func(pool *pmem.Pool, maxThreads int) { capsules.New(pool, variant, maxThreads, 0) },
-			Reattach: func(pool *pmem.Pool) (chaos.ThreadFactory, error) {
-				l, err := capsules.Attach(pool, variant, 0)
-				if err != nil {
-					return nil, err
-				}
-				return func(tid int) (chaos.Thread, error) {
-					return setThread{h: l.Handle(pool.NewThread(tid))}, nil
-				}, nil
-			},
-			GenOp: chaos.SetGenOp(8), KeyedGen: chaos.SetGenOp,
-			Validate: setValidate(func(pool *pmem.Pool) (setView, error) {
-				l, err := capsules.Attach(pool, variant, 0)
-				if err != nil {
-					return setView{}, err
-				}
-				return setView{
-					keys:  l.Keys,
-					check: func(c *pmem.ThreadCtx) error { return l.CheckInvariants(c) },
-				}, nil
-			}),
-		})
-	}
 }
 
 // queueThread adapts an rqueue handle to the harness Thread interface: the
@@ -538,8 +521,12 @@ func rmmSetup(pool *pmem.Pool, maxThreads int) {
 	boot.PSync()
 }
 
-// rmmFactory builds the thread factory over an attached allocator.
-func rmmFactory(pool *pmem.Pool, a *rmm.Allocator) chaos.ThreadFactory {
+// rmmReattach rebuilds the allocator and thread handles after recovery.
+func rmmReattach(pool *pmem.Pool) (chaos.ThreadFactory, error) {
+	a, err := rmm.Attach(pool, 0)
+	if err != nil {
+		return nil, err
+	}
 	base := pmem.Addr(pool.NewThread(0).Load(pool.RootSlot(1)))
 	site := pool.RegisterSite(rmmSlotSite)
 	return func(tid int) (chaos.Thread, error) {
@@ -548,16 +535,7 @@ func rmmFactory(pool *pmem.Pool, a *rmm.Allocator) chaos.ThreadFactory {
 			h: a.Handle(ctx), ctx: ctx, site: site,
 			slots: base + pmem.Addr(tid*rmmSlotsPerThread*pmem.WordSize),
 		}, nil
-	}
-}
-
-// rmmReattach rebuilds the allocator and thread handles after recovery.
-func rmmReattach(pool *pmem.Pool) (chaos.ThreadFactory, error) {
-	a, err := rmm.Attach(pool, 0)
-	if err != nil {
-		return nil, err
-	}
-	return rmmFactory(pool, a), nil
+	}, nil
 }
 
 // rmmGenOp opens with a deterministic allocation ramp (slots 0..23, which

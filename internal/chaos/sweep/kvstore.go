@@ -52,13 +52,6 @@ func kvSetup(pool *pmem.Pool, maxThreads int) {
 	}
 }
 
-// kvFactory builds the thread factory over a recovered store.
-func kvFactory(pool *pmem.Pool, s *kvstore.Store) chaos.ThreadFactory {
-	return func(tid int) (chaos.Thread, error) {
-		return kvThread{h: s.Handle(pool.NewThread(tid))}, nil
-	}
-}
-
 // kvThread adapts a store handle to the harness Thread interface with set
 // semantics over key membership.
 type kvThread struct{ h *kvstore.Handle }
@@ -164,7 +157,9 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return kvFactory(pool, s), nil
+			return func(tid int) (chaos.Thread, error) {
+				return kvThread{h: s.Handle(pool.NewThread(tid))}, nil
+			}, nil
 		},
 		GenOp: chaos.SetGenOp(kvKeyRange), KeyedGen: chaos.SetGenOp,
 		Validate: func(pool *pmem.Pool, res *chaos.Result) error {

@@ -30,6 +30,10 @@ package sweep
 // with CP = 1 and RD naming the failed attempt; a crash strikes just before
 // that response is delivered, and the recovery function must re-execute
 // the operation.
+//
+// Each scenario is one script (backtrack, observed) run over one
+// structure's row (scene) of its table; the rows' comments say why their
+// keys and operations stage the conflict on that structure.
 
 // Both key off Publish, not BeginOp: the engine's pwb-RD site records the
 // checkpoint persist of Publish, and under tracking.Default BeginOp persists
@@ -38,14 +42,10 @@ package sweep
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/chaos"
 	"repro/internal/pmem"
-	"repro/internal/rbst"
-	"repro/internal/rhash"
-	"repro/internal/rlist"
-	"repro/internal/rqueue"
-	"repro/internal/rstack"
 )
 
 // publishHit is the hit index, at an engine's pwb-RD site, of an
@@ -58,7 +58,7 @@ const publishHit = 1
 // the task's adversary, chained to the task's depth.
 type Provoker struct {
 	pool    *pmem.Pool
-	sink    pmem.TelemetrySink // the task's telemetry registry, if any
+	sink    pmem.TelemetrySink // the task's telemetry registry
 	site    string
 	hit     int64
 	depth   int
@@ -115,34 +115,18 @@ func (p *Provoker) Target(act func() error) error {
 	if p.err != nil {
 		return p.err
 	}
-	site := p.pool.RegisterSite(p.site)
-	arms := []int64{p.hit}
-	for d := 1; d < p.depth; d++ {
-		arms = append(arms, 1)
-	}
-	armed := 0
-	for round := 0; ; round++ {
-		if round > p.depth+1 {
-			p.err = fmt.Errorf("sweep: runaway provocation rounds at site %s", p.site)
-			return p.err
-		}
-		if armed < len(arms) {
-			p.pool.SetCrashAtSite(site, arms[armed])
-			armed++
-		}
-		var actErr error
-		if !runParked(func() { actErr = act() }) {
-			p.pool.SetCrashAtSite(pmem.NoSite, 0)
-			if actErr != nil {
-				p.err = actErr
+	fired, err := armedCrashes(p.pool, p.pool.RegisterSite(p.site), p.hit, p.depth, p.policy,
+		func() (bool, error) {
+			var actErr error
+			if runParked(func() { actErr = act() }) {
+				return true, nil
 			}
-			return actErr
-		}
-		p.fired++
-		p.pool.Crash(p.policy())
-		p.pool.Recover()
-		p.crashes++
-	}
+			return false, actErr
+		}, nil)
+	p.fired += fired
+	p.crashes += fired
+	p.err = err
+	return err
 }
 
 // hook is one interleaving point of Provoker.interleave: the k-th
@@ -157,17 +141,15 @@ type hook struct {
 // each hook once, synchronously, when thread tid records the hook's k-th
 // write-back of its site.
 type hookSink struct {
-	inner pmem.TelemetrySink
-	tid   int
-	sites []pmem.Site
-	left  []int64
-	hooks []hook
+	pmem.TelemetrySink // the task's registry
+	tid                int
+	sites              []pmem.Site
+	left               []int64
+	hooks              []hook
 }
 
 func (s *hookSink) TelemetryPWB(tid int, site pmem.Site, stall int64) {
-	if s.inner != nil {
-		s.inner.TelemetryPWB(tid, site, stall)
-	}
+	s.TelemetrySink.TelemetryPWB(tid, site, stall)
 	if tid != s.tid {
 		return
 	}
@@ -180,24 +162,6 @@ func (s *hookSink) TelemetryPWB(tid int, site pmem.Site, stall int64) {
 	}
 }
 
-func (s *hookSink) TelemetryPSync(tid int, stallUnits, stallNs int64, pending []pmem.SiteStall) {
-	if s.inner != nil {
-		s.inner.TelemetryPSync(tid, stallUnits, stallNs, pending)
-	}
-}
-
-func (s *hookSink) TelemetryPFence(tid int) {
-	if s.inner != nil {
-		s.inner.TelemetryPFence(tid)
-	}
-}
-
-func (s *hookSink) TelemetryEvent(kind pmem.TelemetryEventKind, tid int, site pmem.Site, arg uint64) {
-	if s.inner != nil {
-		s.inner.TelemetryEvent(kind, tid, site, arg)
-	}
-}
-
 // interleave runs act with hooks armed on thread tid: each hook fires
 // once, synchronously, the moment tid records the hook's k-th write-back
 // of its site — from inside that persist instruction, so the hook's
@@ -207,7 +171,7 @@ func (p *Provoker) interleave(tid int, hooks []hook, act func() error) error {
 	if p.err != nil {
 		return p.err
 	}
-	s := &hookSink{inner: p.sink, tid: tid, hooks: hooks}
+	s := &hookSink{TelemetrySink: p.sink, tid: tid, hooks: hooks}
 	for _, h := range hooks {
 		s.sites = append(s.sites, p.pool.RegisterSite(h.site))
 		s.left = append(s.left, h.k)
@@ -248,28 +212,27 @@ func (p *Provoker) crashNow() {
 // it: the failed attempt's recovery Help fails again (its info values
 // never recur), Recover reports re-invoke, and the re-execution answers
 // false.
-func actReadOnlyAfterBacktrack(p *Provoker, prefix string,
-	attach func() (func(tid int) setOps, error), op, b1, b2 chaos.Op) error {
-	handles, err := attach()
+func actReadOnlyAfterBacktrack(p *Provoker, prefix string, attach attachFunc, op, b1, b2 chaos.Op) error {
+	v, err := attach(p.pool)
 	if err != nil {
 		return err
 	}
 	var res, res1, res2 uint64
 	err = p.interleave(1, []hook{
-		{prefix + "/pwb-RD", publishHit, func() { res1 = setThread{handles(2)}.Run(b1) }},
-		{prefix + "/pwb-info-backtrack", 1, func() { res2 = setThread{handles(2)}.Run(b2) }},
+		{prefix + "/pwb-RD", publishHit, func() { res1 = v.thread(2).Run(b1) }},
+		{prefix + "/pwb-info-backtrack", 1, func() { res2 = v.thread(2).Run(b2) }},
 	}, func() error {
-		res = setThread{handles(1)}.Run(op)
+		res = v.thread(1).Run(op)
 		return nil
 	})
 	if err != nil {
 		return err
 	}
 	p.crashNow()
-	if handles, err = attach(); err != nil {
+	if v, err = attach(p.pool); err != nil {
 		return err
 	}
-	rec := setThread{handles(1)}.Recover(op)
+	rec := v.thread(1).Recover(op)
 	if res != 0 || res1 != 1 || res2 != 1 || rec != 0 {
 		return fmt.Errorf("sweep: read-only-after-backtrack op=%d b1=%d b2=%d recovered=%d, want 0 1 1 0",
 			res, res1, res2, rec)
@@ -277,239 +240,86 @@ func actReadOnlyAfterBacktrack(p *Provoker, prefix string,
 	return nil
 }
 
-// expectKeys compares a set structure's final content with the scenario's
-// deterministic expectation.
-func expectKeys(got, want []int64) error {
-	ok := len(got) == len(want)
-	for i := 0; ok && i < len(want); i++ {
-		ok = got[i] == want[i]
-	}
-	if !ok {
-		return fmt.Errorf("sweep: final keys %v, want %v", got, want)
-	}
-	return nil
+// scene is one structure's data row for a scripted scenario. Thread 1
+// runs a and thread 2 runs b; every operation of a row answers 1 (true,
+// or an acknowledged enqueue or push).
+type scene struct {
+	// preload is inserted by thread 0, one Invoke and Insert per key,
+	// before the first act; the value structures start empty.
+	preload []int64
+	a, b    chaos.Op
+	// act4 is the backtrack scenario's fourth act: op, b1 and b2 of
+	// actReadOnlyAfterBacktrack.
+	act4 [3]chaos.Op
+	// want is view.contents at the end.
+	want []int64
 }
 
-// provokeListBacktrack scripts the backtrack scenario on rlist. With keys
-// {10, 20, 30}: thread 1's Delete(20) has AffectSet {node10, node20};
-// thread 2's Insert(25) opens the window (node20, node30) and tags node20
-// first. Frozen in that order, thread 1's recovery tags node10, finds
-// thread 2's tag on node20 and backtracks.
-func provokeListBacktrack(pool *pmem.Pool, p *Provoker) error {
-	l, err := rlist.Attach(pool, 0)
-	if err != nil {
-		return err
-	}
-	boot := l.Handle(pool.NewThread(0))
-	for _, k := range []int64{10, 20, 30} {
-		boot.Invoke()
-		boot.Insert(k)
-	}
-	if err := p.Stage("rlist/pwb-RD", publishHit, func() error {
-		l, err := rlist.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		l.Handle(pool.NewThread(1)).Delete(20)
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := p.Stage("rlist/pwb-info-tag", 1, func() error {
-		l, err := rlist.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		l.Handle(pool.NewThread(2)).Insert(25)
-		return nil
-	}); err != nil {
-		return err
-	}
-	var resA bool
-	if err := p.Target(func() error {
-		l, err := rlist.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		resA = l.Handle(pool.NewThread(1)).RecoverDelete(20)
-		return nil
-	}); err != nil {
-		return err
-	}
-	l, err = rlist.Attach(pool, 0)
-	if err != nil {
-		return err
-	}
-	resB := l.Handle(pool.NewThread(2)).RecoverInsert(25)
-	if !resA || !resB {
-		return fmt.Errorf("sweep: delete=%v insert=%v, want both true", resA, resB)
-	}
-	// Act four over {10, 25, 30}: Insert(20) affects {node10, node25};
-	// Insert(27) re-tags node25 first, then Insert(20) completes.
-	if err := actReadOnlyAfterBacktrack(p, "rlist", func() (func(int) setOps, error) {
-		l, err := rlist.Attach(pool, 0)
-		return func(tid int) setOps { return l.Handle(pool.NewThread(tid)) }, err
-	}, chaos.Op{Kind: chaos.KindInsert, Key: 20},
-		chaos.Op{Kind: chaos.KindInsert, Key: 27},
-		chaos.Op{Kind: chaos.KindInsert, Key: 20}); err != nil {
-		return err
-	}
-	if l, err = rlist.Attach(pool, 0); err != nil {
-		return err
-	}
-	ctx := pool.NewThread(0)
-	if err := l.CheckInvariants(ctx, true); err != nil {
-		return err
-	}
-	return expectKeys(l.Keys(ctx), []int64{10, 20, 25, 27, 30})
+func ins(k int64) chaos.Op  { return chaos.Op{Kind: chaos.KindInsert, Key: k} }
+func del(k int64) chaos.Op  { return chaos.Op{Kind: chaos.KindDelete, Key: k} }
+func find(k int64) chaos.Op { return chaos.Op{Kind: chaos.KindFind, Key: k} }
+
+// backtrackScenes holds the backtrack scenario's rows, by site prefix.
+var backtrackScenes = map[string]scene{
+	// With keys {10, 20, 30}: thread 1's Delete(20) has AffectSet
+	// {node10, node20}; thread 2's Insert(25) opens the window (node20,
+	// node30) and tags node20 first. Frozen in that order, thread 1's
+	// recovery tags node10, finds thread 2's tag on node20 and
+	// backtracks. Act four over {10, 25, 30}: Insert(20) affects
+	// {node10, node25}; Insert(27) re-tags node25 first, then Insert(20)
+	// completes.
+	"rlist": {preload: []int64{10, 20, 30}, a: del(20), b: ins(25),
+		act4: [3]chaos.Op{ins(20), ins(27), ins(20)}, want: []int64{10, 20, 25, 27, 30}},
+	// Inserting 10 then 20 builds root -> I1(Inf1) -> I2(20) -> {leaf10,
+	// leaf20}: thread 1's Delete(10) has AffectSet {gp = I1, p = I2};
+	// thread 2's Insert(15) reaches leaf10 under the same parent and tags
+	// I2 first. Act four over root -> I1(Inf1) -> I2(20) -> {leaf15,
+	// leaf20}: Delete(15) affects {gp = I1, p = I2}; Insert(17) re-tags I2
+	// first (it splits leaf15), then Delete(15) completes.
+	"rbst": {preload: []int64{10, 20}, a: del(10), b: ins(15),
+		act4: [3]chaos.Op{del(15), ins(17), del(15)}, want: []int64{17, 20}},
+	// Keys 3, 5, 6 and 8 all land in bucket 0 of the adapter's 4-bucket
+	// map, so the dance is the rlist one inside that bucket: Delete(5)
+	// affects {node3, node5}, Insert(6) opens (node5, node8) and tags
+	// node5 first. Act four, again inside bucket 0 ({3, 6, 8}; 7 and 12
+	// land there too): Insert(7) affects {node6, node8}; Insert(12)
+	// re-tags node8 first, then Insert(7) completes.
+	"rhash": {preload: []int64{3, 5, 8}, a: del(5), b: ins(6),
+		act4: [3]chaos.Op{ins(7), ins(12), ins(7)}, want: []int64{3, 6, 7, 8, 12}},
 }
 
-// provokeBSTBacktrack scripts the backtrack scenario on rbst. Inserting 10
-// then 20 builds root -> I1(Inf1) -> I2(20) -> {leaf10, leaf20}: thread
-// 1's Delete(10) has AffectSet {gp = I1, p = I2}; thread 2's Insert(15)
-// reaches leaf10 under the same parent and tags I2 first.
-func provokeBSTBacktrack(pool *pmem.Pool, p *Provoker) error {
-	tr, err := rbst.Attach(pool, 0)
-	if err != nil {
-		return err
-	}
-	boot := tr.Handle(pool.NewThread(0))
-	for _, k := range []int64{10, 20} {
-		boot.Invoke()
-		boot.Insert(k)
-	}
-	if err := p.Stage("rbst/pwb-RD", publishHit, func() error {
-		tr, err := rbst.Attach(pool, 0)
+// backtrack scripts the backtrack scenario (see the top of this file)
+// over row s of the structure with site prefix prefix.
+func backtrack(prefix string, attach attachFunc, s scene) func(*pmem.Pool, *Provoker) error {
+	return func(pool *pmem.Pool, p *Provoker) error {
+		if err := preload(pool, attach, s.preload); err != nil {
+			return err
+		}
+		if err := p.Stage(prefix+"/pwb-RD", publishHit, as(pool, attach, 1, func(th chaos.Thread) { th.Run(s.a) })); err != nil {
+			return err
+		}
+		if err := p.Stage(prefix+"/pwb-info-tag", 1, as(pool, attach, 2, func(th chaos.Thread) { th.Run(s.b) })); err != nil {
+			return err
+		}
+		var resA uint64
+		if err := p.Target(as(pool, attach, 1, func(th chaos.Thread) { resA = th.Recover(s.a) })); err != nil {
+			return err
+		}
+		v, err := attach(pool)
 		if err != nil {
 			return err
 		}
-		tr.Handle(pool.NewThread(1)).Delete(10)
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := p.Stage("rbst/pwb-info-tag", 1, func() error {
-		tr, err := rbst.Attach(pool, 0)
-		if err != nil {
+		if resB := v.thread(2).Recover(s.b); resA != 1 || resB != 1 {
+			return fmt.Errorf("sweep: a recovered %d, b recovered %d, want both 1", resA, resB)
+		}
+		if err := actReadOnlyAfterBacktrack(p, prefix, attach, s.act4[0], s.act4[1], s.act4[2]); err != nil {
 			return err
 		}
-		tr.Handle(pool.NewThread(2)).Insert(15)
-		return nil
-	}); err != nil {
-		return err
-	}
-	var resA bool
-	if err := p.Target(func() error {
-		tr, err := rbst.Attach(pool, 0)
-		if err != nil {
+		if v, err = attach(pool); err != nil {
 			return err
 		}
-		resA = tr.Handle(pool.NewThread(1)).RecoverDelete(10)
-		return nil
-	}); err != nil {
-		return err
+		return expect(pool, v, s.want)
 	}
-	tr, err = rbst.Attach(pool, 0)
-	if err != nil {
-		return err
-	}
-	resB := tr.Handle(pool.NewThread(2)).RecoverInsert(15)
-	if !resA || !resB {
-		return fmt.Errorf("sweep: delete=%v insert=%v, want both true", resA, resB)
-	}
-	// Act four over root -> I1(Inf1) -> I2(20) -> {leaf15, leaf20}:
-	// Delete(15) affects {gp = I1, p = I2}; Insert(17) re-tags I2 first
-	// (it splits leaf15), then Delete(15) completes.
-	if err := actReadOnlyAfterBacktrack(p, "rbst", func() (func(int) setOps, error) {
-		tr, err := rbst.Attach(pool, 0)
-		return func(tid int) setOps { return tr.Handle(pool.NewThread(tid)) }, err
-	}, chaos.Op{Kind: chaos.KindDelete, Key: 15},
-		chaos.Op{Kind: chaos.KindInsert, Key: 17},
-		chaos.Op{Kind: chaos.KindDelete, Key: 15}); err != nil {
-		return err
-	}
-	if tr, err = rbst.Attach(pool, 0); err != nil {
-		return err
-	}
-	ctx := pool.NewThread(0)
-	if err := tr.CheckInvariants(ctx, true); err != nil {
-		return err
-	}
-	return expectKeys(tr.Keys(ctx), []int64{17, 20})
-}
-
-// provokeHashBacktrack scripts the backtrack scenario on rhash. Keys 3, 5,
-// 6 and 8 all land in bucket 0 of the adapter's 4-bucket map, so the dance
-// is the rlist one inside that bucket: Delete(5) affects {node3, node5},
-// Insert(6) opens (node5, node8) and tags node5 first.
-func provokeHashBacktrack(pool *pmem.Pool, p *Provoker) error {
-	m, err := rhash.Attach(pool, 0)
-	if err != nil {
-		return err
-	}
-	boot := m.Handle(pool.NewThread(0))
-	for _, k := range []int64{3, 5, 8} {
-		boot.Invoke()
-		boot.Insert(k)
-	}
-	if err := p.Stage("rhash/pwb-RD", publishHit, func() error {
-		m, err := rhash.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		m.Handle(pool.NewThread(1)).Delete(5)
-		return nil
-	}); err != nil {
-		return err
-	}
-	if err := p.Stage("rhash/pwb-info-tag", 1, func() error {
-		m, err := rhash.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		m.Handle(pool.NewThread(2)).Insert(6)
-		return nil
-	}); err != nil {
-		return err
-	}
-	var resA bool
-	if err := p.Target(func() error {
-		m, err := rhash.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		resA = m.Handle(pool.NewThread(1)).RecoverDelete(5)
-		return nil
-	}); err != nil {
-		return err
-	}
-	m, err = rhash.Attach(pool, 0)
-	if err != nil {
-		return err
-	}
-	resB := m.Handle(pool.NewThread(2)).RecoverInsert(6)
-	if !resA || !resB {
-		return fmt.Errorf("sweep: delete=%v insert=%v, want both true", resA, resB)
-	}
-	// Act four, again inside bucket 0 ({3, 6, 8}; 7 and 12 land there
-	// too): Insert(7) affects {node6, node8}; Insert(12) re-tags node8
-	// first, then Insert(7) completes.
-	if err := actReadOnlyAfterBacktrack(p, "rhash", func() (func(int) setOps, error) {
-		m, err := rhash.Attach(pool, 0)
-		return func(tid int) setOps { return m.Handle(pool.NewThread(tid)) }, err
-	}, chaos.Op{Kind: chaos.KindInsert, Key: 7},
-		chaos.Op{Kind: chaos.KindInsert, Key: 12},
-		chaos.Op{Kind: chaos.KindInsert, Key: 7}); err != nil {
-		return err
-	}
-	if m, err = rhash.Attach(pool, 0); err != nil {
-		return err
-	}
-	ctx := pool.NewThread(0)
-	if err := m.CheckInvariants(ctx, true); err != nil {
-		return err
-	}
-	return expectKeys(m.Keys(ctx), []int64{3, 6, 7, 8, 12})
 }
 
 // The observed sites ("<prefix>/pwb-info-observed") record the branch of
@@ -517,240 +327,114 @@ func provokeHashBacktrack(pool *pmem.Pool, p *Provoker) error {
 // tag already installed: the helper re-persists the info word another
 // helper tagged instead of re-tagging. A solo crash-free run never helps a
 // foreign descriptor, so no profiled single-threaded workload reaches the
-// branch — the scenarios below stage the two-thread race
+// branch — the observed scenario stages the two-thread race
 // deterministically: thread 1 crashes between its durable tagging CAS and
 // everything after it, then thread 2's operation observes the frozen tag,
 // helps, and executes the observed persist, where the sweep's target
 // crash is armed.
 
-// provokeListObserved scripts the observed-tag scenario on rlist.
-// With keys {10, 20, 30}: thread 1's Delete(20) is crashed at its first
-// tagging persist, leaving node10 durably tagged; thread 2's Find(10)
-// observes the tag and helps, re-persisting node10's info word.
-func provokeListObserved(pool *pmem.Pool, p *Provoker) error {
-	l, err := rlist.Attach(pool, 0)
-	if err != nil {
-		return err
-	}
-	boot := l.Handle(pool.NewThread(0))
-	for _, k := range []int64{10, 20, 30} {
-		boot.Invoke()
-		boot.Insert(k)
-	}
-	if err := p.Stage("rlist/pwb-info-tag", 1, func() error {
-		l, err := rlist.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		l.Handle(pool.NewThread(1)).Delete(20)
-		return nil
-	}); err != nil {
-		return err
-	}
-	var resFind bool
-	if err := p.Target(func() error {
-		l, err := rlist.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		resFind = l.Handle(pool.NewThread(2)).Find(10)
-		return nil
-	}); err != nil {
-		return err
-	}
-	l, err = rlist.Attach(pool, 0)
-	if err != nil {
-		return err
-	}
-	resDel := l.Handle(pool.NewThread(1)).RecoverDelete(20)
-	if !resFind || !resDel {
-		return fmt.Errorf("sweep: find=%v delete=%v, want both true", resFind, resDel)
-	}
-	ctx := pool.NewThread(0)
-	if err := l.CheckInvariants(ctx, true); err != nil {
-		return err
-	}
-	return expectKeys(l.Keys(ctx), []int64{10, 30})
+// observedScenes holds the observed scenario's rows, by site prefix.
+var observedScenes = map[string]scene{
+	// With keys {10, 20, 30}: thread 1's Delete(20) is crashed at its
+	// first tagging persist, leaving node10 durably tagged; thread 2's
+	// Find(10) observes the tag and helps, re-persisting node10's info.
+	"rlist": {preload: []int64{10, 20, 30}, a: del(20), b: find(10), want: []int64{10, 30}},
+	// With keys {10, 20} (root -> I1(Inf1) -> I2(20) -> {leaf10,
+	// leaf20}): thread 1's Delete(10) leaves gp = I1 durably tagged;
+	// thread 2's Delete(20) reaches leaf20 with the same grandparent,
+	// observes the tag and helps, re-persisting I1's info.
+	"rbst": {preload: []int64{10, 20}, a: del(10), b: del(20)},
+	// The rlist dance inside bucket 0 of the adapter's 4-bucket map:
+	// Delete(5) tags node3 and crashes; Find(3) observes and helps.
+	"rhash": {preload: []int64{3, 5, 8}, a: del(5), b: find(3), want: []int64{3, 8}},
+	// Thread 1's Enqueue(100) leaves the sentinel durably tagged; thread
+	// 2's Enqueue(200) observes the tag at its own last-node read and
+	// helps, re-persisting the sentinel's info word.
+	"rqueue": {a: chaos.Op{Kind: chaos.KindEnqueue, Key: 100}, b: chaos.Op{Kind: chaos.KindEnqueue, Key: 200},
+		want: []int64{100, 200}},
+	// Thread 1's Push(100) leaves the sentinel durably tagged; thread 2's
+	// Push(200) observes the tag at its own top read and helps.
+	"rstack": {a: chaos.Op{Kind: chaos.KindPush, Key: 100}, b: chaos.Op{Kind: chaos.KindPush, Key: 200},
+		want: []int64{200, 100}},
 }
 
-// provokeBSTObserved scripts the observed-tag scenario on rbst.
-// With keys {10, 20} (root -> I1(Inf1) -> I2(20) -> {leaf10, leaf20}):
-// thread 1's Delete(10) is crashed at its first tagging persist, leaving
-// gp = I1 durably tagged; thread 2's Delete(20) reaches leaf20 with the
-// same grandparent, observes the tag and helps, re-persisting I1's info.
-func provokeBSTObserved(pool *pmem.Pool, p *Provoker) error {
-	tr, err := rbst.Attach(pool, 0)
-	if err != nil {
-		return err
-	}
-	boot := tr.Handle(pool.NewThread(0))
-	for _, k := range []int64{10, 20} {
-		boot.Invoke()
-		boot.Insert(k)
-	}
-	if err := p.Stage("rbst/pwb-info-tag", 1, func() error {
-		tr, err := rbst.Attach(pool, 0)
+// observed scripts the observed-tag scenario over row s of the structure
+// with site prefix prefix.
+func observed(prefix string, attach attachFunc, s scene) func(*pmem.Pool, *Provoker) error {
+	return func(pool *pmem.Pool, p *Provoker) error {
+		if err := preload(pool, attach, s.preload); err != nil {
+			return err
+		}
+		if err := p.Stage(prefix+"/pwb-info-tag", 1, as(pool, attach, 1, func(th chaos.Thread) { th.Run(s.a) })); err != nil {
+			return err
+		}
+		var resB uint64
+		if err := p.Target(as(pool, attach, 2, func(th chaos.Thread) { resB = th.Run(s.b) })); err != nil {
+			return err
+		}
+		v, err := attach(pool)
 		if err != nil {
 			return err
 		}
-		tr.Handle(pool.NewThread(1)).Delete(10)
-		return nil
-	}); err != nil {
-		return err
-	}
-	var resB bool
-	if err := p.Target(func() error {
-		tr, err := rbst.Attach(pool, 0)
-		if err != nil {
-			return err
+		if resA := v.thread(1).Recover(s.a); resA != 1 || resB != 1 {
+			return fmt.Errorf("sweep: a recovered %d, b answered %d, want both 1", resA, resB)
 		}
-		resB = tr.Handle(pool.NewThread(2)).Delete(20)
-		return nil
-	}); err != nil {
-		return err
+		return expect(pool, v, s.want)
 	}
-	tr, err = rbst.Attach(pool, 0)
-	if err != nil {
-		return err
-	}
-	resA := tr.Handle(pool.NewThread(1)).RecoverDelete(10)
-	if !resA || !resB {
-		return fmt.Errorf("sweep: delete(10)=%v delete(20)=%v, want both true", resA, resB)
-	}
-	ctx := pool.NewThread(0)
-	if err := tr.CheckInvariants(ctx, true); err != nil {
-		return err
-	}
-	return expectKeys(tr.Keys(ctx), nil)
 }
 
-// provokeHashObserved scripts the observed-tag scenario on rhash:
-// the rlist dance inside bucket 0 of the adapter's 4-bucket map, with keys
-// {3, 5, 8}: Delete(5) tags node3 and crashes; Find(3) observes and helps.
-func provokeHashObserved(pool *pmem.Pool, p *Provoker) error {
-	m, err := rhash.Attach(pool, 0)
-	if err != nil {
-		return err
+// scripted returns the scenarios the tables above hold for the structure
+// with site prefix prefix, keyed by target site.
+func scripted(prefix string, attach attachFunc) map[string]func(*pmem.Pool, *Provoker) error {
+	m := map[string]func(*pmem.Pool, *Provoker) error{}
+	if s, ok := backtrackScenes[prefix]; ok {
+		m[prefix+"/pwb-info-backtrack"] = backtrack(prefix, attach, s)
 	}
-	boot := m.Handle(pool.NewThread(0))
-	for _, k := range []int64{3, 5, 8} {
-		boot.Invoke()
-		boot.Insert(k)
+	if s, ok := observedScenes[prefix]; ok {
+		m[prefix+"/pwb-info-observed"] = observed(prefix, attach, s)
 	}
-	if err := p.Stage("rhash/pwb-info-tag", 1, func() error {
-		m, err := rhash.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		m.Handle(pool.NewThread(1)).Delete(5)
-		return nil
-	}); err != nil {
-		return err
-	}
-	var resFind bool
-	if err := p.Target(func() error {
-		m, err := rhash.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		resFind = m.Handle(pool.NewThread(2)).Find(3)
-		return nil
-	}); err != nil {
-		return err
-	}
-	m, err = rhash.Attach(pool, 0)
-	if err != nil {
-		return err
-	}
-	resDel := m.Handle(pool.NewThread(1)).RecoverDelete(5)
-	if !resFind || !resDel {
-		return fmt.Errorf("sweep: find=%v delete=%v, want both true", resFind, resDel)
-	}
-	ctx := pool.NewThread(0)
-	if err := m.CheckInvariants(ctx, true); err != nil {
-		return err
-	}
-	return expectKeys(m.Keys(ctx), []int64{3, 8})
+	return m
 }
 
-// provokeQueueObserved scripts the observed-tag scenario on rqueue:
-// thread 1's Enqueue(100) is crashed at its tagging persist, leaving the
-// sentinel durably tagged; thread 2's Enqueue(200) observes the tag at its
-// own last-node read and helps, re-persisting the sentinel's info word.
-func provokeQueueObserved(pool *pmem.Pool, p *Provoker) error {
-	if err := p.Stage("rqueue/pwb-info-tag", 1, func() error {
-		q, err := rqueue.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		q.Handle(pool.NewThread(1)).Enqueue(100)
+// preload inserts keys as thread 0; an empty preload attaches nothing.
+func preload(pool *pmem.Pool, attach attachFunc, keys []int64) error {
+	if len(keys) == 0 {
 		return nil
-	}); err != nil {
-		return err
 	}
-	if err := p.Target(func() error {
-		q, err := rqueue.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		q.Handle(pool.NewThread(2)).Enqueue(200)
-		return nil
-	}); err != nil {
-		return err
-	}
-	q, err := rqueue.Attach(pool, 0)
+	v, err := attach(pool)
 	if err != nil {
 		return err
 	}
-	q.Handle(pool.NewThread(1)).RecoverEnqueue(100)
-	ctx := pool.NewThread(0)
-	if err := q.CheckInvariants(ctx, true); err != nil {
-		return err
-	}
-	got := q.Drain(ctx)
-	if len(got) != 2 || got[0] != 100 || got[1] != 200 {
-		return fmt.Errorf("sweep: final queue %v, want [100 200]", got)
+	boot := v.thread(0)
+	for _, k := range keys {
+		boot.Invoke()
+		boot.Run(ins(k))
 	}
 	return nil
 }
 
-// provokeStackObserved scripts the observed-tag scenario on rstack:
-// thread 1's Push(100) is crashed at its tagging persist, leaving the
-// sentinel durably tagged; thread 2's Push(200) observes the tag at its
-// own top read and helps, re-persisting the sentinel's info word.
-func provokeStackObserved(pool *pmem.Pool, p *Provoker) error {
-	if err := p.Stage("rstack/pwb-info-tag", 1, func() error {
-		s, err := rstack.Attach(pool, 0)
+// as returns the act that attaches the structure and hands f thread
+// tid's handle.
+func as(pool *pmem.Pool, attach attachFunc, tid int, f func(chaos.Thread)) func() error {
+	return func() error {
+		v, err := attach(pool)
 		if err != nil {
 			return err
 		}
-		s.Handle(pool.NewThread(1)).Push(100)
+		f(v.thread(tid))
 		return nil
-	}); err != nil {
-		return err
 	}
-	if err := p.Target(func() error {
-		s, err := rstack.Attach(pool, 0)
-		if err != nil {
-			return err
-		}
-		s.Handle(pool.NewThread(2)).Push(200)
-		return nil
-	}); err != nil {
-		return err
-	}
-	s, err := rstack.Attach(pool, 0)
-	if err != nil {
-		return err
-	}
-	s.Handle(pool.NewThread(1)).RecoverPush(100)
+}
+
+// expect checks the attached structure's invariants and compares its
+// final contents with the scenario's deterministic expectation.
+func expect(pool *pmem.Pool, v view, want []int64) error {
 	ctx := pool.NewThread(0)
-	if err := s.CheckInvariants(ctx, true); err != nil {
+	if err := v.check(ctx); err != nil {
 		return err
 	}
-	got := s.Snapshot(ctx)
-	if len(got) != 2 || got[0] != 200 || got[1] != 100 {
-		return fmt.Errorf("sweep: final stack %v, want [200 100]", got)
+	if got := v.contents(ctx); !slices.Equal(got, want) {
+		return fmt.Errorf("sweep: final contents %v, want %v", got, want)
 	}
 	return nil
 }

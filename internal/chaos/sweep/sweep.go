@@ -46,7 +46,7 @@ var adversaries = []string{AdvDropAll, AdvCommitAll, AdvRandom}
 // Config parameterizes a crash-site sweep.
 type Config struct {
 	// Structures lists the adapters to sweep; empty means every adapter
-	// with DefaultSweep set (the six recoverable structures).
+	// with DefaultSweep set (the eight recoverable structures).
 	Structures []string
 	// Seed makes the whole sweep reproducible: workloads, crash points and
 	// the random adversary all derive from it.
@@ -203,10 +203,59 @@ type sweepTask struct {
 	scripted bool
 }
 
-// Key returns the task result's stable identity string, so external
-// consumers (crashtest -compare) can line up results across reports.
+// Key returns the task result's stable identity string, so Compare can
+// line up results across reports.
 func (r TaskResult) Key() string {
 	return sweepTask{r.Structure, r.Site, r.Hit, r.Adversary, r.Depth, r.Threads, r.Scripted}.key()
+}
+
+// Compare checks a fresh sweep against a baseline report and returns an
+// error listing every drift: a fresh task the baseline lacks, a different
+// verdict (Violation or Error), and, for deterministic tasks (no
+// thread-count override), different Fired, Crashes or metrics. Every
+// baseline task of a structure the fresh run swept must have run too;
+// baseline tasks of structures it did not sweep are ignored, so a
+// one-structure sweep checks only that structure.
+func Compare(baseline, fresh *Report) error {
+	base := make(map[string]TaskResult, len(baseline.Results))
+	for _, r := range baseline.Results {
+		base[r.Key()] = r
+	}
+	ran := make(map[string]bool, len(fresh.Results))
+	var drift []string
+	for _, r := range fresh.Results {
+		k := r.Key()
+		ran[k] = true
+		b, ok := base[k]
+		switch {
+		case !ok:
+			drift = append(drift, k+": not in baseline")
+		case r.Violation != b.Violation || r.Error != b.Error:
+			drift = append(drift, fmt.Sprintf("%s: verdict %q/%q, baseline %q/%q",
+				k, r.Violation, r.Error, b.Violation, b.Error))
+		case r.Threads != 0:
+			// Multi-threaded top-up tasks run freely: only the verdict
+			// is deterministic.
+		case r.Fired != b.Fired || r.Crashes != b.Crashes:
+			drift = append(drift, fmt.Sprintf("%s: fired/crashes %d/%d, baseline %d/%d",
+				k, r.Fired, r.Crashes, b.Fired, b.Crashes))
+		case r.Metrics != nil && b.Metrics != nil && *r.Metrics != *b.Metrics:
+			drift = append(drift, fmt.Sprintf("%s: metrics %+v, baseline %+v", k, *r.Metrics, *b.Metrics))
+		}
+	}
+	swept := map[string]bool{}
+	for _, sr := range fresh.Structures {
+		swept[sr.Name] = true
+	}
+	for _, b := range baseline.Results {
+		if k := b.Key(); swept[b.Structure] && !ran[k] {
+			drift = append(drift, k+": in baseline, not run")
+		}
+	}
+	if len(drift) > 0 {
+		return fmt.Errorf("%d tasks drifted from baseline:\n\t%s", len(drift), strings.Join(drift, "\n\t"))
+	}
+	return nil
 }
 
 // key is the task's stable identity.
@@ -395,6 +444,41 @@ func policyFor(adv string, rng *rand.Rand) pmem.CrashPolicy {
 	}
 }
 
+// armedCrashes is the armed-crash loop of a sweep task and of a scripted
+// scenario's target act. It arms site for depth chained crashes — at its
+// hit-th execution, then at its first re-execution during each deeper
+// recovery — and calls run until run completes without crashing. After
+// each crash it crashes the pool under policy, recovers it and, when
+// reattach is non-nil, calls it before re-arming. It returns how many
+// armed crashes fired, each one a crash/recover cycle.
+func armedCrashes(pool *pmem.Pool, site pmem.Site, hit int64, depth int, policy func() pmem.CrashPolicy,
+	run func() (crashed bool, err error), reattach func() error) (fired int, err error) {
+	for round := 0; ; round++ {
+		if round > depth+1 {
+			return fired, fmt.Errorf("sweep: runaway crash rounds (crash trigger leak?)")
+		}
+		switch {
+		case round == 0:
+			pool.SetCrashAtSite(site, hit)
+		case round < depth:
+			pool.SetCrashAtSite(site, 1)
+		}
+		crashed, err := run()
+		if err != nil || !crashed {
+			pool.SetCrashAtSite(pmem.NoSite, 0)
+			return fired, err
+		}
+		fired++
+		pool.Crash(policy())
+		pool.Recover()
+		if reattach != nil {
+			if err := reattach(); err != nil {
+				return fired, err
+			}
+		}
+	}
+}
+
 // runProvokeTask executes one scripted provocation experiment on a fresh
 // pool: the adapter's scenario stages the structure into the otherwise
 // unreachable site, the Provoker crashes there with the task's adversary,
@@ -461,38 +545,22 @@ func runSweepTask(a *Adapter, t sweepTask, cfg *Config) TaskResult {
 		return fail(err)
 	}
 	advRng := rand.New(rand.NewSource(t.taskSeed(cfg.Seed)))
-
-	// arms[i] is the hit count for the i-th crash: the k-th hit for the
-	// first crash, then the first re-execution of the same site during
-	// each deeper recovery.
-	arms := []int64{t.hit}
-	for d := 1; d < t.depth; d++ {
-		arms = append(arms, 1)
+	res.Fired, err = armedCrashes(pool, site, t.hit, t.depth,
+		func() pmem.CrashPolicy { return policyFor(t.adversary, advRng) },
+		func() (bool, error) {
+			if err := sched.Resume(factory); err != nil {
+				return false, err
+			}
+			return pool.CrashPending(), nil
+		},
+		func() (err error) {
+			factory, err = a.Reattach(pool)
+			return err
+		})
+	res.Crashes = res.Fired
+	if err != nil {
+		return fail(err)
 	}
-	armed := 0
-	for round := 0; ; round++ {
-		if round > t.depth+1 {
-			return fail(fmt.Errorf("sweep: runaway rounds (crash trigger leak?)"))
-		}
-		if armed < len(arms) {
-			pool.SetCrashAtSite(site, arms[armed])
-			armed++
-		}
-		if err := sched.Resume(factory); err != nil {
-			return fail(err)
-		}
-		if !pool.CrashPending() {
-			break // quota done; any unfired arm stays unfired
-		}
-		res.Fired++
-		pool.Crash(policyFor(t.adversary, advRng))
-		pool.Recover()
-		res.Crashes++
-		if factory, err = a.Reattach(pool); err != nil {
-			return fail(err)
-		}
-	}
-	pool.SetCrashAtSite(pmem.NoSite, 0)
 
 	out := &chaos.Result{Crashes: res.Crashes, Logs: sched.Logs()}
 	if verr := a.Validate(pool, out); verr != nil {

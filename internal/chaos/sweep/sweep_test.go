@@ -2,6 +2,7 @@ package sweep
 
 import (
 	"encoding/json"
+	"os"
 	"testing"
 )
 
@@ -249,5 +250,58 @@ func TestSweepAllStructures(t *testing.T) {
 		if sr.FiredTasks == 0 {
 			t.Errorf("%s: no task fired a targeted crash", sr.Name)
 		}
+	}
+}
+
+func TestCompare(t *testing.T) {
+	task := func(structure string, hit int64) TaskResult {
+		return TaskResult{Structure: structure, Site: structure + "/pwb-x", Hit: hit,
+			Adversary: AdvDropAll, Depth: 1, Fired: 1, Crashes: 1}
+	}
+	base := &Report{
+		Structures: []StructureReport{{Name: "rlist"}, {Name: "rbst"}},
+		Results:    []TaskResult{task("rlist", 1), task("rlist", 2), task("rbst", 1)},
+	}
+	violated := append([]TaskResult(nil), base.Results...)
+	violated[2].Violation = "lost insert"
+	for _, c := range []struct {
+		name  string
+		fresh *Report
+		drift bool
+	}{
+		{"identical", base, false},
+		{"one result dropped", &Report{Structures: base.Structures, Results: base.Results[1:]}, true},
+		{"one structure swept", &Report{Structures: base.Structures[:1], Results: base.Results[:2]}, false},
+		{"verdict changed", &Report{Structures: base.Structures, Results: violated}, true},
+		{"task not in baseline", &Report{Structures: base.Structures,
+			Results: append(append([]TaskResult(nil), base.Results...), task("rbst", 2))}, true},
+	} {
+		if err := Compare(base, c.fresh); (err != nil) != c.drift {
+			t.Errorf("%s: Compare = %v, want drift %v", c.name, err, c.drift)
+		}
+	}
+}
+
+// TestSweepMatchesBaseline runs the configuration of `make sweep` (seed 1,
+// depth 2, crashtest's defaults, every default structure) and holds it
+// to the checked-in crash_coverage.json, as CI's crash-sweep job does.
+func TestSweepMatchesBaseline(t *testing.T) {
+	data, err := os.ReadFile("../../../crash_coverage.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base Report
+	if err := json.Unmarshal(data, &base); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := Run(Config{Seed: 1, OpsPerThread: 80, MaxHits: 3, Depth: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Compare(&base, rep); err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Results) != len(base.Results) {
+		t.Fatalf("swept %d tasks, baseline has %d", len(rep.Results), len(base.Results))
 	}
 }

@@ -385,11 +385,6 @@ func (t *Thread) Result(d pmem.Addr) uint64 {
 	return t.ctx.Load(d + descResult*pmem.WordSize)
 }
 
-// OpType reads the descriptor's operation type.
-func (t *Thread) OpType(d pmem.Addr) uint64 {
-	return t.ctx.Load(d + descOpType*pmem.WordSize)
-}
-
 // affectEntry reads affect entry i of descriptor d.
 func (t *Thread) affectEntry(d pmem.Addr, i int) (field pmem.Addr, observed uint64, untag bool) {
 	w := d + pmem.Addr((descEntries+2*i)*pmem.WordSize)

@@ -46,8 +46,8 @@ func TestDescRoundTrip(t *testing.T) {
 	news := []pmem.Addr{i2}
 	d := th.NewDesc(7, 1, affect, writes, news)
 
-	if th.OpType(d) != 7 {
-		t.Fatalf("OpType = %d", th.OpType(d))
+	if op := th.ctx.Load(d + descOpType*pmem.WordSize); op != 7 {
+		t.Fatalf("op type = %d", op)
 	}
 	if th.Result(d) != Bottom {
 		t.Fatalf("fresh result = %d, want Bottom", th.Result(d))
