@@ -28,10 +28,11 @@ bench-ab:
 bench-gate:
 	$(GO) test -tags benchgate -count=1 -run TestDisabledTelemetryOverhead ./internal/telemetry
 
-# sweep runs the deterministic crash-site sweep over every recoverable
-# structure and records the coverage matrix (see docs/crash-model.md).
+# sweep runs the deterministic crash-site sweep over every registered
+# structure under its defaults (sweep.Defaults) and records the coverage
+# matrix (see docs/crash-model.md).
 sweep:
-	$(GO) run ./cmd/crashtest -sweep -structure all -depth 2 -seed 1 -report crash_coverage.json
+	$(GO) run ./cmd/crashtest -sweep -structure all -report crash_coverage.json
 
 # docs-lint enforces the godoc policy (every exported symbol documented)
 # on the packages the harnesses build on; see cmd/docslint.

@@ -11,12 +11,14 @@
 // Sweep mode (-sweep) deterministically enumerates every registered pwb
 // site of each structure and crashes exactly there — at the k-th executed
 // hit of each site, once per crash adversary — then recovers and validates.
-// The coverage matrix is written as JSON:
+// The sweep flags default to the configuration crash_coverage.json is
+// recorded under (sweep.Defaults), so this rewrites it:
 //
 //	crashtest -sweep -structure all -report crash_coverage.json
 //
-// Structure names are the chaos adapter registry's; "all" selects the eight
-// recoverable structures (plus the Capsules baselines in randomized mode).
+// Structure names are the chaos adapter registry's; "all" selects every
+// registered structure in both modes: the six recoverable structures, the
+// rmm allocator, the sharded kvstore and the two Capsules baselines.
 package main
 
 import (
@@ -36,21 +38,19 @@ func main() {
 	var (
 		structure = flag.String("structure", "rlist", "structure under test (see -list), or \"all\"")
 		list      = flag.Bool("list", false, "list registered structures and exit")
-		seed      = flag.Int64("seed", 1, "base seed: workloads, crash points and adversaries derive from it")
+		seed      = flag.Int64("seed", sweep.Defaults.Seed, "base seed: workloads, crash points and adversaries derive from it")
 		threads   = flag.Int("threads", 4, "worker threads (randomized mode)")
-		ops       = flag.Int("ops", 80, "operations per thread")
+		ops       = flag.Int("ops", sweep.Defaults.OpsPerThread, "operations per thread")
 		crashes   = flag.Int("crashes", 6, "crashes injected per round (randomized mode)")
 		rounds    = flag.Int("rounds", 10, "independent rounds per structure (randomized mode)")
-		keyRange  = flag.Int64("keys", 16, "key range [1,k] for set structures")
 		mean      = flag.Int("mean-accesses", 800, "mean pool accesses between crashes (randomized mode)")
 
-		sweepMode    = flag.Bool("sweep", false, "run the deterministic crash-site sweep instead")
-		report       = flag.String("report", "", "write the sweep coverage report to this JSON file")
-		depth        = flag.Int("depth", 1, "sweep: chained crashes per task (2 = crash again during recovery)")
-		maxHits      = flag.Int("max-hits", 3, "sweep: hit indices swept per site")
-		workers      = flag.Int("workers", 4, "sweep: parallel crash tasks")
-		sweepThreads = flag.Int("sweep-threads", 0, "sweep: worker threads inside each task (0 = per-structure minimum, fully deterministic)")
-		compare      = flag.String("compare", "", "sweep: baseline coverage report; exit nonzero on any verdict or metric drift")
+		sweepMode = flag.Bool("sweep", false, "run the deterministic crash-site sweep instead")
+		report    = flag.String("report", "", "write the sweep coverage report to this JSON file")
+		depth     = flag.Int("depth", sweep.Defaults.Depth, "sweep: chained crashes per task (2 = crash again during recovery)")
+		maxHits   = flag.Int("max-hits", sweep.Defaults.MaxHits, "sweep: hit indices swept per site")
+		workers   = flag.Int("workers", sweep.Defaults.Workers, "sweep: parallel crash tasks")
+		compare   = flag.String("compare", "", "sweep: baseline coverage report; exit nonzero on any verdict or metric drift")
 	)
 	flag.Parse()
 
@@ -61,34 +61,26 @@ func main() {
 		return
 	}
 	if *sweepMode {
-		os.Exit(runSweep(*structure, *seed, *ops, *maxHits, *depth, *workers,
-			*sweepThreads, *report, *compare))
+		os.Exit(runSweep(*structure, *seed, *ops, *maxHits, *depth, *workers, *report, *compare))
 	}
-	os.Exit(runRandomized(*structure, *seed, *threads, *ops, *crashes, *rounds, *keyRange, *mean))
+	os.Exit(runRandomized(*structure, *seed, *threads, *ops, *crashes, *rounds, *mean))
 }
 
-// structuresFor expands "all" (sweep: the eight recoverable structures;
-// randomized: every registered adapter) or validates a single name.
-func structuresFor(structure string, sweeping bool) ([]string, error) {
-	if structure != "all" {
-		if _, err := sweep.AdapterByName(structure); err != nil {
-			return nil, err
-		}
-		return []string{structure}, nil
+// structuresFor expands "all" to every registered adapter or validates a
+// single name.
+func structuresFor(structure string) ([]string, error) {
+	if structure == "all" {
+		return sweep.AdapterNames(), nil
 	}
-	if sweeping {
-		var names []string
-		for _, a := range sweep.DefaultAdapters() {
-			names = append(names, a.Name)
-		}
-		return names, nil
+	if _, err := sweep.AdapterByName(structure); err != nil {
+		return nil, err
 	}
-	return sweep.AdapterNames(), nil
+	return []string{structure}, nil
 }
 
 // runRandomized is the classic random-crash-point stress mode.
-func runRandomized(structure string, seed int64, threads, ops, crashes, rounds int, keyRange int64, mean int) int {
-	names, err := structuresFor(structure, false)
+func runRandomized(structure string, seed int64, threads, ops, crashes, rounds, mean int) int {
+	names, err := structuresFor(structure)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -104,10 +96,6 @@ func runRandomized(structure string, seed int64, threads, ops, crashes, rounds i
 		if nThreads < a.MinThreads {
 			nThreads = a.MinThreads
 		}
-		genOp := a.GenOp
-		if a.KeyedGen != nil && keyRange > 0 {
-			genOp = a.KeyedGen(keyRange)
-		}
 		for r := 0; r < rounds; r++ {
 			s := seed + int64(r)
 			pool := pmem.New(pmem.Config{
@@ -120,7 +108,7 @@ func runRandomized(structure string, seed int64, threads, ops, crashes, rounds i
 				Pool:                       pool,
 				Threads:                    nThreads,
 				OpsPerThread:               ops,
-				GenOp:                      genOp,
+				GenOp:                      a.GenOp,
 				Reattach:                   a.Reattach,
 				Seed:                       s,
 				MaxCrashes:                 crashes,
@@ -145,9 +133,8 @@ func runRandomized(structure string, seed int64, threads, ops, crashes, rounds i
 }
 
 // runSweep is the deterministic crash-site sweep mode.
-func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepThreads int,
-	report, compare string) int {
-	names, err := structuresFor(structure, true)
+func runSweep(structure string, seed int64, ops, maxHits, depth, workers int, report, compare string) int {
+	names, err := structuresFor(structure)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -156,7 +143,6 @@ func runSweep(structure string, seed int64, ops, maxHits, depth, workers, sweepT
 	rep, err := sweep.Run(sweep.Config{
 		Structures:   names,
 		Seed:         seed,
-		Threads:      sweepThreads,
 		OpsPerThread: ops,
 		MaxHits:      maxHits,
 		Depth:        depth,

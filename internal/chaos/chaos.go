@@ -87,58 +87,12 @@ type workerState struct {
 	curInvoke int64 // Invoke stamp of the in-flight op (0 = none)
 }
 
-// makeStates builds the per-thread schedules for a run. Thread t+1's ops
-// are generated from a seed derived only from cfg.Seed and t, so schedules
-// are reproducible independently of execution order.
-func makeStates(threads, opsPerThread int, seed int64, genOp func(rng *rand.Rand, tid, i int) Op) []*workerState {
-	states := make([]*workerState, threads)
-	for t := 0; t < threads; t++ {
-		st := &workerState{}
-		opRng := rand.New(rand.NewSource(seed + int64(100+t)))
-		for i := 0; i < opsPerThread; i++ {
-			st.ops = append(st.ops, genOp(opRng, t+1, i))
-		}
-		states[t] = st
-	}
-	return states
-}
-
-// launchRound resumes every thread's schedule concurrently and waits for
-// all of them to finish their quota or park on a crash. With a non-nil
-// lockstep the threads take turns instead of running freely.
-func launchRound(states []*workerState, factory ThreadFactory, clock *atomic.Int64, step *lockstep) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(states))
-	if step != nil {
-		step.begin(len(states))
-		defer step.end()
-	}
-	for t := range states {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			if step != nil {
-				step.enter(t)
-				defer step.exit(t)
-			}
-			errs[t] = runWorker(states[t], t+1, factory, clock)
-		}(t)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Schedule is the harness-owned volatile state of one fixed workload: the
 // per-thread operation sequences, each thread's progress through them, and
 // the crash-surviving global clock stamping the records. The "system"
 // (this struct) survives crashes; the simulated threads' memory does not.
-// Callers that inject their own crash points (the site sweep) drive a
-// Schedule directly instead of going through Run.
+// Run drives one with randomized crash points; callers that inject their
+// own (the site sweep) drive a Schedule directly.
 type Schedule struct {
 	states []*workerState
 	clock  atomic.Int64
@@ -149,15 +103,48 @@ type Schedule struct {
 // operations drawn from genOp with a seed derived only from seed and t, so
 // schedules are reproducible independently of execution order.
 func NewSchedule(threads, opsPerThread int, seed int64, genOp func(rng *rand.Rand, tid, i int) Op) *Schedule {
-	return &Schedule{states: makeStates(threads, opsPerThread, seed, genOp)}
+	s := &Schedule{states: make([]*workerState, threads)}
+	for t := range s.states {
+		st := &workerState{}
+		opRng := rand.New(rand.NewSource(seed + int64(100+t)))
+		for i := 0; i < opsPerThread; i++ {
+			st.ops = append(st.ops, genOp(opRng, t+1, i))
+		}
+		s.states[t] = st
+	}
+	return s
 }
 
 // Resume runs every thread concurrently from its recorded progress until
 // it finishes its quota or parks on a crash (pmem.ErrCrashed). After a
 // crash the caller recovers the pool, rebuilds the factory, and calls
 // Resume again; interrupted operations re-enter via Thread.Recover.
+// With Lockstep set the threads take turns instead of running freely.
 func (s *Schedule) Resume(factory ThreadFactory) error {
-	return launchRound(s.states, factory, &s.clock, s.step)
+	var wg sync.WaitGroup
+	errs := make([]error, len(s.states))
+	if s.step != nil {
+		s.step.begin(len(s.states))
+		defer s.step.end()
+	}
+	for t := range s.states {
+		wg.Add(1)
+		go func(t int) {
+			defer wg.Done()
+			if s.step != nil {
+				s.step.enter(t)
+				defer s.step.exit(t)
+			}
+			errs[t] = runWorker(s.states[t], t+1, factory, &s.clock)
+		}(t)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Lockstep makes every later Resume run the threads one at a time, taking
@@ -205,14 +192,13 @@ func Run(cfg Config) (*Result, error) {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	policyRng := rand.New(rand.NewSource(cfg.Seed + 1))
 
-	states := makeStates(cfg.Threads, cfg.OpsPerThread, cfg.Seed, cfg.GenOp)
+	sched := NewSchedule(cfg.Threads, cfg.OpsPerThread, cfg.Seed, cfg.GenOp)
 
 	factory, err := cfg.Reattach(cfg.Pool)
 	if err != nil {
 		return nil, err
 	}
 
-	var clock atomic.Int64
 	res := &Result{}
 	for round := 0; ; round++ {
 		if round > cfg.MaxCrashes+1 {
@@ -222,7 +208,7 @@ func Run(cfg Config) (*Result, error) {
 			cfg.Pool.SetCrashAfter(int64(rng.Intn(2*cfg.MeanAccessesBetweenCrashes) + 1))
 		}
 
-		err := launchRound(states, factory, &clock, nil)
+		err := sched.Resume(factory)
 		cfg.Pool.SetCrashAfter(0)
 		if err != nil {
 			return nil, err
@@ -244,9 +230,7 @@ func Run(cfg Config) (*Result, error) {
 		}
 	}
 
-	for _, st := range states {
-		res.Logs = append(res.Logs, st.log)
-	}
+	res.Logs = sched.Logs()
 	return res, nil
 }
 

@@ -27,25 +27,20 @@ type Adapter struct {
 	// registered site labels: the sweep enumerates exactly the sites whose
 	// label starts with SitePrefix + "/".
 	SitePrefix string
-	// MinThreads is the smallest worker count the structure needs (the
-	// exchanger requires a partner; everything else runs single-threaded).
+	// MinThreads is the worker count of the structure's sweep tasks (in
+	// lockstep when above one) and the smallest the randomized mode runs:
+	// the exchanger needs a partner, and Capsules-Opt's marked-node
+	// persist needs a second thread's delete; everything else runs
+	// single-threaded.
 	MinThreads int
-	// DefaultSweep reports whether "-structure all" sweeps include this
-	// adapter (the eight recoverable structures: rlist, rbst, rhash,
-	// rqueue, rstack, rexchanger, rmm and kvstore; the Capsules baselines
-	// are opt-in).
-	DefaultSweep bool
 	// Setup creates a fresh instance in pool with its header in root slot
 	// 0, sized for thread ids in [0, maxThreads).
 	Setup func(pool *pmem.Pool, maxThreads int)
 	// Reattach rebuilds the structure's per-thread handles after pool
 	// recovery (or at run start).
 	Reattach func(pool *pmem.Pool) (chaos.ThreadFactory, error)
-	// GenOp produces thread tid's i-th operation of the default workload.
+	// GenOp produces thread tid's i-th operation of the workload.
 	GenOp func(rng *rand.Rand, tid, i int) chaos.Op
-	// KeyedGen, when non-nil, builds a GenOp over a caller-chosen key
-	// range (set structures only; value structures ignore key ranges).
-	KeyedGen func(keyRange int64) func(rng *rand.Rand, tid, i int) chaos.Op
 	// Validate audits a finished run: structure invariants plus the
 	// exactly-once oracle for the structure's semantics (and, for sets, a
 	// linearizability pass when the history fits the checker's bounds).
@@ -89,18 +84,6 @@ func AdapterNames() []string {
 		out = append(out, n)
 	}
 	sort.Strings(out)
-	return out
-}
-
-// DefaultAdapters returns the adapters included in "-structure all"
-// sweeps, sorted by name.
-func DefaultAdapters() []*Adapter {
-	var out []*Adapter
-	for _, n := range AdapterNames() {
-		if a := adapterRegistry[n]; a.DefaultSweep {
-			out = append(out, a)
-		}
-	}
 	return out
 }
 
@@ -153,8 +136,7 @@ func (s setThread) Recover(op chaos.Op) uint64 {
 }
 
 // view is one attached instance of a structure as the harness paths see
-// it: Reattach, a set's Validate and the scripted scenarios all derive
-// from it.
+// it: Reattach, Validate and the scripted scenarios all derive from it.
 type view struct {
 	// thread builds thread tid's harness handle on a fresh context.
 	thread func(tid int) chaos.Thread
@@ -177,6 +159,23 @@ func (attach attachFunc) reattach(pool *pmem.Pool) (chaos.ThreadFactory, error) 
 	return func(tid int) (chaos.Thread, error) { return v.thread(tid), nil }, nil
 }
 
+// validate is Adapter.Validate over the attached view: the structure's
+// quiescent invariants, then oracle over the run's history and the final
+// contents.
+func (attach attachFunc) validate(oracle func(logs [][]chaos.OpRecord, contents []int64) error) func(*pmem.Pool, *chaos.Result) error {
+	return func(pool *pmem.Pool, res *chaos.Result) error {
+		v, err := attach(pool)
+		if err != nil {
+			return err
+		}
+		boot := pool.NewThread(0)
+		if err := v.check(boot); err != nil {
+			return err
+		}
+		return oracle(res.Logs, v.contents(boot))
+	}
+}
+
 // setView is the view of an attached set structure.
 func setView[H setOps](pool *pmem.Pool, handle func(*pmem.ThreadCtx) H,
 	keys func(*pmem.ThreadCtx) []int64, check func(*pmem.ThreadCtx) error) view {
@@ -192,41 +191,33 @@ func setView[H setOps](pool *pmem.Pool, handle func(*pmem.ThreadCtx) H,
 // rows provoke.go holds for prefix) derived from attach. Validate checks
 // the invariants, the exactly-once alternation oracle against the final
 // keys, and linearizability when the history fits the checker's bounds.
-func setAdapter(name, prefix string, keyRange int64, defaultSweep bool,
+func setAdapter(name, prefix string, keyRange int64,
 	setup func(pool *pmem.Pool, maxThreads int), attach attachFunc) *Adapter {
 	return &Adapter{
-		Name: name, SitePrefix: prefix, MinThreads: 1, DefaultSweep: defaultSweep,
+		Name: name, SitePrefix: prefix, MinThreads: 1,
 		Setup: setup, Reattach: attach.reattach,
-		GenOp: chaos.SetGenOp(keyRange), KeyedGen: chaos.SetGenOp,
-		Validate: func(pool *pmem.Pool, res *chaos.Result) error {
-			v, err := attach(pool)
-			if err != nil {
+		GenOp: chaos.SetGenOp(keyRange),
+		Validate: attach.validate(func(logs [][]chaos.OpRecord, keys []int64) error {
+			if err := chaos.CheckSetAlternation(logs, chaos.SetClassifier, keys); err != nil {
 				return err
 			}
-			boot := pool.NewThread(0)
-			if err := v.check(boot); err != nil {
+			if err := chaos.CheckSetLinearizable(logs); err != nil {
 				return err
 			}
-			if err := chaos.CheckSetAlternation(res.Logs, chaos.SetClassifier, v.contents(boot)); err != nil {
-				return err
-			}
-			if err := chaos.CheckSetLinearizable(res.Logs); err != nil {
-				return err
-			}
-			if len(res.Logs) == 1 {
-				return chaos.CheckSetSequential(res.Logs[0])
+			if len(logs) == 1 {
+				return chaos.CheckSetSequential(logs[0])
 			}
 			return nil
-		},
+		}),
 		Scripted: scripted(prefix, attach),
 	}
 }
 
-// int64s converts a value structure's contents for view.contents.
-func int64s(vals []uint64) []int64 {
-	out := make([]int64, len(vals))
-	for i, v := range vals {
-		out[i] = int64(v)
+// conv converts between a value structure's values and view.contents.
+func conv[To, From int64 | uint64](xs []From) []To {
+	out := make([]To, len(xs))
+	for i, x := range xs {
+		out[i] = To(x)
 	}
 	return out
 }
@@ -236,7 +227,7 @@ func int64s(vals []uint64) []int64 {
 func uniqueValue(tid, i int) int64 { return int64(tid)<<32 | int64(i+1) }
 
 func init() {
-	RegisterAdapter(setAdapter("rlist", "rlist", 8, true,
+	RegisterAdapter(setAdapter("rlist", "rlist", 8,
 		func(pool *pmem.Pool, maxThreads int) { rlist.New(pool, maxThreads, 0) },
 		func(pool *pmem.Pool) (view, error) {
 			l, err := rlist.Attach(pool, 0)
@@ -247,7 +238,7 @@ func init() {
 				func(c *pmem.ThreadCtx) error { return l.CheckInvariants(c, true) }), nil
 		}))
 
-	RegisterAdapter(setAdapter("rbst", "rbst", 8, true,
+	RegisterAdapter(setAdapter("rbst", "rbst", 8,
 		func(pool *pmem.Pool, maxThreads int) { rbst.New(pool, maxThreads, 0) },
 		func(pool *pmem.Pool) (view, error) {
 			tr, err := rbst.Attach(pool, 0)
@@ -258,7 +249,7 @@ func init() {
 				func(c *pmem.ThreadCtx) error { return tr.CheckInvariants(c, true) }), nil
 		}))
 
-	RegisterAdapter(setAdapter("rhash", "rhash", 16, true,
+	RegisterAdapter(setAdapter("rhash", "rhash", 16,
 		func(pool *pmem.Pool, maxThreads int) { rhash.New(pool, 4, maxThreads, 0) },
 		func(pool *pmem.Pool) (view, error) {
 			m, err := rhash.Attach(pool, 0)
@@ -269,15 +260,26 @@ func init() {
 				func(c *pmem.ThreadCtx) error { return m.CheckInvariants(c, true) }), nil
 		}))
 
+	// Capsules flushes a deleted node's marked next word under
+	// pwb-traverse-read, Capsules-Opt under pwb-marked-node. Capsules-Opt
+	// reaches that site only when a traversal meets a node another thread
+	// has marked but not yet unlinked, so its tasks run two threads.
 	for _, v := range []struct {
 		name, prefix string
 		variant      capsules.Variant
+		minThreads   int
+		unreachable  map[string]string
 	}{
-		{"capsules", "caps", capsules.VariantFull},
-		{"capsules-opt", "capsopt", capsules.VariantOpt},
+		{"capsules", "caps", capsules.VariantFull, 1, map[string]string{
+			"caps/pwb-marked-node":  "VariantFull flushes every traversed next word, the marked one included, under pwb-traverse-read",
+			"caps/pwb-neighborhood": "persistNeighborhood returns at once unless the variant is Capsules-Opt",
+		}},
+		{"capsules-opt", "capsopt", capsules.VariantOpt, 2, map[string]string{
+			"capsopt/pwb-traverse-read": "traversal reads are flushed only by VariantFull",
+		}},
 	} {
 		variant := v.variant
-		RegisterAdapter(setAdapter(v.name, v.prefix, 8, false,
+		a := setAdapter(v.name, v.prefix, 8,
 			func(pool *pmem.Pool, maxThreads int) { capsules.New(pool, variant, maxThreads, 0) },
 			func(pool *pmem.Pool) (view, error) {
 				l, err := capsules.Attach(pool, variant, 0)
@@ -285,7 +287,9 @@ func init() {
 					return view{}, err
 				}
 				return setView(pool, l.Handle, l.Keys, l.CheckInvariants), nil
-			}))
+			})
+		a.MinThreads, a.Unreachable = v.minThreads, v.unreachable
+		RegisterAdapter(a)
 	}
 
 	queue := attachFunc(func(pool *pmem.Pool) (view, error) {
@@ -295,12 +299,12 @@ func init() {
 		}
 		return view{
 			thread:   func(tid int) chaos.Thread { return queueThread{h: q.Handle(pool.NewThread(tid))} },
-			contents: func(c *pmem.ThreadCtx) []int64 { return int64s(q.Drain(c)) },
+			contents: func(c *pmem.ThreadCtx) []int64 { return conv[int64](q.Drain(c)) },
 			check:    func(c *pmem.ThreadCtx) error { return q.CheckInvariants(c, true) },
 		}, nil
 	})
 	RegisterAdapter(&Adapter{
-		Name: "rqueue", SitePrefix: "rqueue", MinThreads: 1, DefaultSweep: true,
+		Name: "rqueue", SitePrefix: "rqueue", MinThreads: 1,
 		Setup:    func(pool *pmem.Pool, maxThreads int) { rqueue.New(pool, maxThreads, 0) },
 		Reattach: queue.reattach,
 		GenOp: func(rng *rand.Rand, tid, i int) chaos.Op {
@@ -309,23 +313,15 @@ func init() {
 			}
 			return chaos.Op{Kind: chaos.KindDequeue}
 		},
-		Validate: func(pool *pmem.Pool, res *chaos.Result) error {
-			q, err := rqueue.Attach(pool, 0)
-			if err != nil {
+		Validate: queue.validate(func(logs [][]chaos.OpRecord, vals []int64) error {
+			if err := chaos.CheckQueueExactlyOnce(logs, conv[uint64](vals), rqueue.Empty); err != nil {
 				return err
 			}
-			boot := pool.NewThread(0)
-			if err := q.CheckInvariants(boot, true); err != nil {
-				return err
-			}
-			if err := chaos.CheckQueueExactlyOnce(res.Logs, q.Drain(boot), rqueue.Empty); err != nil {
-				return err
-			}
-			if len(res.Logs) == 1 {
-				return chaos.CheckQueueSequential(res.Logs[0], rqueue.Empty)
+			if len(logs) == 1 {
+				return chaos.CheckQueueSequential(logs[0], rqueue.Empty)
 			}
 			return nil
-		},
+		}),
 		Scripted: scripted("rqueue", queue),
 		Unreachable: map[string]string{
 			"rqueue/pwb-info-backtrack": "every rqueue operation's AffectSet has a single entry, so its tagging loop can never fail at index >= 1",
@@ -339,12 +335,12 @@ func init() {
 		}
 		return view{
 			thread:   func(tid int) chaos.Thread { return stackThread{h: s.Handle(pool.NewThread(tid))} },
-			contents: func(c *pmem.ThreadCtx) []int64 { return int64s(s.Snapshot(c)) },
+			contents: func(c *pmem.ThreadCtx) []int64 { return conv[int64](s.Snapshot(c)) },
 			check:    func(c *pmem.ThreadCtx) error { return s.CheckInvariants(c, true) },
 		}, nil
 	})
 	RegisterAdapter(&Adapter{
-		Name: "rstack", SitePrefix: "rstack", MinThreads: 1, DefaultSweep: true,
+		Name: "rstack", SitePrefix: "rstack", MinThreads: 1,
 		Setup:    func(pool *pmem.Pool, maxThreads int) { rstack.New(pool, maxThreads, 0) },
 		Reattach: stack.reattach,
 		GenOp: func(rng *rand.Rand, tid, i int) chaos.Op {
@@ -353,23 +349,15 @@ func init() {
 			}
 			return chaos.Op{Kind: chaos.KindPop}
 		},
-		Validate: func(pool *pmem.Pool, res *chaos.Result) error {
-			s, err := rstack.Attach(pool, 0)
-			if err != nil {
+		Validate: stack.validate(func(logs [][]chaos.OpRecord, vals []int64) error {
+			if err := chaos.CheckStackExactlyOnce(logs, conv[uint64](vals), rstack.Empty); err != nil {
 				return err
 			}
-			boot := pool.NewThread(0)
-			if err := s.CheckInvariants(boot, true); err != nil {
-				return err
-			}
-			if err := chaos.CheckStackExactlyOnce(res.Logs, s.Snapshot(boot), rstack.Empty); err != nil {
-				return err
-			}
-			if len(res.Logs) == 1 {
-				return chaos.CheckStackSequential(res.Logs[0], rstack.Empty)
+			if len(logs) == 1 {
+				return chaos.CheckStackSequential(logs[0], rstack.Empty)
 			}
 			return nil
-		},
+		}),
 		Scripted: scripted("rstack", stack),
 		Unreachable: map[string]string{
 			"rstack/pwb-info-backtrack": "every rstack operation's AffectSet has a single entry, so its tagging loop can never fail at index >= 1",
@@ -377,7 +365,7 @@ func init() {
 	})
 
 	RegisterAdapter(&Adapter{
-		Name: "rexchanger", SitePrefix: "rexch", MinThreads: 2, DefaultSweep: true,
+		Name: "rexchanger", SitePrefix: "rexch", MinThreads: 2,
 		Setup: func(pool *pmem.Pool, maxThreads int) { rexchanger.New(pool, maxThreads, 0) },
 		Reattach: func(pool *pmem.Pool) (chaos.ThreadFactory, error) {
 			ex, err := rexchanger.Attach(pool, 0)
@@ -397,7 +385,7 @@ func init() {
 	})
 
 	RegisterAdapter(&Adapter{
-		Name: "rmm", SitePrefix: "rmm", MinThreads: 1, DefaultSweep: true,
+		Name: "rmm", SitePrefix: "rmm", MinThreads: 1,
 		Setup:    rmmSetup,
 		Reattach: rmmReattach,
 		GenOp:    rmmGenOp,

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/chaos"
@@ -54,14 +55,13 @@ func TestAdapterRegistry(t *testing.T) {
 	if _, err := AdapterByName("no-such"); err == nil {
 		t.Fatal("unknown structure accepted")
 	}
-	def := DefaultAdapters()
-	if len(def) != 8 {
-		t.Fatalf("DefaultAdapters() has %d entries, want the 8 recoverable structures", len(def))
+	// Every registered structure is swept: no structure list means all.
+	var cfg Config
+	if err := cfg.applyDefaults(); err != nil {
+		t.Fatal(err)
 	}
-	for _, a := range def {
-		if a.Name == "capsules" || a.Name == "capsules-opt" {
-			t.Fatal("capsules baselines must be opt-in, not in the default sweep")
-		}
+	if !slices.Equal(cfg.Structures, want) {
+		t.Fatalf("default sweep covers %v, want every adapter %v", cfg.Structures, want)
 	}
 }
 

@@ -150,7 +150,7 @@ func kvValidate(pool *pmem.Pool, s *kvstore.Store, res *chaos.Result) error {
 
 func init() {
 	RegisterAdapter(&Adapter{
-		Name: "kvstore", SitePrefix: "kvstore", MinThreads: 1, DefaultSweep: true,
+		Name: "kvstore", SitePrefix: "kvstore", MinThreads: 1,
 		Setup: kvSetup,
 		Reattach: func(pool *pmem.Pool) (chaos.ThreadFactory, error) {
 			s, err := kvstore.Recover(pool, 0)
@@ -161,7 +161,7 @@ func init() {
 				return kvThread{h: s.Handle(pool.NewThread(tid))}, nil
 			}, nil
 		},
-		GenOp: chaos.SetGenOp(kvKeyRange), KeyedGen: chaos.SetGenOp,
+		GenOp: chaos.SetGenOp(kvKeyRange),
 		Validate: func(pool *pmem.Pool, res *chaos.Result) error {
 			s, err := kvstore.Recover(pool, 0)
 			if err != nil {

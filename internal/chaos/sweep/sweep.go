@@ -43,37 +43,42 @@ const (
 // adversaries is the sweep's fixed adversary schedule.
 var adversaries = []string{AdvDropAll, AdvCommitAll, AdvRandom}
 
-// Config parameterizes a crash-site sweep.
+// Config parameterizes a crash-site sweep. Run fills a zero OpsPerThread,
+// MaxHits, Depth, Workers or PoolWords from Defaults.
 type Config struct {
-	// Structures lists the adapters to sweep; empty means every adapter
-	// with DefaultSweep set (the eight recoverable structures).
+	// Structures lists the adapters to sweep; empty means every
+	// registered adapter.
 	Structures []string
 	// Seed makes the whole sweep reproducible: workloads, crash points and
 	// the random adversary all derive from it.
 	Seed int64
-	// Threads is the worker-thread count inside each task; 0 means each
-	// structure's MinThreads (single-threaded where possible). Several
-	// threads run in lockstep (chaos.Schedule.Lockstep), so a task is
-	// fully deterministic either way.
-	Threads int
-	// OpsPerThread is each worker's operation quota per task (default 40).
+	// OpsPerThread is each worker's operation quota per task. A task runs
+	// its structure's MinThreads workers, in lockstep
+	// (chaos.Schedule.Lockstep) when there are several, so it is fully
+	// deterministic either way.
 	OpsPerThread int
 	// MaxHits caps how many hit indices k are swept per site: k = 1..min(
 	// profile hits, MaxHits), plus the site's last profiled hit when it is
-	// beyond the cap (default 3).
+	// beyond the cap.
 	MaxHits int
 	// Depth is the number of chained crashes per task: 1 crashes once at
 	// the target site; 2 re-arms the same site after recovery, crashing
-	// again while the structure recovers (default 1).
+	// again while the structure recovers.
 	Depth int
 	// Workers is the number of tasks run in parallel, each on its own
-	// pool (default 4).
+	// pool.
 	Workers int
-	// PoolWords sizes each task's pool (default 1<<20).
+	// PoolWords sizes each task's pool.
 	PoolWords int
 	// Log, when non-nil, receives human-readable progress lines.
 	Log func(format string, args ...any)
 }
+
+// Defaults is the configuration crash_coverage.json is recorded under
+// (`make sweep`): crashtest's sweep flags default to it, and Compare
+// rejects a baseline recorded under another Seed, OpsPerThread, MaxHits
+// or Depth.
+var Defaults = Config{Seed: 1, OpsPerThread: 80, MaxHits: 3, Depth: 2, Workers: 4, PoolWords: 1 << 20}
 
 // TaskResult is the outcome of one (structure, site, hit, adversary,
 // depth) crash experiment.
@@ -83,9 +88,6 @@ type TaskResult struct {
 	Hit       int64  `json:"hit"`
 	Adversary string `json:"adversary"`
 	Depth     int    `json:"depth"`
-	// Threads is the task's worker-count override (0 = the sweep default);
-	// non-zero marks a multi-threaded coverage top-up task.
-	Threads int `json:"threads,omitempty"`
 	// Scripted marks a task that ran a deterministic provocation scenario
 	// (see provoke.go) instead of a generated workload; Crashes then also
 	// counts the scenario's staging crashes.
@@ -177,7 +179,6 @@ type StructureReport struct {
 // Report is the sweep's full result, serialized to crash_coverage.json.
 type Report struct {
 	Seed         int64             `json:"seed"`
-	Threads      int               `json:"threads"`
 	OpsPerThread int               `json:"ops_per_thread"`
 	MaxHits      int               `json:"max_hits"`
 	Depth        int               `json:"depth"`
@@ -195,9 +196,6 @@ type sweepTask struct {
 	hit       int64
 	adversary string
 	depth     int
-	// threads overrides the task's worker count when positive: coverage
-	// top-up tasks for contention-only sites run multi-threaded.
-	threads int
 	// scripted selects the adapter's provocation scenario for this site
 	// instead of the generated workload.
 	scripted bool
@@ -206,17 +204,31 @@ type sweepTask struct {
 // Key returns the task result's stable identity string, so Compare can
 // line up results across reports.
 func (r TaskResult) Key() string {
-	return sweepTask{r.Structure, r.Site, r.Hit, r.Adversary, r.Depth, r.Threads, r.Scripted}.key()
+	return sweepTask{r.Structure, r.Site, r.Hit, r.Adversary, r.Depth, r.Scripted}.key()
 }
 
-// Compare checks a fresh sweep against a baseline report and returns an
-// error listing every drift: a fresh task the baseline lacks, a different
-// verdict (Violation or Error), and, for deterministic tasks (no
-// thread-count override), different Fired, Crashes or metrics. Every
-// baseline task of a structure the fresh run swept must have run too;
-// baseline tasks of structures it did not sweep are ignored, so a
-// one-structure sweep checks only that structure.
+// Compare checks a fresh sweep against a baseline report. A baseline
+// recorded under another seed, ops, max-hits or depth is rejected by
+// naming the field. Otherwise it returns an error listing every drifted
+// task: a fresh task the baseline lacks, or a different verdict
+// (Violation or Error), Fired, Crashes or metrics. Every baseline task of
+// a structure the fresh run swept must have run too; baseline tasks of
+// structures it did not sweep are ignored, so a one-structure sweep
+// checks only that structure.
 func Compare(baseline, fresh *Report) error {
+	for _, f := range []struct {
+		name        string
+		base, fresh int64
+	}{
+		{"seed", baseline.Seed, fresh.Seed},
+		{"ops_per_thread", int64(baseline.OpsPerThread), int64(fresh.OpsPerThread)},
+		{"max_hits", int64(baseline.MaxHits), int64(fresh.MaxHits)},
+		{"depth", int64(baseline.Depth), int64(fresh.Depth)},
+	} {
+		if f.base != f.fresh {
+			return fmt.Errorf("baseline recorded under %s %d, this run used %d", f.name, f.base, f.fresh)
+		}
+	}
 	base := make(map[string]TaskResult, len(baseline.Results))
 	for _, r := range baseline.Results {
 		base[r.Key()] = r
@@ -233,9 +245,6 @@ func Compare(baseline, fresh *Report) error {
 		case r.Violation != b.Violation || r.Error != b.Error:
 			drift = append(drift, fmt.Sprintf("%s: verdict %q/%q, baseline %q/%q",
 				k, r.Violation, r.Error, b.Violation, b.Error))
-		case r.Threads != 0:
-			// Multi-threaded top-up tasks run freely: only the verdict
-			// is deterministic.
 		case r.Fired != b.Fired || r.Crashes != b.Crashes:
 			drift = append(drift, fmt.Sprintf("%s: fired/crashes %d/%d, baseline %d/%d",
 				k, r.Fired, r.Crashes, b.Fired, b.Crashes))
@@ -258,10 +267,12 @@ func Compare(baseline, fresh *Report) error {
 	return nil
 }
 
-// key is the task's stable identity.
+// key is the task's stable identity. Its constant "t=0" is the retired
+// per-task thread override: keeping it keeps every task's seed, and so the
+// random adversary's coins, those of earlier reports.
 func (t sweepTask) key() string {
-	k := fmt.Sprintf("%s|%s|k=%d|adv=%s|d=%d|t=%d",
-		t.structure, t.site, t.hit, t.adversary, t.depth, t.threads)
+	k := fmt.Sprintf("%s|%s|k=%d|adv=%s|d=%d|t=0",
+		t.structure, t.site, t.hit, t.adversary, t.depth)
 	if t.scripted {
 		k += "|script"
 	}
@@ -275,12 +286,11 @@ func (t sweepTask) taskSeed(seed int64) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
-// applyDefaults fills zero fields and resolves the structure list.
+// applyDefaults fills zero fields from Defaults and resolves the
+// structure list.
 func (cfg *Config) applyDefaults() error {
 	if len(cfg.Structures) == 0 {
-		for _, a := range DefaultAdapters() {
-			cfg.Structures = append(cfg.Structures, a.Name)
-		}
+		cfg.Structures = AdapterNames()
 	}
 	for _, n := range cfg.Structures {
 		if _, err := AdapterByName(n); err != nil {
@@ -288,33 +298,21 @@ func (cfg *Config) applyDefaults() error {
 		}
 	}
 	if cfg.OpsPerThread <= 0 {
-		cfg.OpsPerThread = 40
+		cfg.OpsPerThread = Defaults.OpsPerThread
 	}
 	if cfg.MaxHits <= 0 {
-		cfg.MaxHits = 3
+		cfg.MaxHits = Defaults.MaxHits
 	}
 	if cfg.Depth <= 0 {
-		cfg.Depth = 1
+		cfg.Depth = Defaults.Depth
 	}
 	if cfg.Workers <= 0 {
-		cfg.Workers = 4
+		cfg.Workers = Defaults.Workers
 	}
 	if cfg.PoolWords <= 0 {
-		cfg.PoolWords = 1 << 20
+		cfg.PoolWords = Defaults.PoolWords
 	}
 	return nil
-}
-
-// threadsFor resolves the worker count for one structure.
-func (cfg *Config) threadsFor(a *Adapter) int {
-	n := cfg.Threads
-	if n < a.MinThreads {
-		n = a.MinThreads
-	}
-	if n <= 0 {
-		n = 1
-	}
-	return n
 }
 
 // logf forwards to cfg.Log when set.
@@ -339,7 +337,7 @@ func (cfg *Config) newTaskPool(a *Adapter, threads int) *pmem.Pool {
 // per-site PWB hit counts for the structure's own sites (prefix match),
 // including sites the workload never reached.
 func profileStructure(a *Adapter, cfg *Config) (map[string]uint64, error) {
-	threads := cfg.threadsFor(a)
+	threads := a.MinThreads
 	pool := cfg.newTaskPool(a, threads)
 	sched := chaos.NewSchedule(threads, cfg.OpsPerThread, cfg.Seed, a.GenOp)
 	if threads > 1 {
@@ -371,7 +369,9 @@ func profileStructure(a *Adapter, cfg *Config) (map[string]uint64, error) {
 // planTasks expands one structure's profile into its deterministic task
 // list: for every executed site, hits k = 1..min(H, MaxHits) plus the last
 // profiled hit H when beyond the cap, crossed with every adversary; depth-2
-// variants re-crash during recovery under the worst-case adversary.
+// variants re-crash during recovery under the worst-case adversary. An
+// unexecuted site gets its scripted scenario's tasks, or none when it is
+// declared unreachable or left uncovered (both reported by Run).
 func planTasks(a *Adapter, hits map[string]uint64, cfg *Config) []sweepTask {
 	sites := make([]string, 0, len(hits))
 	for s := range hits {
@@ -382,33 +382,14 @@ func planTasks(a *Adapter, hits map[string]uint64, cfg *Config) []sweepTask {
 	for _, site := range sites {
 		h := int64(hits[site])
 		if h == 0 {
-			if _, ok := a.Unreachable[site]; ok {
-				// Declared structurally dead (and the profile agrees):
-				// nothing to crash, reported as unreachable.
-				continue
-			}
 			if _, ok := a.Scripted[site]; ok {
 				// A deterministic provocation scenario reaches the site;
 				// it produces exactly one hit, so only k = 1 is swept.
 				for _, adv := range adversaries {
-					tasks = append(tasks, sweepTask{a.Name, site, 1, adv, 1, 0, true})
+					tasks = append(tasks, sweepTask{a.Name, site, 1, adv, 1, true})
 				}
 				if cfg.Depth >= 2 {
-					tasks = append(tasks, sweepTask{a.Name, site, 1, AdvDropAll, 2, 0, true})
-				}
-				continue
-			}
-			// Contention-only site the single-threaded profile never
-			// reaches. Arm its first hits under a contended multi-threaded
-			// workload as a coverage top-up; the (site, hit) crash point
-			// stays exact even though the interleaving around it varies.
-			contended := cfg.threadsFor(a)
-			if contended < 3 {
-				contended = 3
-			}
-			for k := int64(1); k <= 2; k++ {
-				for _, adv := range adversaries {
-					tasks = append(tasks, sweepTask{a.Name, site, k, adv, 1, contended, false})
+					tasks = append(tasks, sweepTask{a.Name, site, 1, AdvDropAll, 2, true})
 				}
 			}
 			continue
@@ -422,10 +403,10 @@ func planTasks(a *Adapter, hits map[string]uint64, cfg *Config) []sweepTask {
 		}
 		for _, k := range ks {
 			for _, adv := range adversaries {
-				tasks = append(tasks, sweepTask{a.Name, site, k, adv, 1, 0, false})
+				tasks = append(tasks, sweepTask{a.Name, site, k, adv, 1, false})
 			}
 			if cfg.Depth >= 2 {
-				tasks = append(tasks, sweepTask{a.Name, site, k, AdvDropAll, 2, 0, false})
+				tasks = append(tasks, sweepTask{a.Name, site, k, AdvDropAll, 2, false})
 			}
 		}
 	}
@@ -488,7 +469,7 @@ func runProvokeTask(a *Adapter, t sweepTask, cfg *Config) TaskResult {
 		Structure: t.structure, Site: t.site, Hit: t.hit,
 		Adversary: t.adversary, Depth: t.depth, Scripted: true,
 	}
-	pool := cfg.newTaskPool(a, cfg.threadsFor(a)+1) // scenarios use threads 0..2
+	pool := cfg.newTaskPool(a, a.MinThreads+1) // scenarios use threads 0..2
 	reg := taskRegistry(pool)
 	advRng := rand.New(rand.NewSource(t.taskSeed(cfg.Seed)))
 	p := &Provoker{
@@ -515,7 +496,7 @@ func runSweepTask(a *Adapter, t sweepTask, cfg *Config) TaskResult {
 	}
 	res := TaskResult{
 		Structure: t.structure, Site: t.site, Hit: t.hit,
-		Adversary: t.adversary, Depth: t.depth, Threads: t.threads,
+		Adversary: t.adversary, Depth: t.depth,
 	}
 	var reg *telemetry.Registry
 	fail := func(err error) TaskResult {
@@ -525,18 +506,14 @@ func runSweepTask(a *Adapter, t sweepTask, cfg *Config) TaskResult {
 		}
 		return res
 	}
-	threads := cfg.threadsFor(a)
-	if t.threads > 0 {
-		threads = t.threads
-	}
+	threads := a.MinThreads
 	pool := cfg.newTaskPool(a, threads)
 	reg = taskRegistry(pool)
 	site := pool.RegisterSite(t.site) // idempotent label lookup
 	sched := chaos.NewSchedule(threads, cfg.OpsPerThread, cfg.Seed, a.GenOp)
-	if t.threads == 0 && threads > 1 {
+	if threads > 1 {
 		// Replay the profile's interleaving, so the k-th hit the task
-		// arms is the profile's k-th hit. Top-up tasks run freely: they
-		// exist to provoke contention the replayed schedule lacks.
+		// arms is the profile's k-th hit.
 		sched.Lockstep(pool, reg)
 	}
 
@@ -571,15 +548,13 @@ func runSweepTask(a *Adapter, t sweepTask, cfg *Config) TaskResult {
 }
 
 // Run runs the crash-site sweep and returns its coverage report. Given
-// the same Config the task list and every task result except the
-// free-running top-up tasks are deterministic.
+// the same Config the task list and every task result are deterministic.
 func Run(cfg Config) (*Report, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
 	}
 	rep := &Report{
-		Seed: cfg.Seed, Threads: cfg.Threads,
-		OpsPerThread: cfg.OpsPerThread, MaxHits: cfg.MaxHits, Depth: cfg.Depth,
+		Seed: cfg.Seed, OpsPerThread: cfg.OpsPerThread, MaxHits: cfg.MaxHits, Depth: cfg.Depth,
 	}
 
 	// Phase 1: profile every structure and plan the task matrix.

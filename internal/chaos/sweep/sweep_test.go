@@ -3,16 +3,18 @@ package sweep
 import (
 	"encoding/json"
 	"os"
+	"strings"
 	"testing"
 )
 
-// smallSweep is a quick single-structure sweep configuration.
+// smallSweep is a quick single-structure depth-1 sweep configuration.
 func smallSweep(structure string) Config {
 	return Config{
 		Structures:   []string{structure},
 		Seed:         42,
 		OpsPerThread: 15,
 		MaxHits:      2,
+		Depth:        1,
 		Workers:      4,
 		PoolWords:    1 << 18,
 	}
@@ -39,10 +41,10 @@ func TestSweepListCoversAllSitesNoViolations(t *testing.T) {
 	if sr.Tasks == 0 || sr.FiredTasks == 0 || sr.Crashes == 0 {
 		t.Fatalf("sweep did nothing: %+v", sr)
 	}
-	// Single-threaded tasks replay the profiled schedule, so every armed
-	// hit k <= profile hits must actually fire.
+	// Tasks replay the profiled schedule, so every armed hit k <= profile
+	// hits must actually fire.
 	for _, r := range rep.Results {
-		if r.Threads == 0 && r.Fired == 0 {
+		if r.Fired == 0 {
 			t.Errorf("deterministic task %s k=%d never fired", r.Site, r.Hit)
 		}
 	}
@@ -161,14 +163,16 @@ func TestSweepKVStore(t *testing.T) {
 
 // TestSweepDeterministicGivenSeed pins that a sweep repeats exactly from
 // its seed, and that every armed hit fires. Multi-threaded tasks run in
-// lockstep, so that holds for the exchanger, which needs two threads, and
-// for a -threads 2 sweep of the stack as for a single-threaded structure.
+// lockstep, so that holds for the two structures that run two threads,
+// the exchanger and Capsules-Opt, as for a single-threaded structure.
 func TestSweepDeterministicGivenSeed(t *testing.T) {
 	exch := smallSweep("rexchanger")
 	exch.Depth = 2
-	stack := smallSweep("rstack")
-	stack.Threads = 2
-	for _, cfg := range []Config{smallSweep("rbst"), exch, stack} {
+	// At 60 ops the profile reaches capsopt/pwb-marked-node, the site
+	// only a second thread's delete exposes.
+	caps := smallSweep("capsules-opt")
+	caps.OpsPerThread = 60
+	for _, cfg := range []Config{smallSweep("rbst"), exch, caps} {
 		name := cfg.Structures[0]
 		rep1, err := Run(cfg)
 		if err != nil {
@@ -187,6 +191,9 @@ func TestSweepDeterministicGivenSeed(t *testing.T) {
 			if r.Fired == 0 || r.Violation != "" || r.Error != "" {
 				t.Errorf("%s: %s fired=%d %s%s", name, r.Key(), r.Fired, r.Violation, r.Error)
 			}
+		}
+		if u := rep1.Structures[0].UncoveredSites; len(u) != 0 {
+			t.Errorf("%s: uncovered sites %v", name, u)
 		}
 	}
 }
@@ -222,7 +229,7 @@ func TestSweepUnknownStructure(t *testing.T) {
 }
 
 // TestSweepAllStructures is the in-tree miniature of the CI sweep: every
-// default structure, one hit per site, all adversaries.
+// registered structure, one hit per site, all adversaries.
 func TestSweepAllStructures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long sweep")
@@ -231,6 +238,7 @@ func TestSweepAllStructures(t *testing.T) {
 		Seed:         7,
 		OpsPerThread: 12,
 		MaxHits:      1,
+		Depth:        1,
 		Workers:      8,
 		PoolWords:    1 << 18,
 	}
@@ -238,8 +246,8 @@ func TestSweepAllStructures(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Structures) != 8 {
-		t.Fatalf("swept %d structures, want 8", len(rep.Structures))
+	if n := len(AdapterNames()); len(rep.Structures) != n {
+		t.Fatalf("swept %d structures, want all %d", len(rep.Structures), n)
 	}
 	for _, r := range rep.Results {
 		if r.Violation != "" || r.Error != "" {
@@ -280,11 +288,30 @@ func TestCompare(t *testing.T) {
 			t.Errorf("%s: Compare = %v, want drift %v", c.name, err, c.drift)
 		}
 	}
+	// A baseline recorded under another configuration is rejected by
+	// naming the field, not by listing every task as drifted.
+	for _, c := range []struct {
+		field string
+		set   func(*Report)
+	}{
+		{"seed", func(r *Report) { r.Seed = 2 }},
+		{"ops_per_thread", func(r *Report) { r.OpsPerThread = 40 }},
+		{"max_hits", func(r *Report) { r.MaxHits = 1 }},
+		{"depth", func(r *Report) { r.Depth = 1 }},
+	} {
+		fresh := *base
+		c.set(&fresh)
+		err := Compare(base, &fresh)
+		if err == nil || !strings.Contains(err.Error(), c.field) || strings.Contains(err.Error(), "drifted") {
+			t.Errorf("%s differs: Compare = %v, want an error naming %s", c.field, err, c.field)
+		}
+	}
 }
 
-// TestSweepMatchesBaseline runs the configuration of `make sweep` (seed 1,
-// depth 2, crashtest's defaults, every default structure) and holds it
-// to the checked-in crash_coverage.json, as CI's crash-sweep job does.
+// TestSweepMatchesBaseline runs the configuration crash_coverage.json is
+// recorded under (Defaults, every structure) and holds it to that file, as
+// CI's crash-sweep job does. Every task fires and every registered site is
+// swept or declared unreachable.
 func TestSweepMatchesBaseline(t *testing.T) {
 	data, err := os.ReadFile("../../../crash_coverage.json")
 	if err != nil {
@@ -294,7 +321,7 @@ func TestSweepMatchesBaseline(t *testing.T) {
 	if err := json.Unmarshal(data, &base); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := Run(Config{Seed: 1, OpsPerThread: 80, MaxHits: 3, Depth: 2})
+	rep, err := Run(Defaults)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,5 +330,15 @@ func TestSweepMatchesBaseline(t *testing.T) {
 	}
 	if len(rep.Results) != len(base.Results) {
 		t.Fatalf("swept %d tasks, baseline has %d", len(rep.Results), len(base.Results))
+	}
+	for _, r := range rep.Results {
+		if r.Fired == 0 {
+			t.Errorf("%s never fired", r.Key())
+		}
+	}
+	for _, sr := range rep.Structures {
+		if len(sr.UncoveredSites) != 0 {
+			t.Errorf("%s: uncovered sites %v", sr.Name, sr.UncoveredSites)
+		}
 	}
 }
