@@ -1,6 +1,10 @@
 package bench
 
 import (
+	"fmt"
+	"reflect"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/pmem"
@@ -34,10 +38,10 @@ type commitPath struct {
 }
 
 var commitPaths = []commitPath{
-	{"redolog", setupRedologCommit, 85_099, 40_009},
-	{"romulus", setupRomulusCommit, 120_160, 60_000},
-	{"rqueue", setupRQueueOps, 182_483, 80_000},
-	{"rstack", setupRStackOps, 197_642, 80_000},
+	{"redolog", setupRedologCommit, 85099, 40009},
+	{"romulus", setupRomulusCommit, 120160, 60000},
+	{"rqueue", setupRQueueOps, 174945, 80000},
+	{"rstack", setupRStackOps, 180190, 80000},
 }
 
 // start builds the path on a fresh pool and returns it with a func that
@@ -82,13 +86,19 @@ func BenchmarkCommitPath(b *testing.B) {
 // TestCommitPathCountsGolden pins the pwbs and psyncs each commit path
 // executes over batchOps single-thread fast-mode ops. One thread makes
 // the counts exact, so a change to what a commit protocol flushes moves
-// them.
+// them. On a failure it logs the measured table as Go rows, ready to
+// paste.
 func TestCommitPathCountsGolden(t *testing.T) {
+	var rows []string
+	defer logRows(t, &rows)
 	for _, c := range commitPaths {
 		p, run := c.start()
 		base := p.Snapshot()
 		run(batchOps)
 		st := p.Snapshot().Sub(base)
+		setup := runtime.FuncForPC(reflect.ValueOf(c.setup).Pointer()).Name()
+		rows = append(rows, fmt.Sprintf("{%q, %s, %d, %d},",
+			c.name, setup[strings.LastIndexByte(setup, '.')+1:], st.PWBs, st.PSyncs))
 		if st.PWBs != c.pwbs || st.PSyncs != c.psyncs {
 			t.Errorf("%s: %d pwbs, %d psyncs; golden %d, %d", c.name, st.PWBs, st.PSyncs, c.pwbs, c.psyncs)
 		}

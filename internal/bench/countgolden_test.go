@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/kvstore"
@@ -312,18 +311,13 @@ func runFrozenWorkload(t *testing.T, g frozenGeometry) (workloadCounts, kvstore.
 func TestFrozenWorkloadCountsGolden(t *testing.T) {
 	golden := []workloadCounts{
 		// name, pwbs, syncs, words, crashes, recSlots, recLeaks, recPWBs, recPSyncs
-		{"kv-read-heavy", 16999, 10176, 34278, 0, 0, 0, 0, 64},
-		{"kv-update-heavy", 148487, 89482, 138872, 0, 0, 0, 0, 16},
-		{"list-update-heavy", 81492, 35045, 107224, 0, 0, 0, 0, 0},
-		{"kv-crash-recover", 83661, 51017, 94265, 8, 2, 4, 6, 578},
+		{"kv-read-heavy", 15771, 10176, 34278, 0, 0, 0, 0, 64},
+		{"kv-update-heavy", 137937, 89482, 138872, 0, 0, 0, 0, 16},
+		{"list-update-heavy", 73174, 35045, 107224, 0, 0, 0, 0, 0},
+		{"kv-crash-recover", 77762, 51017, 94265, 8, 2, 4, 6, 578},
 	}
 	var rows []string
-	defer func() {
-		if t.Failed() {
-			t.Logf("measured table (%d of %d runs finished):\n\t\t%s",
-				len(rows), len(golden), strings.Join(rows, "\n\t\t"))
-		}
-	}()
+	defer logRows(t, &rows)
 	for i, g := range frozenGeometries {
 		got, clean := runFrozenWorkload(t, g)
 		rows = append(rows, got.row())

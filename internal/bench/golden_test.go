@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -42,22 +43,33 @@ func (g paperGolden) run(t *testing.T) (pwbs, barriers uint64) {
 	return st.PWBs, st.PSyncs + st.PFences
 }
 
+// row formats measured counts of g's series as a golden table row, ready
+// to paste.
+func (g paperGolden) row(pwbs, barriers uint64) string {
+	algo := map[Algo]string{AlgoTracking: "AlgoTracking", AlgoCapsulesOpt: "AlgoCapsulesOpt"}[g.algo]
+	return fmt.Sprintf("{%s, %q, %s, %d, %d},", algo, g.mix, g.mix, pwbs, barriers)
+}
+
 // TestPaperFigureGolden is the paper golden: the figure configurations'
 // per-operation counts for Tracking and Capsules-Opt on both of the
 // paper's mixes, and the paper's ordering between them (Tracking executes
-// more pwbs and more psync+pfence per operation than Capsules-Opt).
+// more pwbs and more psync+pfence per operation than Capsules-Opt). On a
+// failure it logs the measured table as Go rows, ready to paste.
 func TestPaperFigureGolden(t *testing.T) {
 	read, update := ReadIntensive(), UpdateIntensive()
 	goldens := []paperGolden{
-		{AlgoTracking, "read", read, 140066, 88958},
+		{AlgoTracking, "read", read, 133894, 88958},
 		{AlgoCapsulesOpt, "read", read, 128958, 85972},
-		{AlgoTracking, "update", update, 177068, 100961},
+		{AlgoTracking, "update", update, 162767, 100961},
 		{AlgoCapsulesOpt, "update", update, 140961, 93974},
 	}
 	perOp := func(n uint64) float64 { return float64(n) / paperGoldenOps }
 	got := map[string][2]uint64{}
+	var rows []string
+	defer logRows(t, &rows)
 	for _, g := range goldens {
 		pwbs, barriers := g.run(t)
+		rows = append(rows, g.row(pwbs, barriers))
 		t.Logf("%s %s: %d pwbs (%.3f/op), %d psync+pfence (%.3f/op)",
 			g.algo, g.mix, pwbs, perOp(pwbs), barriers, perOp(barriers))
 		if pwbs != g.pwbs || barriers != g.barriers {
@@ -198,16 +210,37 @@ func hashMixPWBs(t *testing.T, g int) uint64 {
 // backtracking and re-persisting another helper's tag all show up in
 // these counts, so any change to what the default path flushes under
 // contention moves them. Each count is taken twice: the lockstep run
-// must repeat exactly.
+// must repeat exactly. On a failure it logs the first runs' counts as Go
+// rows, ready to paste.
 func TestHashMixPWBGolden(t *testing.T) {
+	var rows []string
+	defer logRows(t, &rows)
 	for _, c := range []struct {
 		goroutines int
 		pwbs       uint64
-	}{{1, 11_600}, {2, 13_161}, {4, 14_862}, {8, 18_107}, {16, 21_140}} {
+	}{
+		{1, 10372},
+		{2, 11661},
+		{4, 13094},
+		{8, 15215},
+		{16, 18720},
+	} {
 		for run := 0; run < 2; run++ {
-			if got := hashMixPWBs(t, c.goroutines); got != c.pwbs {
+			got := hashMixPWBs(t, c.goroutines)
+			if run == 0 {
+				rows = append(rows, fmt.Sprintf("{%d, %d},", c.goroutines, got))
+			}
+			if got != c.pwbs {
 				t.Errorf("g=%d run %d: executed %d pwbs, golden %d", c.goroutines, run, got, c.pwbs)
 			}
 		}
+	}
+}
+
+// logRows logs a golden test's measured rows if the test failed; a test
+// defers it over the rows it appends as it measures.
+func logRows(t *testing.T, rows *[]string) {
+	if t.Failed() {
+		t.Logf("measured table (%d rows):\n\t\t%s", len(*rows), strings.Join(*rows, "\n\t\t"))
 	}
 }

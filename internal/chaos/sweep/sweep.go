@@ -267,11 +267,9 @@ func Compare(baseline, fresh *Report) error {
 	return nil
 }
 
-// key is the task's stable identity. Its constant "t=0" is the retired
-// per-task thread override: keeping it keeps every task's seed, and so the
-// random adversary's coins, those of earlier reports.
+// key is the task's stable identity; taskSeed hashes it.
 func (t sweepTask) key() string {
-	k := fmt.Sprintf("%s|%s|k=%d|adv=%s|d=%d|t=0",
+	k := fmt.Sprintf("%s|%s|k=%d|adv=%s|d=%d",
 		t.structure, t.site, t.hit, t.adversary, t.depth)
 	if t.scripted {
 		k += "|script"

@@ -46,6 +46,33 @@
 // unreachable until the update CAS. In the last case d itself is durable,
 // because the pfence orders the descriptor before the word.
 //
+// # One write-back per line
+//
+// Four persist phases write back a set of objects: Publish (the
+// descriptor and the NewSet, Algorithm 1 line 19), Help's cleanup (every
+// info field it untags), its backtrack, and the late visit's cleanup
+// (lateCleanup). AllocLocal lays an operation's
+// fresh nodes and descriptor out back to back, and neighbouring nodes'
+// info fields share lines, so flushing object by object writes one line
+// back two or three times in one fence epoch. Each of these phases
+// instead collects the lines it writes (a lineSet) and writes back each
+// distinct line once, after the phase's last store to it and before the
+// phase's PFence or PSync. The tagging phase keeps one write-back per
+// entry: its flush is interleaved with the abort path.
+//
+// Every crash state the rule reaches is one that flushing object by
+// object reaches. A write-back captures its line when issued and may or
+// may not complete, at the adversary's choice, until the next PSync. The
+// kept write-back follows every store of the phase to its line, so it
+// carries the newest content any skipped write-back of that line in the
+// epoch would have carried. A skipped one carried older content, no fence
+// separates it from the kept one, and the adversary may always leave it
+// incomplete; a crash between the phase's stores and its flushes leaves
+// only evictions, which both orders allow alike. So under drop-all,
+// commit-all, random completion and eviction the rule's durable images
+// are a subset of the object-by-object ones, and the volatile execution,
+// which no write-back changes, is the same.
+//
 // # Profiles
 //
 // An Engine runs one of three profiles. Default, which New and Attach

@@ -367,12 +367,18 @@ func (t *Thread) SetEarlyResult(d pmem.Addr, v uint64) {
 // attempt whose recovery Help fails again) — and d has tagged nothing,
 // since Help starts after the psync — or d | 1 with d itself durable,
 // since the pfence orders the descriptor before the checkpoint.
+//
+// The descriptor and the fresh regions are written back as one set of
+// lines: AllocLocal lays them out back to back, and a line they share is
+// flushed once.
 func (t *Thread) Publish(d pmem.Addr, fresh ...Region) {
 	s := &t.eng.sites
-	t.ctx.PWBRange(s.publish, d, t.DescWords(d))
+	ls := lineSet{ctx: t.ctx, site: s.publish}
+	ls.addRange(d, t.DescWords(d))
 	for _, r := range fresh {
-		t.ctx.PWBRange(s.publish, r.Addr, r.Words)
+		ls.addRange(r.Addr, r.Words)
 	}
+	ls.flush()
 	t.ctx.PFence()
 	t.ctx.Store(t.ck, uint64(d)|1)
 	t.ctx.PWB(s.rd, t.ck)
@@ -443,11 +449,13 @@ func (t *Thread) Help(d pmem.Addr) {
 			// set of nodes tagged by d is always a prefix of the
 			// AffectSet, so this backtrack also finishes a cleanup
 			// interrupted by a crash.
+			ls := lineSet{ctx: c, site: s.back}
 			for j := i - 1; j >= 0; j-- {
 				pf, _, _ := t.affectEntry(d, j)
 				c.CASV(pf, tag, untag)
-				c.PWB(s.back, pf)
+				ls.add(pf)
 			}
+			ls.flush()
 			c.PSync()
 			return
 		}
@@ -471,12 +479,14 @@ func (t *Thread) Help(d pmem.Addr) {
 	c.PSync()
 
 	// Cleanup phase: untag the NewSet, then the AffectSet in reverse
-	// order (see the prefix invariant above). Nodes the operation removed
-	// from the structure keep their tag forever.
+	// order (see the prefix invariant above), and write back each line
+	// the untags touched once. Nodes the operation removed from the
+	// structure keep their tag forever.
+	ls := lineSet{ctx: c, site: s.cleanup}
 	for i := 0; i < nN; i++ {
 		nf := t.newEntry(d, nA, nW, i)
 		c.CASV(nf, tag, untag)
-		c.PWB(s.cleanup, nf)
+		ls.add(nf)
 	}
 	for i := nA - 1; i >= 0; i-- {
 		field, _, doUntag := t.affectEntry(d, i)
@@ -484,8 +494,9 @@ func (t *Thread) Help(d pmem.Addr) {
 			continue
 		}
 		c.CASV(field, tag, untag)
-		c.PWB(s.cleanup, field)
+		ls.add(field)
 	}
+	ls.flush()
 	c.PSync()
 }
 
@@ -503,10 +514,11 @@ func (t *Thread) lateCleanup(d pmem.Addr, nA, nW, nN int) {
 	c := t.ctx
 	s := &t.eng.sites
 	tag, untag := Tagged(d), Untagged(d)
+	ls := lineSet{ctx: c, site: s.cleanup}
 	for i := 0; i < nN; i++ {
 		nf := t.newEntry(d, nA, nW, i)
 		if _, ok := c.CASV(nf, tag, untag); ok {
-			c.PWB(s.cleanup, nf)
+			ls.add(nf)
 		}
 	}
 	for i := nA - 1; i >= 0; i-- {
@@ -515,9 +527,10 @@ func (t *Thread) lateCleanup(d pmem.Addr, nA, nW, nN int) {
 			continue
 		}
 		if _, ok := c.CASV(field, tag, untag); ok {
-			c.PWB(s.cleanup, field)
+			ls.add(field)
 		}
 	}
+	ls.flush()
 	c.PSync()
 }
 
