@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench-ab bench-gate sweep docs-lint telemetry-smoke ci
+.PHONY: all build test race bench-ab bench-gate traffic-cover sweep docs-lint telemetry-smoke ci
 
 all: build
 
@@ -27,6 +27,22 @@ bench-ab:
 # deterministic: today the detached-telemetry overhead ratio (<2%).
 bench-gate:
 	$(GO) test -tags benchgate -count=1 -run TestDisabledTelemetryOverhead ./internal/telemetry
+
+# traffic-cover measures which internal/ code the frozen benchmark runs:
+# benchmark/run.sh, unchanged, builds its binary with coverage counters
+# over internal/... and benchmark and runs all four workloads once
+# (-trace 0 -seconds 2 -seed 61, about a minute on 2 vCPUs). It prints
+# every function the run never entered and leaves a textfmt profile in
+# .bench_build/traffic-cover/cover.out (`go tool cover -func` or -html
+# reads it). -coverpkg takes import-path patterns: ./internal/... builds
+# a binary that writes no counters.
+COVER_DIR = .bench_build/traffic-cover
+traffic-cover:
+	rm -rf $(COVER_DIR) && mkdir -p $(COVER_DIR)/counters
+	GOFLAGS="-cover -coverpkg=repro/internal/...,repro/benchmark" GOCOVERDIR="$(CURDIR)/$(COVER_DIR)/counters" \
+		timeout 300 bash benchmark/run.sh -trace 0 -seconds 2 -seed 61 > $(COVER_DIR)/run.txt
+	$(GO) tool covdata textfmt -i=$(COVER_DIR)/counters -o $(COVER_DIR)/cover.out
+	$(GO) tool covdata func -i=$(COVER_DIR)/counters | awk '$$NF == "0.0%"'
 
 # sweep runs the deterministic crash-site sweep over every registered
 # structure under its defaults (sweep.Defaults) and records the coverage

@@ -16,11 +16,9 @@
 //     index array, with a version-tagged top to defeat ABA),
 //   - per-handle allocation caches and batched free buffers, so both
 //     sides of churn touch the shared top pointer once per ~16 ops,
-//   - a span-bucket address-resolution table (one shift plus at most two
-//     compares maps a freed address to its owning chunk, independent of
-//     the chunk count; republished in one pointer swap on each grow, and
-//     replaced by a scan of the chunk bases when the chunks lie too far
-//     apart for an index of O(chunks) size).
+//   - the chunk table itself: Free, Owns and RecoverGC's marker map a
+//     block address to its owning chunk by scanning the published chunks
+//     (at most maxChunks; a kvstore shard allocator holds two or three).
 //
 // A crash discards all of it; Attach rebuilds the free-stacks from the
 // bitmaps, and RecoverGC rebuilds them from the application's reachable

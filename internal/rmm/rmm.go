@@ -125,21 +125,10 @@ type Allocator struct {
 	capShift    int
 	strideShift int
 	chunks      []atomic.Pointer[chunk]
-	// bases is the published address-resolution table: the arena base of
-	// every chunk in chunk order plus, when the chunk span is a power of
-	// two and the chunks lie close together, a span-granular bucket index
-	// mapping an address directly to its owning chunk (at most two
-	// candidates per bucket, since disjoint span-length arenas can overlap
-	// a span-length bucket at most twice). Free resolves a block address
-	// through it in O(1) instead of scanning the base list — the same trick
-	// page-table-style allocators use.
-	// Republished as one pointer swap on each grow so readers always see a
-	// consistent table.
-	bases   atomic.Pointer[baseTable]
-	nChunks atomic.Int32
-	growMu  sync.Mutex
-	rotor   atomic.Int64 // distributes handles across chunks
-	s       sites
+	nChunks     atomic.Int32
+	growMu      sync.Mutex
+	rotor       atomic.Int64 // distributes handles across chunks
+	s           sites
 
 	// Statistics counters; see Stats.
 	allocs, freesN, grows         atomic.Uint64
@@ -284,7 +273,6 @@ func attachHeader(pool *pmem.Pool, boot *pmem.ThreadCtx, at pmem.Addr) (*Allocat
 			next: make([]atomic.Uint32, a.chunkCap),
 		})
 	}
-	a.publishBases(n)
 	a.nChunks.Store(int32(n))
 	return a, nil
 }
@@ -314,145 +302,37 @@ func (a *Allocator) locate(g int) (*chunk, int) {
 	return a.chunks[g/a.chunkCap].Load(), g % a.chunkCap
 }
 
-// baseTable is the snapshot findBlock resolves addresses through. bases
-// holds every chunk's arena base in chunk order. When the chunk span
-// (chunkCap*stride) is a power of two, look is a dense bucket index over
-// [lo, hi): bucket b covers addresses [lo+b<<shift, lo+(b+1)<<shift), and
-// each bucket lists the (at most two) chunks whose arena intersects it,
-// nil-chunk padded. Bucket entries carry the candidate's base and chunk
-// pointer inline, so the hot lookup is one table load plus one bucket
-// load — no hop through the base or chunk slices. A nil look means
-// irregular geometry or chunks spread too far apart (see index); findBlock
-// falls back to scanning bases.
-type baseTable struct {
-	bases []pmem.Addr
-	chs   []*chunk // resolved chunk pointers, same order as bases
-	lo    pmem.Addr
-	shift uint
-	look  [][2]lookEntry
-}
-
-// lookEntry is one candidate chunk in a baseTable bucket. A nil ch ends
-// the bucket's candidate list.
-type lookEntry struct {
-	base pmem.Addr
-	ch   *chunk
-	ci   int32
-}
-
 // findBlock locates the chunk owning a block address and the block's
 // chunk index and chunk-local index. It reports false for addresses
-// outside every chunk's arena or misaligned within one. With the bucket
-// index published it costs one table load and at most two base compares,
-// independent of the chunk count.
+// outside every chunk's arena or misaligned within one. It scans the
+// published chunks, at most maxChunks of them. The scan loses no block:
+// grow stores chunks[n] before nChunks becomes n+1, and refill hands out
+// no block of chunk n until then, so every block an Alloc returned lies in
+// a chunk below the count this load observes.
 func (a *Allocator) findBlock(addr pmem.Addr) (*chunk, int, int, bool) {
-	t := a.bases.Load()
 	span := pmem.Addr(a.chunkCap * a.stride)
-	if t.look != nil {
-		if addr < t.lo {
-			return nil, 0, 0, false
+	n := int(a.nChunks.Load())
+	for ci := 0; ci < n; ci++ {
+		ch := a.chunks[ci].Load()
+		if addr < ch.blocks || addr-ch.blocks >= span {
+			continue
 		}
-		b := uint64(addr-t.lo) >> t.shift
-		if b >= uint64(len(t.look)) {
-			return nil, 0, 0, false
-		}
-		// Indexing through a pointer: ranging the bucket by value would
-		// copy all 48 bytes of it per call.
-		bkt := &t.look[b]
-		for i := range bkt {
-			e := &bkt[i]
-			if e.ch == nil {
-				break
+		off := int(addr - ch.blocks)
+		var idx int
+		if a.strideShift >= 0 {
+			if off&(a.stride-1) != 0 {
+				return nil, 0, 0, false
 			}
-			if addr-e.base < span {
-				return a.resolve(e.ch, int(e.ci), int(addr-e.base))
+			idx = off >> uint(a.strideShift)
+		} else {
+			if off%a.stride != 0 {
+				return nil, 0, 0, false
 			}
+			idx = off / a.stride
 		}
-		return nil, 0, 0, false
-	}
-	for ci, base := range t.bases {
-		if addr >= base && addr-base < span {
-			return a.resolve(t.chs[ci], ci, int(addr-base))
-		}
+		return ch, ci, idx, true
 	}
 	return nil, 0, 0, false
-}
-
-// resolve finishes findBlock once the owning chunk is known: it rejects
-// offsets that are misaligned within the block stride.
-func (a *Allocator) resolve(ch *chunk, ci, off int) (*chunk, int, int, bool) {
-	var idx int
-	if a.strideShift >= 0 {
-		if off&(a.stride-1) != 0 {
-			return nil, 0, 0, false
-		}
-		idx = off >> uint(a.strideShift)
-	} else {
-		if off%a.stride != 0 {
-			return nil, 0, 0, false
-		}
-		idx = off / a.stride
-	}
-	return ch, ci, idx, true
-}
-
-// lookSlack bounds the bucket index at lookSlack buckets per chunk.
-// Chunks carved back to back need about one bucket each; allocators that
-// grow interleaved in one pool (a kvstore's per-shard allocators) spread
-// their chunks across most of it, and an index over that whole range would
-// cost its size in allocation and zeroing on every grow and every attach.
-const lookSlack = 4
-
-// publishBases rebuilds the address-resolution table from the first n
-// chunks and publishes it in one pointer swap. Callers are single-threaded
-// constructors/recovery or hold growMu.
-func (a *Allocator) publishBases(n int) {
-	t := &baseTable{bases: make([]pmem.Addr, n), chs: make([]*chunk, n)}
-	for ci := 0; ci < n; ci++ {
-		t.chs[ci] = a.chunks[ci].Load()
-		t.bases[ci] = t.chs[ci].blocks
-	}
-	t.index(a.chunkCap * a.stride)
-	a.bases.Store(t)
-}
-
-// index builds t's bucket index over chunks of span bytes. It does so only
-// for power-of-two spans (shift-indexable) whose chunks lie close enough
-// together that the index needs at most lookSlack buckets per chunk;
-// otherwise look stays nil and findBlock scans the base list, so a table
-// always costs O(chunks) to build.
-func (t *baseTable) index(span int) {
-	spanShift := shiftFor(span)
-	if spanShift < 0 || len(t.bases) == 0 {
-		return
-	}
-	lo, hi := t.bases[0], t.bases[0]
-	for _, b := range t.bases {
-		if b < lo {
-			lo = b
-		}
-		if b > hi {
-			hi = b
-		}
-	}
-	buckets := int(hi-lo+pmem.Addr(span)-1)>>spanShift + 1
-	if buckets > lookSlack*len(t.bases) {
-		return
-	}
-	t.lo, t.shift = lo, uint(spanShift)
-	t.look = make([][2]lookEntry, buckets)
-	for ci, base := range t.bases {
-		e := lookEntry{base: base, ch: t.chs[ci], ci: int32(ci)}
-		b0 := int(base-lo) >> spanShift
-		b1 := int(base-lo+pmem.Addr(span)-1) >> spanShift
-		for _, b := range [2]int{b0, b1} {
-			if t.look[b][0].ch == nil {
-				t.look[b][0] = e
-			} else if t.look[b][0].ci != e.ci {
-				t.look[b][1] = e
-			}
-		}
-	}
 }
 
 // grow carves a new chunk out of the pool arena and publishes it. The
@@ -499,8 +379,9 @@ func (a *Allocator) grow(ctx *pmem.ThreadCtx, boot bool) bool {
 	}
 	c.top.Store(packTop(0, 1))
 	c.free.Store(int64(a.chunkCap))
+	// Stored before nChunks counts it: findBlock and refill read chunks
+	// only below the count.
 	a.chunks[n].Store(c)
-	a.publishBases(n + 1)
 
 	ctx.Store(a.header+hdrNChunks, uint64(n+1))
 	ctx.PWB(siteCount, a.header+hdrNChunks)
