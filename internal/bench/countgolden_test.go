@@ -311,10 +311,10 @@ func runFrozenWorkload(t *testing.T, g frozenGeometry) (workloadCounts, kvstore.
 func TestFrozenWorkloadCountsGolden(t *testing.T) {
 	golden := []workloadCounts{
 		// name, pwbs, syncs, words, crashes, recSlots, recLeaks, recPWBs, recPSyncs
-		{"kv-read-heavy", 15771, 10176, 34278, 0, 0, 0, 0, 64},
-		{"kv-update-heavy", 137937, 89482, 138872, 0, 0, 0, 0, 16},
+		{"kv-read-heavy", 13929, 8216, 16496, 0, 0, 0, 0, 64},
+		{"kv-update-heavy", 120136, 71548, 138316, 0, 0, 0, 0, 16},
 		{"list-update-heavy", 73174, 35045, 107224, 0, 0, 0, 0, 0},
-		{"kv-crash-recover", 77762, 51017, 94265, 8, 2, 4, 6, 578},
+		{"kv-crash-recover", 69496, 41495, 90527, 8, 3, 3704, 1155, 579},
 	}
 	var rows []string
 	defer logRows(t, &rows)

@@ -396,6 +396,9 @@ func init() {
 			}
 			return rmmValidate(pool, a, res)
 		},
+		Unreachable: map[string]string{
+			"rmm/pwb-gc-rewrite": "RecoverGC runs only in Validate, after the last crash; Reattach is Attach, which writes nothing",
+		},
 	})
 }
 
@@ -475,11 +478,15 @@ func (e exchThread) Recover(op chaos.Op) uint64 {
 // reachable set through RecoverGC. The slot protocol carries the
 // detectability argument: a block's bitmap bit is durable before its
 // address is published to a slot, and a slot is durably cleared before
-// its block is freed, so a crash anywhere leaves at worst a leaked block
-// (bit set, no slot) — never a block owned twice. The workload's opening
-// allocation ramp outgrows the first chunk, putting the grow path's
-// persist points (rmm/pwb-chunk-dir, rmm/pwb-chunk-count) in the profile
-// so the sweep crashes mid-grow.
+// its block is freed, so a crash anywhere leaves at worst leaked blocks
+// (bit set, no slot: the in-flight one and the handle's buffers) — never
+// a block owned twice. The workload's opening allocation ramp outgrows
+// the first chunk, putting the grow path's persist points
+// (rmm/pwb-chunk-dir, rmm/pwb-chunk-count) and two refills
+// (rmm/pwb-reserve) in the profile so the sweep crashes mid-grow and
+// mid-reservation; the drain that follows frees enough blocks, from both
+// chunks, to flush the handle's free buffer (rmm/pwb-release, one
+// write-back per chunk bitmap).
 const (
 	rmmSlotSite       = "rmm/pwb-slot"
 	rmmSlotsPerThread = 48
@@ -487,6 +494,7 @@ const (
 	rmmBlockWords     = 4
 	rmmMaxChunks      = 32
 	rmmRampOps        = 24 // > rmmChunkBlocks: forces a grow in the profile
+	rmmDrainOps       = 16 // frees slots 23..8: one flush, over both chunks
 	// rmmFreeFailed is the log sentinel for a Free the allocator rejected
 	// (double free / bogus address) — validation turns it into a violation.
 	rmmFreeFailed = ^uint64(0)
@@ -527,11 +535,15 @@ func rmmReattach(pool *pmem.Pool) (chaos.ThreadFactory, error) {
 }
 
 // rmmGenOp opens with a deterministic allocation ramp (slots 0..23, which
-// overflows the 16-block first chunk and drives a grow), then settles
+// overflows the 16-block first chunk and drives a grow) and a drain that
+// frees slots 23..8 (the free buffer's flush threshold), then settles
 // into alloc-heavy random churn over the thread's slots.
 func rmmGenOp(rng *rand.Rand, tid, i int) chaos.Op {
 	if i < rmmRampOps {
 		return chaos.Op{Kind: chaos.KindAlloc, Key: int64(i % rmmSlotsPerThread)}
+	}
+	if i < rmmRampOps+rmmDrainOps {
+		return chaos.Op{Kind: chaos.KindFree, Key: int64(2*rmmRampOps - 1 - i)}
 	}
 	kind := chaos.KindAlloc
 	if rng.Intn(10) < 3 {
@@ -583,9 +595,9 @@ func (t rmmThread) Run(op chaos.Op) uint64 {
 	if cur == 0 {
 		return 1 // already empty
 	}
-	// Durably disown the block before freeing it: once the bit clears,
-	// another thread may re-allocate the block, so the slot must already
-	// be empty at that point or recovery could free it twice.
+	// Durably disown the block before freeing it: once Free returns, the
+	// handle may re-issue the block, so the slot must already be empty at
+	// that point or recovery could free it twice.
 	t.ctx.Store(slot, 0)
 	t.ctx.PWB(t.site, slot)
 	t.ctx.PSync()
@@ -602,8 +614,8 @@ func (t rmmThread) Recover(op chaos.Op) uint64 {
 		if cur != 0 {
 			return cur // the publish committed (or the slot was busy all along)
 		}
-		// No published block: either the crash hit before the bitmap bit
-		// committed (block free again) or between bit and publish (block
+		// No published block: either the crash hit before the refill's
+		// reservation committed (block free again) or after it (block
 		// leaked; RecoverGC reclaims it). Re-running is safe either way.
 		return t.Run(op)
 	}

@@ -60,6 +60,7 @@ func testKVPublishCrashGetAbsentRecoverPut(t *testing.T) {
 	if _, err := w.RecoverPut(7, 777, kvstore.NoExpiry); err != nil {
 		t.Fatal(err)
 	}
+	w.Flush() // the audit counts reservations: no handle may buffer any
 	boot := pool.NewThread(0)
 	if v, ok := s.Handle(pool.NewThread(2)).Get(7); !ok || v != 777 {
 		t.Fatalf("final Get(7) = %d, %v, want 777, true", v, ok)

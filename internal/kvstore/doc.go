@@ -28,15 +28,15 @@
 // spin body performs a pool load, so a simulated crash propagates into
 // spinners instead of deadlocking them. A fresh Put runs the three-stage
 // protocol the recovery machinery is built around: (1) value-write —
-// allocate a block (its bitmap bit is durable before the address is
+// allocate a block (its reservation is durable before the address is
 // returned), persist key/value, publish the block address into a free
 // slot with a persisted store; (2) index-insert — the rhash Insert, whose
 // tracking checkpoint is the membership linearization point; (3)
 // TTL-stamp — persist the expiry tick into the block. Delete linearizes
 // at the rhash Delete, then tombstones the slot durably and frees the
-// block (bit-clear durable before reuse). An overwrite builds a
-// fully-persisted replacement block and commits it with a single-word slot
-// swap; an overwrite Put reports false without an index call, because a
+// block into the shard handle's buffer (it stays reserved until a flush
+// releases it). An overwrite builds a fully-persisted replacement block
+// and commits it with a single-word slot swap; an overwrite Put reports false without an index call, because a
 // live slot seen inside the write section means the key is a member.
 //
 // Get takes no lock and calls no index. Between write sections the slot
@@ -78,8 +78,12 @@
 // Shards touch disjoint words and the deal is static, so durable state
 // is byte-identical for every worker count; each worker keeps one flat
 // key table, cleared per shard, so restart allocates per shard, not per
-// key. Per-operation exactly-once results then come from RecoverPut /
-// RecoverGet / RecoverDelete. Other threads may have operated on the key
+// key. A Handle must not outlive the recovery of its store: its shard
+// allocators' buffers name blocks whose reservations RecoverGC cleared,
+// so writing through it afterwards publishes unreserved blocks. Take
+// fresh handles from the recovered Store. Per-operation exactly-once
+// results then come from RecoverPut / RecoverGet / RecoverDelete.
+// Other threads may have operated on the key
 // by the time a recovery function runs, so RecoverPut and RecoverDelete
 // touch the value plane only when their index operation never took
 // effect, and then re-execute the whole operation.

@@ -596,8 +596,10 @@ func (h *Handle) EvictExpired(now uint64) (int, error) {
 	return evicted, nil
 }
 
-// Flush returns the handle's buffered free blocks to the shared
-// free-stacks; call it before idling a thread.
+// Flush returns every block the handle's shard allocators buffer —
+// pending frees and unused refill caches — to the shared free-stacks,
+// clearing their reservations; call it before idling a thread, and
+// before a restart that should reclaim nothing.
 func (h *Handle) Flush() {
 	for _, am := range h.amH {
 		if am != nil {

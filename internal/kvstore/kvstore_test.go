@@ -419,6 +419,7 @@ func TestCrashMidDeleteWindows(t *testing.T) {
 		if err := r.CheckInvariants(pool.NewThread(2), false); err != nil {
 			t.Fatalf("primary %d: %v", primary, err)
 		}
+		rh.Flush() // the audit counts reservations: no handle may buffer any
 		if err := r.AuditPostRecovery(pool.NewThread(2)); err != nil {
 			t.Fatalf("primary %d: %v", primary, err)
 		}

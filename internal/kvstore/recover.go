@@ -375,10 +375,10 @@ func (h *Handle) RecoverDelete(key int64) (bool, error) {
 
 // AuditPostRecovery verifies the allocator-level recovery contract on a
 // freshly recovered, quiescent store: no bitmap bit had to be restored
-// (blocks are durable before they are published), and each shard's
-// allocated-block population equals its live slots exactly (RecoverGC
-// rewrote the bitmaps to the reachable set, and no handle caches exist
-// yet to hold claimed-but-unpublished blocks).
+// (blocks are reserved before they are published), and each shard's
+// reserved-block population equals its live slots exactly (RecoverGC
+// rewrote the bitmaps to the reachable set, and every handle created
+// since has been flushed, so no handle buffers a reserved block).
 func (s *Store) AuditPostRecovery(ctx *pmem.ThreadCtx) error {
 	for si, sh := range s.shards {
 		st := sh.alloc.Stats()

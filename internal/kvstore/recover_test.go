@@ -73,6 +73,15 @@ func orphan(t *testing.T, ctx *pmem.ThreadCtx, s *Store, si int, a *rmm.Handle, 
 	ctx.Store(s.slotAddr(s.shards[si], emptySlot(t, ctx, s, si, 0)), uint64(b))
 }
 
+// orphanFlushed is orphan through a fresh handle that is flushed after
+// it, so the image reserves no block beyond the orphan's own.
+func orphanFlushed(t *testing.T, ctx *pmem.ThreadCtx, s *Store, si int, key int64) {
+	t.Helper()
+	a := s.shards[si].alloc.Handle(ctx)
+	orphan(t, ctx, s, si, a, key)
+	a.Flush()
+}
+
 // keyIn returns the smallest key above from that routes to shard si.
 func keyIn(s *Store, si int, from int64) int64 {
 	k := from + 1
@@ -119,15 +128,15 @@ func TestRecoverCorruptImage(t *testing.T) {
 			h := s.shards[0].idx.HandleWith(s.eng.Thread(ctx))
 			h.Invoke()
 			h.Insert(k)
-			orphan(t, ctx, s, 0, s.shards[0].alloc.Handle(ctx), k)
+			orphanFlushed(t, ctx, s, 0, k)
 			return fmt.Sprintf("kvstore: shard 0: %d index members vs %d consistent slots", members+1, members)
 		}},
 		{name: "non-member slot", keys: 64, reconciled: 1, edit: func(t *testing.T, ctx *pmem.ThreadCtx, s *Store) string {
-			orphan(t, ctx, s, 0, s.shards[0].alloc.Handle(ctx), keyIn(s, 0, 1000))
+			orphanFlushed(t, ctx, s, 0, keyIn(s, 0, 1000))
 			return ""
 		}},
 		{name: "key routed elsewhere", keys: 64, reconciled: 1, edit: func(t *testing.T, ctx *pmem.ThreadCtx, s *Store) string {
-			orphan(t, ctx, s, 0, s.shards[0].alloc.Handle(ctx), keyIn(s, 1, 0)) // a live key of shard 1
+			orphanFlushed(t, ctx, s, 0, keyIn(s, 1, 0)) // a live key of shard 1
 			return ""
 		}},
 		{name: "more orphans than members", keys: 8, reconciled: 40, edit: func(t *testing.T, ctx *pmem.ThreadCtx, s *Store) string {
@@ -136,6 +145,7 @@ func TestRecoverCorruptImage(t *testing.T) {
 				k = keyIn(s, 2, k)
 				orphan(t, ctx, s, 2, a, k)
 			}
+			a.Flush()
 			return ""
 		}},
 	}
@@ -193,8 +203,12 @@ func TestRecoverAllocsIndependentOfKeys(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := s.Handle(pool.NewThread(1))
+	// Writes go through a fresh handle of the latest recovered store: a
+	// handle must not outlive the recovery of its store (see the package
+	// doc).
+	cur := s
 	fill := func(from, to int64) {
+		h := cur.Handle(pool.NewThread(1))
 		for k := from; k < to; k++ {
 			h.Invoke()
 			if _, err := h.Put(k, uint64(k), NoExpiry); err != nil {
@@ -215,9 +229,11 @@ func TestRecoverAllocsIndependentOfKeys(t *testing.T) {
 		out := make([]float64, len(cases))
 		for i, c := range cases {
 			out[i] = testing.AllocsPerRun(5, func() {
-				if _, err := c.recover(); err != nil {
+				r, err := c.recover()
+				if err != nil {
 					t.Fatal(err)
 				}
+				cur = r
 			})
 		}
 		return out

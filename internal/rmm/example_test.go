@@ -10,9 +10,9 @@ import (
 )
 
 // Example walks the allocator's full crash lifecycle: demand-driven chunk
-// growth, a crash that leaks half the live blocks, parallel reattach and
-// RecoverGC from the application's reachable set, and the leak statistics
-// the GC leaves behind.
+// growth, a crash that leaks half the live blocks and the handle's
+// reserved cache, parallel reattach and RecoverGC from the application's
+// reachable set, and the leak statistics the GC leaves behind.
 func Example() {
 	pool := pmem.New(pmem.Config{
 		Mode:          pmem.ModeStrict,
@@ -40,8 +40,9 @@ func Example() {
 
 	// Crash: all volatile state (free-stacks, handle caches) is lost, and
 	// the worst-case adversary drops every unsynced write-back. The
-	// allocation bitmaps survive — each bit was made durable before its
-	// Alloc returned.
+	// reservation bitmaps survive — each refill made its batch's bits
+	// durable before handing a block out — so the 4 blocks still cached
+	// in the handle leak along with the 10 dropped ones.
 	pool.TriggerCrash()
 	pool.Crash(pmem.CrashPolicy{})
 	pool.Recover()
@@ -71,6 +72,6 @@ func Example() {
 	// Output:
 	// chunks after growth: 3
 	// live after recovery: 10
-	// leaks reclaimed: 10
+	// leaks reclaimed: 14
 	// free blocks: 14
 }

@@ -18,8 +18,9 @@ func (a *Allocator) wordAddr(wi int) pmem.Addr {
 }
 
 // RecoverGC runs the offline post-crash collection: mark must visit the
-// address of every reachable block, and every allocated block the mark
-// does not visit is a crash leak that is reclaimed. The durable bitmaps
+// address of every reachable block, and every reserved block the mark
+// does not visit is a crash leak (a handle's buffer or an in-flight
+// operation's block) that is reclaimed. The durable bitmaps
 // are rewritten to exactly the reachable set (only differing words are
 // written back), and every chunk's volatile free-stack is rebuilt from
 // that set in the same pass — the free-stacks cost recovery nothing
@@ -76,7 +77,7 @@ func (a *Allocator) rebuild(loop recovery.Loop, reachable []uint64) error {
 			a.leaksReclaimed.Add(uint64(bits.OnesCount64(cur &^ want)))
 			a.marksRestored.Add(uint64(bits.OnesCount64(want &^ cur)))
 			ctx.Store(w, want)
-			ctx.PWB(a.s.bit, w)
+			ctx.PWB(a.s.rewrite, w)
 		}
 		splicers[wi/a.bitmapWords].word(wi%a.bitmapWords, want)
 		return nil

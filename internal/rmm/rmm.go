@@ -23,8 +23,11 @@ const (
 )
 
 // refillBlocks is how many free blocks a handle pulls off a chunk's shared
-// free-stack in one CAS; flushBlocks is how many locally buffered frees a
-// handle accumulates before splicing them back with one CAS per chunk.
+// free-stack in one CAS and reserves with one PSync; flushBlocks is how
+// many locally buffered frees a handle accumulates before releasing them
+// back with one CAS per chunk. A crash strands at most
+// refillBlocks+flushBlocks-1 reserved blocks per live handle, which
+// RecoverGC reclaims.
 const (
 	refillBlocks = 16
 	flushBlocks  = 16
@@ -32,9 +35,11 @@ const (
 
 // sites names the allocator's registered pwb code lines.
 type sites struct {
-	bit   pmem.Site // bitmap bit set (Alloc) / clear (Free)
-	dir   pmem.Site // chunk-directory entry of a grown chunk
-	count pmem.Site // chunk-count publish that commits a grow
+	reserve pmem.Site // bitmap lines of a refilled batch (bits set)
+	release pmem.Site // bitmap lines of a flushed batch (bits cleared)
+	rewrite pmem.Site // bitmap words RecoverGC rewrites to the reachable set
+	dir     pmem.Site // chunk-directory entry of a grown chunk
+	count   pmem.Site // chunk-count publish that commits a grow
 }
 
 // chunk is the volatile view of one contiguous block arena: its durable
@@ -44,12 +49,25 @@ type sites struct {
 // next[i] holds the 1-based successor of block i (0 terminates). All
 // stack state is volatile: a crash discards it and Attach/RecoverGC
 // rebuild it from the durable bitmap, which is the only allocation truth.
+// used is the volatile record of which blocks the application holds; it
+// is what Free checks, so a double or foreign free is caught without a
+// durable read.
 type chunk struct {
-	bitmap pmem.Addr // bitmapWords words, bit b = block b allocated
+	bitmap pmem.Addr // bitmapWords words, bit b = block b reserved
 	blocks pmem.Addr // chunkCap * blockWords words
 	top    atomic.Uint64
 	free   atomic.Int64 // free-stack population (excludes handle caches)
 	next   []atomic.Uint32
+	used   []atomic.Uint64 // bitmapWords words, bit b = block b held
+}
+
+// newChunk returns the volatile view of a chunk with empty stack state.
+func newChunk(bitmap, blocks pmem.Addr, chunkCap, bitmapWords int) *chunk {
+	return &chunk{
+		bitmap: bitmap, blocks: blocks,
+		next: make([]atomic.Uint32, chunkCap),
+		used: make([]atomic.Uint64, bitmapWords),
+	}
 }
 
 // packTop builds a top word from a version and a 1-based head index.
@@ -106,10 +124,10 @@ func (c *chunk) popChain(dst []int, max int) (n int, steps uint64) {
 
 // Allocator manages fixed-size blocks carved out of a pool, in up to
 // maxChunks chunks of chunkCap blocks each. The durable state is the
-// header (geometry + chunk directory + chunk count) and one allocation
-// bitmap per chunk; everything else — the per-chunk free-stacks and the
-// handle caches — is volatile and rebuilt from the bitmaps on Attach or
-// from the reachable set in RecoverGC.
+// header (geometry + chunk directory + chunk count) and one reservation
+// bitmap per chunk; everything else — the per-chunk free-stacks, the used
+// bitmaps and the handle caches — is volatile and rebuilt from the
+// bitmaps on Attach or from the reachable set in RecoverGC.
 type Allocator struct {
 	pool        *pmem.Pool
 	header      pmem.Addr
@@ -197,16 +215,19 @@ func NewGrowableAt(pool *pmem.Pool, blockWords, chunkBlocks, maxChunks int, at p
 // registerSites registers (idempotently) the allocator's pwb code lines.
 func registerSites(pool *pmem.Pool) sites {
 	return sites{
-		bit:   pool.RegisterSite("rmm/pwb-bitmap"),
-		dir:   pool.RegisterSite("rmm/pwb-chunk-dir"),
-		count: pool.RegisterSite("rmm/pwb-chunk-count"),
+		reserve: pool.RegisterSite("rmm/pwb-reserve"),
+		release: pool.RegisterSite("rmm/pwb-release"),
+		rewrite: pool.RegisterSite("rmm/pwb-gc-rewrite"),
+		dir:     pool.RegisterSite("rmm/pwb-chunk-dir"),
+		count:   pool.RegisterSite("rmm/pwb-chunk-count"),
 	}
 }
 
 // Attach reconstructs an Allocator from the header in rootSlot after pool
 // recovery, rebuilding each chunk's volatile free-stack from its durable
-// allocation bitmap. Blocks leaked by the crash (bit set, unreachable)
-// stay allocated until RecoverGC reclaims them.
+// reservation bitmap and counting every reserved block as held. Blocks
+// the crash stranded (bit set, unreachable: handle buffers and in-flight
+// operations) stay reserved until RecoverGC reclaims them.
 func Attach(pool *pmem.Pool, rootSlot int) (*Allocator, error) {
 	boot := pool.NewThread(0)
 	return attach(pool, rootSlot, boot, recovery.Inline(boot))
@@ -268,10 +289,7 @@ func attachHeader(pool *pmem.Pool, boot *pmem.ThreadCtx, at pmem.Addr) (*Allocat
 		if !pool.ValidWords(bm, a.bitmapWords) || !pool.ValidWords(bl, a.chunkCap*a.blockWords) {
 			return nil, fmt.Errorf("rmm: corrupt chunk directory entry %d", ci)
 		}
-		a.chunks[ci].Store(&chunk{
-			bitmap: bm, blocks: bl,
-			next: make([]atomic.Uint32, a.chunkCap),
-		})
+		a.chunks[ci].Store(newChunk(bm, bl, a.chunkCap, a.bitmapWords))
 	}
 	a.nChunks.Store(int32(n))
 	return a, nil
@@ -373,7 +391,7 @@ func (a *Allocator) grow(ctx *pmem.ThreadCtx, boot bool) bool {
 	ctx.PWBRange(siteDir, entry, 2)
 	ctx.PFence()
 
-	c := &chunk{bitmap: bm, blocks: bl, next: make([]atomic.Uint32, a.chunkCap)}
+	c := newChunk(bm, bl, a.chunkCap, a.bitmapWords)
 	for i := 0; i < a.chunkCap-1; i++ {
 		c.next[i].Store(uint32(i + 2))
 	}
@@ -420,26 +438,50 @@ func (a *Allocator) bitWord(i int) (addr pmem.Addr, mask uint64) {
 
 // Handle is the per-thread face of the allocator. It buffers both sides
 // of churn: Alloc refills a private cache of free blocks with one shared
-// CAS per refillBlocks pops, and Free batches bit-cleared blocks locally,
+// CAS per refillBlocks pops, and Free batches freed blocks locally,
 // splicing them back with one shared CAS per chunk per flushBlocks frees.
-// A handle is single-goroutine, like its ThreadCtx, and must be discarded
-// (not reused) across a crash or a RecoverGC.
+// The durable bitmap changes only at those two batch boundaries: a refill
+// reserves its whole batch with one PSync before handing any block out,
+// and a flush releases its batch before any block re-enters a stack.
+// Every block a handle buffers stays durably reserved, so a crash leaks
+// the buffers (at most refillBlocks+flushBlocks-1 blocks) until RecoverGC
+// and can never hand a block to two owners. A handle is single-goroutine,
+// like its ThreadCtx, and must be discarded (not reused) across a crash
+// or a RecoverGC.
 type Handle struct {
 	a   *Allocator
 	ctx *pmem.ThreadCtx
-	// cache holds refilled free blocks (global indices), consumed from
-	// cachePos; frees holds bit-cleared blocks awaiting their flush, and
-	// doubles as the first allocation source so a freed block is reused
-	// while its lines are hot.
+	// cache holds refilled reserved blocks (global indices), consumed from
+	// cachePos; frees holds freed blocks, still reserved, awaiting their
+	// flush, and doubles as the first allocation source so a freed block
+	// is reused while its lines are hot.
 	cache    []int
 	cachePos int
 	frees    []int
 	pref     int
+	// words and chains are persistBits' and release's scratch tables,
+	// kept to spare the batch paths an allocation.
+	words  []bitMask
+	chains []chain
 	// nAllocs/nFrees batch the operation counters: the shared stats
 	// atomics are touched once per statsBatch operations, so the hot path
 	// pays a plain increment. Stats may therefore lag the truth by up to
 	// statsBatch-1 operations per live handle.
 	nAllocs, nFrees uint32
+}
+
+// bitMask is one bitmap word of a batch and the bits the batch changes.
+type bitMask struct {
+	addr pmem.Addr
+	mask uint64
+}
+
+// chain is one chunk's part of a released batch, pre-linked through the
+// chunk's next cells: 1-based head and tail indices and the block count.
+type chain struct {
+	ci           int
+	head1, tail1 uint32
+	n            int64
 }
 
 // statsBatch is the handle-local operation-counter flush period.
@@ -450,6 +492,7 @@ func (a *Allocator) Handle(ctx *pmem.ThreadCtx) *Handle {
 	return &Handle{
 		a: a, ctx: ctx,
 		cache: make([]int, 0, refillBlocks),
+		frees: make([]int, 0, flushBlocks+refillBlocks),
 		pref:  int(a.rotor.Add(1) - 1),
 	}
 }
@@ -473,7 +516,9 @@ func (h *Handle) takeLocal() (int, bool) {
 // refill repopulates the handle's cache from the shared free-stacks:
 // chunks are scanned round-robin from the handle's preferred chunk, and
 // the first non-empty stack donates up to refillBlocks blocks in one CAS.
-// When every chunk is empty the allocator grows and the scan retries once.
+// The batch is reserved — its bits set and made durable with one PSync —
+// before any block of it is handed out. When every chunk is empty the
+// allocator grows and the scan retries once.
 func (h *Handle) refill() (int, bool) {
 	a := h.a
 	h.cache = h.cache[:cap(h.cache)]
@@ -489,6 +534,8 @@ func (h *Handle) refill() (int, bool) {
 					h.cache[i] += ci * a.chunkCap
 				}
 				h.cache = h.cache[:got]
+				h.persistBits(h.cache, true, a.s.reserve)
+				h.ctx.PSync()
 				h.cachePos = 1
 				a.refills.Add(1)
 				return h.cache[0], true
@@ -499,6 +546,46 @@ func (h *Handle) refill() (int, bool) {
 		}
 	}
 	return 0, false
+}
+
+// persistBits sets (reserve) or clears (release) the durable bitmap bits
+// of blocks gs: one CAS per bitmap word and one write-back at site s per
+// bitmap line, in address order, each line written back once its words
+// have changed. It issues no PSync; the caller decides.
+func (h *Handle) persistBits(gs []int, set bool, s pmem.Site) {
+	c := h.ctx
+	ws := h.words[:0]
+	for _, g := range gs {
+		w, mask := h.a.bitWord(g)
+		i := 0
+		for i < len(ws) && ws[i].addr < w {
+			i++
+		}
+		if i < len(ws) && ws[i].addr == w {
+			ws[i].mask |= mask
+			continue
+		}
+		ws = append(ws, bitMask{})
+		copy(ws[i+1:], ws[i:])
+		ws[i] = bitMask{w, mask}
+	}
+	const lineBytes = pmem.LineWords * pmem.WordSize
+	for i, wm := range ws {
+		for {
+			v := c.Load(wm.addr)
+			nv := v &^ wm.mask
+			if set {
+				nv = v | wm.mask
+			}
+			if c.CAS(wm.addr, v, nv) {
+				break
+			}
+		}
+		if i+1 == len(ws) || ws[i+1].addr/lineBytes != wm.addr/lineBytes {
+			c.PWB(s, wm.addr)
+		}
+	}
+	h.words = ws[:0]
 }
 
 // expand makes more blocks allocatable when every free-stack is empty by
@@ -517,15 +604,16 @@ func (a *Allocator) expand(ctx *pmem.ThreadCtx) bool {
 	return a.grow(ctx, false)
 }
 
-// Alloc claims a free block, zeroes it, and returns its address after the
-// block's bitmap bit is durable — so a crash can never hand the block out
-// twice. The hot path is O(1): pop a block from the handle's private
-// buffers (amortized one shared CAS per refillBlocks allocations), then
-// one bitmap CAS + pwb + psync for the durable claim. Blocks sitting in a
-// handle's buffers keep their bits clear, so a crash returns them to the
-// free pool rather than leaking them. Alloc returns Null only when every
-// chunk is empty and the arena can no longer grow; concurrently buffered
-// frees of other handles may make a Null transient.
+// Alloc claims a free block, zeroes it, and returns its address. The
+// block's bitmap bit is durable before Alloc returns — the refill that
+// brought the block into the handle reserved its whole batch with one
+// PSync — so a crash can never hand the block out twice. The hot path
+// persists nothing: pop a block from the handle's private buffers
+// (amortized one shared CAS and one reservation per refillBlocks
+// allocations) and mark it held in the volatile used bitmap. Alloc
+// returns Null only when every chunk is empty and the arena can no longer
+// grow; concurrently buffered frees of other handles may make a Null
+// transient.
 func (h *Handle) Alloc() pmem.Addr {
 	a := h.a
 	c := h.ctx
@@ -536,16 +624,13 @@ func (h *Handle) Alloc() pmem.Addr {
 		}
 	}
 	ch, idx := a.locate(g)
-	w := ch.bitmap + pmem.Addr(idx>>6*pmem.WordSize)
-	mask := uint64(1) << uint(idx&63)
+	u, mask := &ch.used[idx>>6], uint64(1)<<uint(idx&63)
 	for {
-		v := c.Load(w)
-		if c.CAS(w, v, v|mask) {
+		v := u.Load()
+		if u.CompareAndSwap(v, v|mask) {
 			break
 		}
 	}
-	c.PWB(a.s.bit, w)
-	c.PSync()
 	b := ch.blocks + pmem.Addr(idx*a.stride)
 	for off := 0; off < a.blockWords; off++ {
 		c.Store(b+pmem.Addr(off*pmem.WordSize), 0)
@@ -557,92 +642,98 @@ func (h *Handle) Alloc() pmem.Addr {
 	return b
 }
 
-// Free releases a block: the bitmap bit-clear is persisted immediately
-// (a lost write-back leaks the block until the next RecoverGC, but can
-// never double-allocate it), then the block joins the handle's local free
-// buffer for reuse; full buffers flush to the shared free-stacks in one
-// CAS per chunk. Freeing an address the allocator does not own, or a
-// block that is already free, returns an error.
+// Free releases a block into the handle's local free buffer, where it
+// stays durably reserved and is the next block Alloc reuses; Free itself
+// persists nothing. The caller must durably disown the block first. A
+// full buffer is flushed to the shared free-stacks, one CAS per chunk,
+// after its reservations are cleared. Freeing an address the allocator
+// does not own, or a block the application does not hold (a double
+// free), returns an error.
 func (h *Handle) Free(addr pmem.Addr) error {
 	a := h.a
-	c := h.ctx
 	ch, ci, idx, ok := a.findBlock(addr)
 	if !ok {
 		return fmt.Errorf("rmm: %#x is not a block address", uint64(addr))
 	}
-	w := ch.bitmap + pmem.Addr(idx>>6*pmem.WordSize)
-	mask := uint64(1) << uint(idx&63)
 	g := ci*a.chunkCap + idx
 	if a.capShift >= 0 {
 		g = ci<<uint(a.capShift) | idx
 	}
+	u, mask := &ch.used[idx>>6], uint64(1)<<uint(idx&63)
 	for {
-		v := c.Load(w)
+		v := u.Load()
 		if v&mask == 0 {
 			return fmt.Errorf("rmm: double free of block %d", g)
 		}
-		if c.CAS(w, v, v&^mask) {
+		if u.CompareAndSwap(v, v&^mask) {
 			break
 		}
 	}
-	c.PWB(a.s.bit, w)
-	c.PSync()
 	h.frees = append(h.frees, g)
 	if h.nFrees++; h.nFrees >= statsBatch {
 		a.freesN.Add(uint64(h.nFrees))
 		h.nFrees = 0
 	}
 	if len(h.frees) >= flushBlocks {
-		h.Flush()
+		h.release(h.frees)
+		h.frees = h.frees[:0]
 	}
 	return nil
 }
 
-// Flush splices the handle's buffered frees back onto their chunks'
-// shared free-stacks (one CAS per distinct chunk). Free calls it
-// automatically at the flush threshold; call it directly before idling a
-// thread so its buffered blocks become allocatable to others.
+// Flush returns every block the handle buffers — its pending frees and
+// the unused rest of its refill cache — to the shared free-stacks,
+// clearing their reservations, so a flushed handle strands nothing. Free
+// flushes the free buffer automatically at the threshold; call Flush
+// before idling a thread so its buffered blocks become allocatable to
+// others, and before a restart that should reclaim nothing.
 func (h *Handle) Flush() {
-	if len(h.frees) == 0 {
+	h.frees = append(h.frees, h.cache[h.cachePos:]...)
+	h.cache, h.cachePos = h.cache[:0], 0
+	h.release(h.frees)
+	h.frees = h.frees[:0]
+}
+
+// release clears the reservations of the reserved, unheld blocks gs and
+// then splices them onto their chunks' shared free-stacks, one CAS per
+// distinct chunk. The clears are written back, one write-back per bitmap
+// line, but not synced: a lost clear only leaks its block until
+// RecoverGC. A block goes onto a stack only after its bit is clear, so a
+// concurrent refill never pops a block whose release is still pending.
+func (h *Handle) release(gs []int) {
+	if len(gs) == 0 {
 		return
 	}
 	a := h.a
-	type chain struct {
-		ci           int
-		head1, tail1 uint32
-		n            int64
-	}
-	var chains [flushBlocks]chain
-	nc := 0
-	for _, g := range h.frees {
+	h.persistBits(gs, false, a.s.release)
+	chains := h.chains[:0]
+	for _, g := range gs {
 		ci, idx1 := g/a.chunkCap, uint32(g%a.chunkCap+1)
 		found := -1
-		for i := 0; i < nc; i++ {
+		for i := range chains {
 			if chains[i].ci == ci {
 				found = i
 				break
 			}
 		}
 		if found < 0 {
-			chains[nc] = chain{ci: ci, head1: idx1, tail1: idx1, n: 1}
-			nc++
+			chains = append(chains, chain{ci: ci, head1: idx1, tail1: idx1, n: 1})
 			continue
 		}
-		c := a.chunkAt(ci)
-		c.next[chains[found].tail1-1].Store(idx1)
+		a.chunkAt(ci).next[chains[found].tail1-1].Store(idx1)
 		chains[found].tail1 = idx1
 		chains[found].n++
 	}
-	for i := 0; i < nc; i++ {
-		a.chunkAt(chains[i].ci).pushChain(chains[i].head1, chains[i].tail1, chains[i].n)
+	for _, cn := range chains {
+		a.chunkAt(cn.ci).pushChain(cn.head1, cn.tail1, cn.n)
 	}
-	h.frees = h.frees[:0]
+	h.chains = chains[:0]
 	a.flushes.Add(1)
 }
 
-// InUse counts allocated blocks (diagnostic): the population of the
-// durable bitmaps, which includes blocks leaked by crashes until
-// RecoverGC reclaims them but excludes free blocks buffered in handles.
+// InUse counts reserved blocks (diagnostic): the population of the
+// durable bitmaps. It includes the blocks handles buffer until they
+// Flush, and blocks stranded by crashes until RecoverGC reclaims them.
 func (a *Allocator) InUse(ctx *pmem.ThreadCtx) int {
 	n, _ := a.inUse(recovery.Inline(ctx)) // the count's body returns no error
 	return n
@@ -692,8 +783,10 @@ func newSplicer(a *Allocator, ci int) *splicer {
 	return &splicer{a: a, c: a.chunkAt(ci), subs: make([]sublist, a.bitmapWords)}
 }
 
-// word builds word wi's sublist from its allocated-bits value.
+// word builds word wi's sublist from its reserved-bits value, and counts
+// every reserved block of the word as held.
 func (s *splicer) word(wi int, allocBits uint64) {
+	s.c.used[wi].Store(allocBits)
 	span := s.a.chunkCap - wi*64
 	if span > 64 {
 		span = 64
@@ -745,9 +838,9 @@ func (s *splicer) commit() {
 // CheckInvariants audits the volatile/durable split on a quiescent
 // allocator: each chunk's free-stack must be acyclic, hold exactly the
 // population its free counter claims, and list only blocks whose durable
-// bit is clear. (Blocks buffered in handles are bit-clear but on no
-// stack, so the stack population is a lower bound on the bitmap's free
-// count.)
+// bit is clear, and every block the application holds must be durably
+// reserved. (Blocks buffered in handles are reserved but neither held
+// nor on a stack.)
 func (a *Allocator) CheckInvariants(ctx *pmem.ThreadCtx) error {
 	nc := int(a.nChunks.Load())
 	for ci := 0; ci < nc; ci++ {
@@ -761,6 +854,10 @@ func (a *Allocator) CheckInvariants(ctx *pmem.ThreadCtx) error {
 				span = 64
 			}
 			bitClear += span - bits.OnesCount64(v&(^uint64(0)>>uint(64-span)))
+			if held := c.used[wi].Load() &^ v; held != 0 {
+				return fmt.Errorf("rmm: chunk %d holds block %d without a reservation",
+					ci, ci*a.chunkCap+wi*64+bits.TrailingZeros64(held))
+			}
 		}
 		for idx1 := uint32(c.top.Load()); idx1 != 0; idx1 = c.next[idx1-1].Load() {
 			if walked++; walked > int64(a.chunkCap) {
@@ -768,7 +865,7 @@ func (a *Allocator) CheckInvariants(ctx *pmem.ThreadCtx) error {
 			}
 			g := ci*a.chunkCap + int(idx1-1)
 			if w, mask := a.bitWord(g); ctx.Load(w)&mask != 0 {
-				return fmt.Errorf("rmm: chunk %d lists allocated block %d as free", ci, g)
+				return fmt.Errorf("rmm: chunk %d lists reserved block %d as free", ci, g)
 			}
 		}
 		if f := c.free.Load(); f != walked {

@@ -30,12 +30,18 @@ func TestAllocFreeCycle(t *testing.T) {
 			t.Fatalf("block word %d = %d", i, v)
 		}
 	}
+	// The refill reserved a whole batch; Flush returns the unused rest.
+	if n := a.InUse(h.ctx); n != refillBlocks {
+		t.Fatalf("InUse = %d before Flush, want the refilled batch of %d", n, refillBlocks)
+	}
+	h.Flush()
 	if a.InUse(h.ctx) != 1 {
 		t.Fatalf("InUse = %d", a.InUse(h.ctx))
 	}
 	if err := h.Free(b1); err != nil {
 		t.Fatal(err)
 	}
+	h.Flush()
 	if a.InUse(h.ctx) != 0 {
 		t.Fatal("block not freed")
 	}
@@ -132,28 +138,50 @@ func TestUniqueAddresses(t *testing.T) {
 	}
 }
 
+// TestBitDurableBeforeReturn crashes right after Alloc returned, under
+// the adversary that drops every unsynced write-back: the returned
+// block's bit is durable, and the recovered allocator never issues it
+// again. The refill's whole batch stays reserved until RecoverGC.
 func TestBitDurableBeforeReturn(t *testing.T) {
 	pool, a := newAlloc(t, pmem.ModeStrict, 2, 32)
 	h := a.Handle(pool.NewThread(1))
 	b := h.Alloc()
-	// Worst-case crash immediately after Alloc returned.
+	w, mask := a.bitWord(mustIndex(t, a, b))
 	pool.TriggerCrash()
 	pool.Crash(pmem.CrashPolicy{})
 	pool.Recover()
+	if pool.DurableLoad(w)&mask == 0 {
+		t.Fatal("allocation bit lost despite Alloc having returned")
+	}
 	a2, err := Attach(pool, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := pool.NewThread(1)
-	if a2.InUse(ctx) != 1 {
-		t.Fatal("allocation bit lost despite Alloc having returned")
+	if n := a2.InUse(ctx); n != refillBlocks {
+		t.Fatalf("InUse = %d after the crash, want the reserved batch of %d", n, refillBlocks)
 	}
 	h2 := a2.Handle(ctx)
-	for i := 0; i < 31; i++ {
-		if got := h2.Alloc(); got == b {
+	issued := 0
+	for got := h2.Alloc(); got != pmem.Null; got = h2.Alloc() {
+		if got == b {
 			t.Fatal("block double-allocated after crash")
 		}
+		issued++
 	}
+	if issued != 32-refillBlocks {
+		t.Fatalf("recovered allocator issued %d blocks, want the %d unreserved ones", issued, 32-refillBlocks)
+	}
+}
+
+// mustIndex is blockIndex for an address the test knows is a block.
+func mustIndex(t *testing.T, a *Allocator, b pmem.Addr) int {
+	t.Helper()
+	g, err := a.blockIndex(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestRecoverGC(t *testing.T) {
@@ -171,8 +199,8 @@ func TestRecoverGC(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := pool.NewThread(1)
-	if a2.InUse(ctx) != 2 {
-		t.Fatalf("pre-GC InUse = %d, want 2", a2.InUse(ctx))
+	if a2.InUse(ctx) != refillBlocks {
+		t.Fatalf("pre-GC InUse = %d, want the reserved batch of %d", a2.InUse(ctx), refillBlocks)
 	}
 	// The application's only root references keep.
 	err = a2.RecoverGC(ctx, func(visit func(pmem.Addr) error) error {
@@ -183,6 +211,9 @@ func TestRecoverGC(t *testing.T) {
 	}
 	if a2.InUse(ctx) != 1 {
 		t.Fatalf("post-GC InUse = %d, want 1 (leak not reclaimed)", a2.InUse(ctx))
+	}
+	if n := a2.Stats().LeaksReclaimed; n != refillBlocks-1 {
+		t.Fatalf("LeaksReclaimed = %d, want %d", n, refillBlocks-1)
 	}
 	// The reclaimed block is allocatable again; keep is not reissued.
 	h2 := a2.Handle(ctx)
@@ -207,6 +238,7 @@ func TestRecoverGCRejectsBogusRoots(t *testing.T) {
 		for i := range live {
 			live[i] = h.Alloc()
 		}
+		h.Flush()
 		return pool, a, live
 	}
 	bitmaps := func(pool *pmem.Pool, a *Allocator) []uint64 {
@@ -288,6 +320,7 @@ func TestQuickAllocFreeModel(t *testing.T) {
 				delete(live, victim)
 			}
 		}
+		h.Flush()
 		return a.InUse(h.ctx) == len(live)
 	}
 	cfg := &quick.Config{MaxCount: 40, Rand: rand.New(rand.NewSource(37))}
